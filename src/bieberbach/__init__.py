@@ -82,13 +82,11 @@ from .calabi import (
     SurjectionToZ,
     CalabiStep,
     PolyZSeries,
-    CalabiDecomposition,
     ConnectivityReport,
     NotTorsionFree,
     InvariantProjectionFailure,
     surjection_to_Z,
     calabi_kernel,
-    decompose,
     is_connective,
     connectivity_document,
 )

@@ -76,16 +76,6 @@ class PolyZSeries:
 
 
 @dataclass(frozen=True)
-class CalabiDecomposition:
-    chain: tuple[CalabiStep, ...]
-    core: CrystalGroup | None
-
-    @property
-    def complete(self) -> bool:
-        return self.core is None
-
-
-@dataclass(frozen=True)
 class ConnectivityReport:
     connective: bool
     certificate: PolyZSeries | None
@@ -280,36 +270,27 @@ def _vasquez_standardize(dim: int, affine_pairs) -> list[AffineGen]:
     return gens
 
 
-def decompose(group: CrystalGroup) -> CalabiDecomposition:
-    """Iterate surjection + kernel until dimension 0 (complete poly-Z
-    chain) or until a stage with finite first homology (the core)."""
+def is_connective(group: CrystalGroup) -> ConnectivityReport:
+    """Connectivity verdict with a certificate.  Iterates surjection +
+    kernel until dimension 0 (a full poly-Z chain: connective) or until
+    a stage with finite first homology (the core: not connective)."""
     if not is_torsion_free(group):
         raise NotTorsionFree(f"group {group.name!r} has torsion")
-    chain: list[CalabiStep] = []
+    steps: list[CalabiStep] = []
     stage = group
     while stage.dim > 0:
         surj = surjection_to_Z(stage)
         if surj is None:
-            return CalabiDecomposition(chain=tuple(chain), core=stage)
+            chain = tuple(steps)
+            return ConnectivityReport(
+                connective=False, certificate=None, core=stage, chain=chain
+            )
         step = calabi_kernel(stage, surj)
-        chain.append(step)
+        steps.append(step)
         stage = step.kernel_group
-    return CalabiDecomposition(chain=tuple(chain), core=None)
-
-
-def is_connective(group: CrystalGroup) -> ConnectivityReport:
-    """Connectivity verdict with a certificate: a full poly-Z chain when
-    connective, a finite-homology core when not."""
-    dec = decompose(group)
-    if dec.complete:
-        return ConnectivityReport(
-            connective=True,
-            certificate=PolyZSeries(steps=dec.chain),
-            core=None,
-            chain=dec.chain,
-        )
+    chain = tuple(steps)
     return ConnectivityReport(
-        connective=False, certificate=None, core=dec.core, chain=dec.chain
+        connective=True, certificate=PolyZSeries(steps=chain), core=None, chain=chain
     )
 
 

@@ -24,6 +24,7 @@ from .catalog import UnknownKey, catalog_get, catalog_list
 from .crystal import CrystalError, CrystalGroup, is_torsion_free
 from .finite import (
     CoprimeTree,
+    OrderBudgetExceeded,
     finite_group_from_holonomy,
     in_coprime_class,
     is_primitive,
@@ -289,14 +290,14 @@ def cmd_connective(args) -> int:
     group = _load(args)
     report = is_connective(group)
     doc: dict = {"connective": report.connective}
+    text = connectivity_text(report)
     if args.certificate:
         doc["certificate"] = connectivity_document(report)
+        if args.format != "json":
+            text += "\n" + json.dumps(doc["certificate"], indent=2)
     else:
         doc["chain_length"] = len(report.chain)
         doc["core"] = None if report.core is None else group_to_document(report.core)
-    text = connectivity_text(report)
-    if args.certificate and args.format != "json":
-        text += "\n" + json.dumps(connectivity_document(report), indent=2)
     _emit(doc, args.format, text)
     return 0
 
@@ -439,7 +440,9 @@ def main(argv=None) -> int:
     except UnknownKey as exc:
         print(f"error: unknown catalog key {exc.args[0]!r}", file=sys.stderr)
         return 2
-    except (GroupFileError, CrystalError, NotTorsionFree, ValueError) as exc:
+    except (
+        GroupFileError, CrystalError, NotTorsionFree, OrderBudgetExceeded, ValueError
+    ) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .linalg import (
     IntMatrix,
@@ -48,6 +48,24 @@ class NotInGroup(CrystalError):
 
 
 RatVec = tuple[Fraction, ...]
+
+
+def computed_once(func):
+    """Store `func(obj)` on `obj` itself, like `cached_property` does for
+    a method: the value is computed on first call and dies with the
+    object.  A stored None counts as computed."""
+    slot = f"_computed_{func.__name__}"
+
+    @wraps(func)
+    def wrapper(obj):
+        memo = obj.__dict__
+        if slot in memo:
+            return memo[slot]
+        # threads racing on a first call may each compute; setdefault
+        # hands all of them the value stored first
+        return memo.setdefault(slot, func(obj))
+
+    return wrapper
 
 
 @dataclass(frozen=True)
@@ -290,6 +308,7 @@ def reconstruct_element(group: CrystalGroup, index: int, lam) -> AffineGen:
     return AffineGen(elem.matrix, vec_add(elem.translation, frac_vector(lam)))
 
 
+@computed_once
 def torsion_witness(group: CrystalGroup) -> TorsionWitness | None:
     """Find a nontrivial finite-order element, or None when the group
     is torsion free.

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 
-from .crystal import CrystalGroup
+from .crystal import CrystalGroup, computed_once
 from .linalg import IntMatrix
 
 
@@ -40,12 +40,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.table)
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def exponent_of(self, i: int) -> int:
-        return self.orders[i]
 
     def is_abelian(self) -> bool:
         n = self.order
@@ -173,11 +167,20 @@ def _is_normal(group: FiniteGroup, elems: frozenset[int]) -> bool:
     return True
 
 
-def all_subgroups(group: FiniteGroup, budget: int = DEFAULT_ORDER_BUDGET) -> list[Subgroup]:
+def all_subgroups(
+    group: FiniteGroup, budget: int = DEFAULT_ORDER_BUDGET
+) -> tuple[Subgroup, ...]:
     """Every subgroup, as joins of cyclic subgroups closed under pairwise
-    join.  Deterministic order: by (order, sorted elements)."""
+    join.  Deterministic order: by (order, sorted elements).  The budget
+    is checked on every call; the lattice is enumerated once per group
+    object."""
     if group.order > budget:
         raise OrderBudgetExceeded(f"order {group.order} exceeds budget {budget}")
+    return _subgroup_lattice(group)
+
+
+@computed_once
+def _subgroup_lattice(group: FiniteGroup) -> tuple[Subgroup, ...]:
     found: set[frozenset[int]] = {frozenset({0})}
     for g in range(group.order):
         found.add(_closure(group, {g}))
@@ -191,9 +194,9 @@ def all_subgroups(group: FiniteGroup, budget: int = DEFAULT_ORDER_BUDGET) -> lis
             break
         found |= new
     ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
-    return [
+    return tuple(
         Subgroup(elements=s, order=len(s), is_normal=_is_normal(group, s)) for s in ordered
-    ]
+    )
 
 
 def _prime_factors(n: int) -> dict[int, int]:
@@ -270,33 +273,19 @@ def quotient_group(
 
 def is_primitive(group: FiniteGroup, budget: int = DEFAULT_ORDER_BUDGET) -> bool:
     """Hiller-Sah primitivity: no cyclic Sylow subgroup has a normal
-    complement.  Cross-checked against the equivalent formulation "no
-    cyclic Sylow subgroup is isomorphic to a quotient of the group"."""
+    complement.  The test suite checks this against the equivalent
+    formulation "no cyclic Sylow subgroup is isomorphic to a quotient of
+    the group"."""
     if group.order > budget:
         raise OrderBudgetExceeded(f"order {group.order} exceeds budget {budget}")
     if group.order == 1:
         return False  # the trivial group counts as cyclic
-    non_primitive = False
     for p in _prime_factors(group.order):
         syl = sylow_subgroup(group, p, budget=budget)
         syl_group = subgroup_as_group(group, syl.elements)
         if syl_group.is_cyclic() and has_normal_complement(group, syl, budget=budget)[0]:
-            non_primitive = True
-            break
-    via_quotients = False
-    factors = _prime_factors(group.order)
-    for sub in all_subgroups(group, budget=budget):
-        if not sub.is_normal:
-            continue
-        quot, _ = quotient_group(group, sub.elements)
-        for p, e in factors.items():
-            if quot.order == p**e and quot.is_cyclic():
-                via_quotients = True
-    if non_primitive != via_quotients:
-        raise RuntimeError(
-            "primitivity criteria disagree; subgroup machinery is inconsistent"
-        )
-    return not non_primitive
+            return False
+    return True
 
 
 def in_coprime_class(

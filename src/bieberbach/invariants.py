@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .crystal import CrystalGroup
+from .crystal import CrystalGroup, computed_once
 from .linalg import (
     IntMatrix,
     frac_vector,
@@ -72,13 +72,11 @@ class FixedTorusSubgroup:
         return prod(self.component_orders) if self.component_orders else 1
 
 
-def _action_matrices(group: CrystalGroup, all_elements: bool = False) -> list[IntMatrix]:
-    if all_elements:
-        return [e.matrix for e in group.elements if e.index != 0]
+def _action_matrices(group: CrystalGroup) -> list[IntMatrix]:
     return [group.elements[i].matrix for i in group.holonomy_generator_indices()]
 
 
-def relation_matrix(group: CrystalGroup, all_elements: bool = False) -> IntMatrix:
+def relation_matrix(group: CrystalGroup) -> IntMatrix:
     """Relations of the abelianized group, one relation per column.
 
     Variables: e_1..e_k (lattice basis), then x_s per holonomy element.
@@ -91,7 +89,7 @@ def relation_matrix(group: CrystalGroup, all_elements: bool = False) -> IntMatri
     nvars = k + n
     columns: list[list[int]] = []
 
-    for mat in _action_matrices(group, all_elements=all_elements):
+    for mat in _action_matrices(group):
         delta = mat - IntMatrix.identity(k)
         for j in range(k):
             col = [0] * nvars
@@ -126,9 +124,11 @@ def relation_matrix(group: CrystalGroup, all_elements: bool = False) -> IntMatri
     return IntMatrix.from_columns(unique, rows=nvars)
 
 
-def abelianization(group: CrystalGroup, all_elements: bool = False) -> AbelianInvariants:
-    """First homology of the group, i.e. its abelianization."""
-    rel = relation_matrix(group, all_elements=all_elements)
+@computed_once
+def abelianization(group: CrystalGroup) -> AbelianInvariants:
+    """First homology of the group, i.e. its abelianization; computed
+    once per group object."""
+    rel = relation_matrix(group)
     snf = smith_normal_form(rel)
     nvars = rel.rows
     nnz = sum(1 for d in snf.divisors if d != 0)
@@ -140,10 +140,10 @@ def abelianization(group: CrystalGroup, all_elements: bool = False) -> AbelianIn
     return AbelianInvariants(rank=rank, torsion=torsion, presentation_map=pres)
 
 
-def fixed_lattice(group: CrystalGroup, all_elements: bool = False) -> FixedLattice:
+def fixed_lattice(group: CrystalGroup) -> FixedLattice:
     """Sublattice of Z^k fixed by the holonomy; equals the intersection
     of the group's center with the lattice."""
-    mats = _action_matrices(group, all_elements=all_elements)
+    mats = _action_matrices(group)
     k = group.dim
     if not mats:
         return FixedLattice(basis=tuple(IntMatrix.identity(k).column(j) for j in range(k)))
@@ -151,7 +151,7 @@ def fixed_lattice(group: CrystalGroup, all_elements: bool = False) -> FixedLatti
     return FixedLattice(basis=tuple(integer_kernel(stacked)))
 
 
-def fixed_torus(group: CrystalGroup, all_elements: bool = False) -> FixedTorusSubgroup:
+def fixed_torus(group: CrystalGroup) -> FixedTorusSubgroup:
     """Fixed subgroup of the dual torus under the transposed action.
 
     A point a (mod Z^k) is fixed iff (A(s)^T - I) a is integral for all
@@ -161,7 +161,7 @@ def fixed_torus(group: CrystalGroup, all_elements: bool = False) -> FixedTorusSu
     finite cyclic components.
     """
     k = group.dim
-    mats = [m.transpose() for m in _action_matrices(group, all_elements=all_elements)]
+    mats = [m.transpose() for m in _action_matrices(group)]
     if not mats:
         stacked = IntMatrix.zeros(0, k)
     else:

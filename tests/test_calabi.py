@@ -6,7 +6,6 @@ from bieberbach.calabi import (
     NotTorsionFree,
     _vasquez_standardize,
     calabi_kernel,
-    decompose,
     is_connective,
     surjection_to_Z,
 )
@@ -117,34 +116,34 @@ def test_kernel_validity_properties():
             assert sum(a * b for a, b in zip(f, lam)) == -surj.lift_values[idx]
 
 
-# ---------------------------------------------------------------- decompose
+# ---------------------------------------------------------------- decomposition
 
 def test_decompose_torus3():
-    dec = decompose(torus(3))
-    assert dec.complete
-    assert len(dec.chain) == 3
-    dims = [s.kernel_group.dim for s in dec.chain]
+    report = is_connective(torus(3))
+    assert report.connective
+    assert len(report.chain) == 3
+    dims = [s.kernel_group.dim for s in report.chain]
     assert dims == [2, 1, 0]
 
 
 def test_decompose_hw_stalls_immediately():
-    dec = decompose(hw_group())
-    assert not dec.complete
-    assert dec.chain == ()
-    assert dec.core is hw_group() or dec.core.name == "hw"
+    report = is_connective(hw_group())
+    assert not report.connective
+    assert report.chain == ()
+    assert report.core is hw_group() or report.core.name == "hw"
 
 
 def test_decompose_klein():
-    dec = decompose(klein_bottle())
-    assert dec.complete
-    assert len(dec.chain) == 2
+    report = is_connective(klein_bottle())
+    assert report.connective
+    assert len(report.chain) == 2
 
 
 def test_decompose_rejects_torsion():
     x = AffineGen.of([[1, 0, 0], [0, -1, 0], [0, 0, -1]], (0, 0, 0))
     g = build_group(3, [x], name="torsion")
     with pytest.raises(NotTorsionFree):
-        decompose(g)
+        is_connective(g)
 
 
 # ---------------------------------------------------------------- verdicts

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import bieberbach.cli as cli
 from bieberbach.cli import format_abelian, main
+from bieberbach.finite import OrderBudgetExceeded
 
 
 @pytest.fixture
@@ -50,6 +52,21 @@ def test_connective_with_certificate(torus2_file, capsys):
     assert len(doc["certificate"]["chain"]) == 2
     step = doc["certificate"]["chain"][0]
     assert set(step) >= {"lattice_map", "lift_values", "lattice_index", "kernel"}
+
+
+def test_certificate_text_builds_the_document_once(torus2_file, capsys, monkeypatch):
+    built = []
+    real_document = cli.connectivity_document
+
+    def counting_document(report):
+        built.append(report)
+        return real_document(report)
+
+    monkeypatch.setattr(cli, "connectivity_document", counting_document)
+    assert main(["connective", torus2_file, "--certificate"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("CONNECTIVE; poly-Z chain of length 2\n{")
+    assert len(built) == 1
 
 
 def test_analyze_json_torus(torus2_file, capsys):
@@ -161,6 +178,21 @@ def test_validation_error_class_named(tmp_path, capsys):
     )
     assert main(["validate", str(path)]) == 2
     assert "HolonomyNotFaithful" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["holonomy", "--primitivity"], ["analyze"], ["analyze", "--format", "json"]],
+)
+def test_order_budget_exceeded_is_an_input_error(hw_file, capsys, monkeypatch, argv):
+    def over_budget(group, budget=64):
+        raise OrderBudgetExceeded(f"order 96 exceeds budget {budget}")
+
+    monkeypatch.setattr(cli, "is_primitive", over_budget)
+    assert main(argv[:1] + [hw_file] + argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: OrderBudgetExceeded: order 96 exceeds budget 64\n"
 
 
 def test_unknown_catalog_key(capsys):

@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.crystal import AffineGen, build_group
 from bieberbach.finite import (
     OrderBudgetExceeded,
@@ -17,11 +19,13 @@ from bieberbach.finite import (
     has_normal_complement,
     in_coprime_class,
     is_primitive,
+    quotient_group,
     semidirect_cyclic,
     structure_name,
     subgroup_as_group,
     sylow_subgroup,
 )
+from test_invariants import signed_permutation_group
 
 
 F = Fraction
@@ -111,8 +115,10 @@ def test_subgroups_s3_oracle():
 
 
 def test_subgroup_budget():
+    g = cyclic_group(6)
+    assert len(all_subgroups(g)) == 4
     with pytest.raises(OrderBudgetExceeded):
-        all_subgroups(cyclic_group(6), budget=4)
+        all_subgroups(g, budget=4)  # checked even once the lattice is known
     with pytest.raises(OrderBudgetExceeded):
         is_primitive(cyclic_group(6), budget=4)
     with pytest.raises(OrderBudgetExceeded):
@@ -192,6 +198,43 @@ def test_primitivity_hw_holonomy():
     assert is_primitive(finite_group_from_holonomy(hw_group())) is True
 
 
+def primitive_via_quotients(g):
+    """Oracle for `is_primitive`: g is primitive iff no cyclic Sylow
+    subgroup is isomorphic to a quotient of g, i.e. no normal subgroup
+    has a cyclic quotient whose order is a full prime power of |g|."""
+    if g.order == 1:
+        return False  # the trivial group counts as cyclic
+    sylow_orders = set()
+    n, p = g.order, 2
+    while n > 1:
+        q = 1
+        while n % p == 0:
+            n //= p
+            q *= p
+        if q > 1:
+            sylow_orders.add(q)
+        p += 1
+    for sub in all_subgroups(g):
+        if sub.is_normal:
+            quot, _ = quotient_group(g, sub.elements)
+            if quot.order in sylow_orders and quot.is_cyclic():
+                return False
+    return True
+
+
+def test_primitivity_matches_quotient_criterion():
+    corpus = coprime_class_corpus() + split_corpus()
+    corpus += [cyclic_group(n) for n in (1, 2, 3, 4, 6, 12)]
+    corpus += [klein_four(), direct_product(cyclic_group(3), cyclic_group(3))]
+    corpus += [finite_group_from_holonomy(catalog_get(k).group) for k in catalog_list()]
+    rng = random.Random(9)
+    for _ in range(40):
+        g = signed_permutation_group(rng, rng.randint(2, 6))
+        corpus.append(finite_group_from_holonomy(g))
+    for g in corpus:
+        assert is_primitive(g) == primitive_via_quotients(g), g.order
+
+
 # ---------------------------------------------------------------- coprime class
 
 def test_coprime_class_cyclic_leaf():
@@ -215,8 +258,8 @@ def test_coprime_class_frobenius20():
     assert tree is not None and sorted(tree.orders()) == [4, 5]
 
 
-def test_coprime_class_implies_not_primitive():
-    corpus = [
+def coprime_class_corpus():
+    return [
         cyclic_group(6),
         s3(),
         semidirect_cyclic(3, 4, 2),
@@ -225,7 +268,10 @@ def test_coprime_class_implies_not_primitive():
         klein_four(),
         direct_product(cyclic_group(2), cyclic_group(4)),
     ]
-    for g in corpus:
+
+
+def test_coprime_class_implies_not_primitive():
+    for g in coprime_class_corpus():
         if in_coprime_class(g) is not None:
             assert is_primitive(g) is False
 
@@ -265,8 +311,8 @@ def test_split_properties_z6():
     assert report.ok
 
 
-def test_split_properties_corpus_order_24():
-    corpus = [
+def split_corpus():
+    return [
         cyclic_group(6),
         cyclic_group(10),
         cyclic_group(12),
@@ -281,7 +327,10 @@ def test_split_properties_corpus_order_24():
         semidirect_cyclic(5, 4, 3),
         semidirect_cyclic(11, 2, 10),
     ]
-    for g in corpus:
+
+
+def test_split_properties_corpus_order_24():
+    for g in split_corpus():
         parts = coprime_split_parts(g)
         assert parts is not None, "corpus group admits no coprime split"
         report = coprime_split_properties(g, *parts)

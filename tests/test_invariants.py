@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.crystal import AffineGen, build_group
 from bieberbach.invariants import (
     abelianization,
@@ -9,7 +10,12 @@ from bieberbach.invariants import (
     fixed_lattice,
     fixed_torus,
 )
-from bieberbach.linalg import IntMatrix
+from bieberbach.linalg import (
+    IntMatrix,
+    hermite_normal_form,
+    integer_kernel,
+    smith_normal_form,
+)
 
 
 F = Fraction
@@ -50,6 +56,85 @@ def signed_permutation_group(rng, dim, order_bound=48):
             return build_group(dim, gens, closure_budget=order_bound)
         except Exception:
             continue
+
+
+# ---------------------------------------------------------------- full-element oracles
+#
+# The library presents H1, the fixed lattice and the fixed torus through
+# the holonomy generators only.  These oracles use every holonomy
+# element, which gives the same groups from a larger presentation.
+
+def full_element_stack(g, transpose=False):
+    """A(s) - I (or A(s)^T - I) for every nonidentity holonomy element,
+    stacked into one matrix."""
+    shifts = []
+    for e in g.elements[1:]:
+        m = e.matrix.transpose() if transpose else e.matrix
+        shifts.append(m - IntMatrix.identity(g.dim))
+    return IntMatrix.vstack(shifts) if shifts else IntMatrix.zeros(0, g.dim)
+
+
+def full_element_relation_matrix(g):
+    """Relations of the abelianized group, one per column, with the
+    lattice relations (A(s) - I) e_j = 0 taken for every element s."""
+    k, n = g.dim, g.holonomy_order
+    columns = [
+        [e.matrix[i, j] - int(i == j) for i in range(k)] + [0] * n
+        for e in g.elements[1:]
+        for j in range(k)
+    ]
+    identity_lift = [0] * (k + n)
+    identity_lift[k] = 1
+    columns.append(identity_lift)
+    for s in range(n):
+        for t in range(n):
+            col = [-x for x in g.cocycle[s][t]] + [0] * n
+            col[k + s] += 1
+            col[k + t] += 1
+            col[k + g.mult[s][t]] -= 1
+            columns.append(col)
+    return IntMatrix.from_columns(columns, rows=k + n)
+
+
+def full_element_h1(g):
+    """(rank, torsion) of the quotient by the full-element relations."""
+    rel = full_element_relation_matrix(g)
+    divisors = smith_normal_form(rel).divisors
+    rank = rel.rows - sum(1 for d in divisors if d != 0)
+    return rank, tuple(d for d in divisors if d >= 2)
+
+
+def full_element_fixed_lattice(g):
+    """Kernel of the stacked A(s) - I, in row Hermite form."""
+    return lattice_hnf(integer_kernel(full_element_stack(g)), g.dim)
+
+
+def full_element_fixed_torus(g):
+    """(rank, component orders) from the Smith form of the stacked
+    A(s)^T - I."""
+    divisors = list(smith_normal_form(full_element_stack(g, transpose=True)).divisors)
+    divisors += [0] * (g.dim - len(divisors))
+    return sum(1 for d in divisors if d == 0), tuple(d for d in divisors if d >= 2)
+
+
+def lattice_hnf(basis, dim):
+    """Canonical form of the lattice spanned by `basis`."""
+    if not basis:
+        return IntMatrix.zeros(0, dim)
+    h = hermite_normal_form(IntMatrix(basis, cols=dim)).H
+    return IntMatrix([row for row in h if any(row)], cols=dim)
+
+
+def assert_matches_full_element_oracles(g, h1=True):
+    """The Smith divisors >= 2 and the ranks agree with the library's.
+    The full-element H1 has about n^2 relations; `h1=False` skips it."""
+    if h1:
+        ab = abelianization(g)
+        assert (ab.rank, ab.torsion) == full_element_h1(g)
+    fl = fixed_lattice(g)
+    assert lattice_hnf(list(fl.basis), g.dim) == full_element_fixed_lattice(g)
+    ft = fixed_torus(g)
+    assert (ft.rank, ft.component_orders) == full_element_fixed_torus(g)
 
 
 # ---------------------------------------------------------------- H1
@@ -94,10 +179,9 @@ def test_h1_presentation_map_kills_relations():
 
 
 def test_h1_robust_to_full_element_presentation():
-    for g in (hw_group(), klein_bottle(), torus(3)):
-        a = abelianization(g)
-        b = abelianization(g, all_elements=True)
-        assert (a.rank, a.torsion) == (b.rank, b.torsion)
+    catalog = [catalog_get(key).group for key in catalog_list()]
+    for g in [hw_group(), klein_bottle(), torus(3)] + catalog:
+        assert_matches_full_element_oracles(g)
 
 
 # ---------------------------------------------------------------- fixed lattice
@@ -186,9 +270,8 @@ def test_rank_chain_randomized_signed_permutations():
         r2 = fixed_lattice(g).rank
         r3 = fixed_torus(g).rank
         assert r1 == r2 == r3
-        # generator-based and all-element stacks agree
-        assert fixed_lattice(g, all_elements=True).rank == r2
-        assert fixed_torus(g, all_elements=True).rank == r3
+        # generator-based and all-element presentations agree
+        assert_matches_full_element_oracles(g, h1=g.holonomy_order <= 16)
 
 
 def test_finiteness_equivalences():
