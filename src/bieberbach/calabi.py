@@ -21,9 +21,8 @@ from .linalg import (
     frac_vector,
     gcd_all,
     hermite_normal_form,
-    integer_kernel,
     rational_solve,
-    solve_integer_linear,
+    smith_normal_form,
     vec_add,
 )
 
@@ -129,14 +128,11 @@ def _check_surjection(group: CrystalGroup, surj: SurjectionToZ) -> None:
                 raise AssertionError("lift values break the homomorphism property")
 
 
-def _averaged_projection(group: CrystalGroup, f: tuple[int, ...], d: int):
+def _averaged_projection(group: CrystalGroup, f: tuple[int, ...], w: tuple[int, ...], d: int):
     """D-equivariant rational projection of Q^k onto ker(f) tensor Q,
-    obtained by averaging a coordinate projection over the holonomy."""
+    obtained by averaging a coordinate projection over the holonomy;
+    `w` is an integer vector with f.w = d."""
     k = group.dim
-    sol = solve_integer_linear(IntMatrix([f], cols=k), (d,))
-    if sol is None:
-        raise AssertionError("gcd witness vector must exist")
-    w = sol[0]
     # E = I - w f^T / d, a projection with image ker(f)
     e_rows = [
         [Fraction(int(i == j)) - Fraction(w[i] * f[j], d) for j in range(k)]
@@ -168,21 +164,25 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
     k = group.dim
     f = surj.lattice_map
     d = surj.lattice_index
-    basis = integer_kernel(IntMatrix([f], cols=k))
+    # U f V = (d, 0, ..., 0): the first column of V, times the unit U,
+    # solves f.w = d, and the other columns are a basis of ker(f)
+    snf = smith_normal_form(IntMatrix([f], cols=k))
+    w = tuple(snf.U[0, 0] * x for x in snf.V.column(0))
+    if sum(a * b for a, b in zip(f, w)) != d:
+        raise AssertionError("gcd witness vector must exist")
+    basis = [snf.V.column(j) for j in range(1, k)]
     bmat = IntMatrix.from_columns(basis, rows=k)
 
     kernel_holonomy = tuple(
         i for i in range(group.holonomy_order) if surj.lift_values[i] % d == 0
     )
-    corrections = []
-    new_gens_by_element = {}
-    for idx in kernel_holonomy:
-        sol = solve_integer_linear(IntMatrix([f], cols=k), (-surj.lift_values[idx],))
-        if sol is None:
-            raise AssertionError("lift correction must exist for kernel holonomy")
-        corrections.append(sol[0])
+    # d divides each kernel lift value, so each correction is a multiple of w
+    corrections = [
+        tuple(-surj.lift_values[idx] // d * x for x in w) for idx in kernel_holonomy
+    ]
 
-    proj = _averaged_projection(group, f, d)
+    proj = _averaged_projection(group, f, w, d)
+    new_gens_by_element = {}
     for idx, lam in zip(kernel_holonomy, corrections):
         elem = group.elements[idx]
         shifted = vec_add(elem.translation, frac_vector(lam))
@@ -219,7 +219,7 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
         kernel_group=kernel_group,
         sublattice_basis=tuple(basis),
         kernel_holonomy=kernel_holonomy,
-        lift_corrections=tuple(tuple(c) for c in corrections),
+        lift_corrections=tuple(corrections),
         vasquez_applied=vasquez_applied,
     )
 

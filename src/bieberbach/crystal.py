@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
+from math import lcm
 
 from .linalg import (
     IntMatrix,
@@ -20,7 +21,6 @@ from .linalg import (
     invert_unimodular,
     solve_integer_linear,
     vec_add,
-    vec_mod1,
     vec_sub,
 )
 
@@ -126,9 +126,6 @@ class HolonomyElement:
     translation: RatVec
     order: int
 
-    def lift(self) -> AffineGen:
-        return AffineGen(self.matrix, self.translation)
-
 
 @dataclass(frozen=True)
 class TorsionWitness:
@@ -155,10 +152,6 @@ class CrystalGroup:
     def holonomy_order(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity_index(self) -> int:
-        return 0
-
     @cached_property
     def _matrix_index(self) -> dict[IntMatrix, int]:
         return {e.matrix: e.index for e in self.elements}
@@ -179,8 +172,11 @@ class CrystalGroup:
 def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) -> CrystalGroup:
     """Close the generators into a standard-form crystallographic group.
 
-    Representatives are composed and reduced mod Z^k into [0,1)^k; the
-    closure is keyed on (matrix, reduced translation) pairs.  Raises
+    An element is its matrix and an integer translation t mod q, where q
+    is the lcm of the generators' translation denominators; t/q is the
+    representative translation in [0,1)^k.  The closure multiplies by the
+    generators on the right and is keyed on the matrix alone, so the
+    multiplication table is read off the Cayley graph.  Raises
     ClosureBudgetExceeded, HolonomyNotFaithful or NonIntegralCocycle
     when the input is not crystallographic in standard form.
     """
@@ -191,76 +187,59 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
         if g.matrix.rows != dim:
             raise ValueError(f"generator of dim {g.matrix.rows} in a dim-{dim} group")
 
-    ident = (IntMatrix.identity(dim), (Fraction(0),) * dim)
-    index_of: dict[tuple[IntMatrix, RatVec], int] = {ident: 0}
-    pairs: list[tuple[IntMatrix, RatVec]] = [ident]
+    q = lcm(*(x.denominator for g in gens for x in g.translation))
+    gen_pairs = [
+        (g.matrix, tuple(x.numerator * (q // x.denominator) % q for x in g.translation))
+        for g in gens
+    ]
 
-    def compose(p, q):
-        return (p[0] * q[0], vec_mod1(vec_add(p[0].apply(q[1]), p[1])))
-
-    gen_pairs = []
-    for g in gens:
-        p = (g.matrix, vec_mod1(g.translation))
-        gen_pairs.append(p)
-        if p not in index_of:
-            index_of[p] = len(pairs)
-            pairs.append(p)
-
-    # every element gets processed once; processing multiplies it both
-    # ways against everything already present, so every pair is covered
-    frontier = list(range(1, len(pairs)))
-    while frontier:
-        new_frontier = []
-        for i in frontier:
-            for j in range(len(pairs)):
-                for prod in (compose(pairs[i], pairs[j]), compose(pairs[j], pairs[i])):
-                    if prod not in index_of:
-                        index_of[prod] = len(pairs)
-                        pairs.append(prod)
-                        new_frontier.append(index_of[prod])
-                        if len(pairs) > closure_budget:
-                            raise ClosureBudgetExceeded(
-                                f"holonomy closure exceeded {closure_budget} elements"
-                            )
-        frontier = new_frontier
-
-    n = len(pairs)
-    seen_matrices: dict[IntMatrix, int] = {}
-    for idx, (mat, _) in enumerate(pairs):
-        if mat in seen_matrices:
-            raise HolonomyNotFaithful(
-                f"elements {seen_matrices[mat]} and {idx} share a holonomy matrix; "
-                "the lattice is not maximal abelian"
-            )
-        seen_matrices[mat] = idx
-
-    mult_table = []
-    for i in range(n):
+    matrices = [IntMatrix.identity(dim)]
+    shifts = [(0,) * dim]
+    index_of = {matrices[0]: 0}
+    parent: list[tuple[int, int]] = [(0, -1)]  # (element, generator) that first reached it
+    right: list[list[int]] = []  # right[i][g]: element i times generator g
+    for i, (a, t) in enumerate(zip(matrices, shifts)):  # both lists grow as we go
         row = []
-        for j in range(n):
-            row.append(index_of[compose(pairs[i], pairs[j])])
-        mult_table.append(tuple(row))
-    mult = tuple(mult_table)
-
-    inverse = [0] * n
-    for i in range(n):
-        inverse[i] = next(j for j in range(n) if mult[i][j] == 0)
-
-    cocycle_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            defect = vec_sub(
-                vec_add(pairs[i][0].apply(pairs[j][1]), pairs[i][1]), pairs[mult[i][j]][1]
-            )
-            if any(x.denominator != 1 for x in defect):
-                raise NonIntegralCocycle(
-                    f"defect of pair ({i},{j}) is {defect}, not in Z^{dim}"
+        for pos, (b, u) in enumerate(gen_pairs):
+            mat = a * b
+            shift = tuple((x + y) % q for x, y in zip(a.apply(u), t))
+            idx = index_of.get(mat)
+            if idx is None:
+                idx = index_of[mat] = len(matrices)
+                matrices.append(mat)
+                shifts.append(shift)
+                parent.append((i, pos))
+                if len(matrices) > closure_budget:
+                    raise ClosureBudgetExceeded(
+                        f"holonomy closure exceeded {closure_budget} elements"
+                    )
+            elif shifts[idx] != shift:
+                raise HolonomyNotFaithful(
+                    f"element {idx} and element {i} times generator {pos} share a "
+                    "holonomy matrix; the lattice is not maximal abelian"
                 )
-            row.append(tuple(int(x) for x in defect))
-        cocycle_rows.append(tuple(row))
-    cocycle = tuple(cocycle_rows)
+            row.append(idx)
+        right.append(row)
 
+    n = len(matrices)
+    mult_rows = []
+    cocycle_rows = []
+    for i, (a, t) in enumerate(zip(matrices, shifts)):
+        # element j is parent(j) * g, so i * j = (i * parent(j)) * g
+        row = [i]
+        for p, pos in parent[1:]:
+            row.append(right[row[p]][pos])
+        mult_rows.append(tuple(row))
+        cocycle_row = []
+        for j, (tj, ij) in enumerate(zip(shifts, row)):
+            defect = [x + y - z for x, y, z in zip(a.apply(tj), t, shifts[ij])]
+            if any(x % q for x in defect):
+                raise NonIntegralCocycle(f"defect of pair ({i},{j}) is not in Z^{dim}")
+            cocycle_row.append(tuple(x // q for x in defect))
+        cocycle_rows.append(tuple(cocycle_row))
+    mult = tuple(mult_rows)
+
+    inverse = tuple(row.index(0) for row in mult)
     orders = [0] * n
     for i in range(n):
         power, order = i, 1
@@ -270,20 +249,23 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
         orders[i] = order
 
     elements = tuple(
-        HolonomyElement(index=i, matrix=pairs[i][0], translation=pairs[i][1], order=orders[i])
+        HolonomyElement(
+            index=i,
+            matrix=matrices[i],
+            translation=tuple(Fraction(x, q) for x in shifts[i]),
+            order=orders[i],
+        )
         for i in range(n)
     )
-    generator_images = tuple(index_of[p] for p in gen_pairs)
-
     return CrystalGroup(
         name=name,
         dim=dim,
         generators=gens,
         elements=elements,
         mult=mult,
-        inverse=tuple(inverse),
-        cocycle=cocycle,
-        generator_images=generator_images,
+        inverse=inverse,
+        cocycle=tuple(cocycle_rows),
+        generator_images=tuple(right[0]),
     )
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .crystal import CrystalGroup, computed_once
-from .linalg import IntMatrix
 
 
 DEFAULT_ORDER_BUDGET = 64
@@ -28,14 +27,12 @@ class OrderBudgetExceeded(Exception):
 class FiniteGroup:
     """A finite group as a verified multiplication table.
 
-    Element 0 is the identity.  `source` optionally keeps the holonomy
-    matrices the table came from.
+    Element 0 is the identity.
     """
 
     table: tuple[tuple[int, ...], ...]
     orders: tuple[int, ...]
     inverses: tuple[int, ...]
-    source: tuple[IntMatrix, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -71,7 +68,7 @@ class CoprimeTree:
         return self.normal_part.orders() + (self.complement_order,)
 
 
-def finite_group(table, source=None) -> FiniteGroup:
+def finite_group(table) -> FiniteGroup:
     """Wrap and verify a multiplication table as a group law."""
     table = tuple(tuple(row) for row in table)
     n = len(table)
@@ -102,13 +99,11 @@ def finite_group(table, source=None) -> FiniteGroup:
             power = table[power][i]
             order += 1
         orders.append(order)
-    return FiniteGroup(
-        table=table, orders=tuple(orders), inverses=tuple(inverses), source=source
-    )
+    return FiniteGroup(table=table, orders=tuple(orders), inverses=tuple(inverses))
 
 
 def finite_group_from_holonomy(group: CrystalGroup) -> FiniteGroup:
-    return finite_group(group.mult, source=tuple(e.matrix for e in group.elements))
+    return finite_group(group.mult)
 
 
 def cyclic_group(n: int) -> FiniteGroup:

@@ -170,7 +170,7 @@ def fixed_torus(group: CrystalGroup) -> FixedTorusSubgroup:
     divisors = list(snf.divisors) + [0] * (k - len(snf.divisors))
     rank = sum(1 for d in divisors if d == 0)
     component_orders = tuple(d for d in divisors if d >= 2)
-    tangent = tuple(frac_vector(v) for v in integer_kernel(stacked))
+    tangent = tuple(frac_vector(snf.V.column(j)) for j, d in enumerate(divisors) if d == 0)
 
     points = None
     if rank == 0:

@@ -4,6 +4,7 @@ import pytest
 
 from bieberbach.calabi import (
     NotTorsionFree,
+    SurjectionToZ,
     _vasquez_standardize,
     calabi_kernel,
     is_connective,
@@ -12,7 +13,7 @@ from bieberbach.calabi import (
 from bieberbach.crystal import AffineGen, build_group, is_torsion_free
 from bieberbach.finite import finite_group_from_holonomy, in_coprime_class
 from bieberbach.invariants import abelianization, fixed_lattice, fixed_torus
-from bieberbach.linalg import IntMatrix
+from bieberbach.linalg import IntMatrix, integer_kernel, solve_integer_linear
 
 
 F = Fraction
@@ -114,6 +115,29 @@ def test_kernel_validity_properties():
         f = surj.lattice_map
         for idx, lam in zip(step.kernel_holonomy, step.lift_corrections):
             assert sum(a * b for a, b in zip(f, lam)) == -surj.lift_values[idx]
+
+
+def test_lift_corrections_match_per_element_solves():
+    """Corrections and the kernel basis come from one Smith form of [f];
+    they must equal a separate integer solve per kernel element and the
+    integer kernel of [f].  The catalog's chains only ever need zero
+    corrections, so the surjections here are chosen by hand: the lift
+    of the half screw g has a nonzero value, and f = (-1, -1, 0) makes
+    the Smith form negate its row."""
+    g = build_group(3, [AffineGen.of([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (F(1, 2), F(1, 2), 0))])
+    s = g.generator_images[0]
+    # phi(g) + phi(g) = f . (1, 1, 0), the translation of g^2
+    for f, phi in (((1, 1, 0), 1), ((-1, -1, 0), -1), ((1, 3, 0), 2), ((3, 1, 0), 2)):
+        lift_values = tuple(phi if i == s else 0 for i in range(2))
+        step = calabi_kernel(g, SurjectionToZ(f, lift_values, lattice_index=1))
+        row = IntMatrix([f], cols=3)
+        assert step.kernel_holonomy == (0, 1)
+        assert step.lift_corrections == tuple(
+            solve_integer_linear(row, (-lift_values[i],))[0] for i in step.kernel_holonomy
+        )
+        assert any(step.lift_corrections[s])
+        assert step.sublattice_basis == tuple(integer_kernel(row))
+        assert is_torsion_free(step.kernel_group)
 
 
 # ---------------------------------------------------------------- decomposition
