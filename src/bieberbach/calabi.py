@@ -18,12 +18,11 @@ from .groupfile import group_to_document
 from .invariants import abelianization
 from .linalg import (
     IntMatrix,
-    frac_vector,
     gcd_all,
     hermite_normal_form,
+    invert_unimodular,
     rational_solve,
     smith_normal_form,
-    vec_add,
 )
 
 
@@ -128,50 +127,33 @@ def _check_surjection(group: CrystalGroup, surj: SurjectionToZ) -> None:
                 raise AssertionError("lift values break the homomorphism property")
 
 
-def _averaged_projection(group: CrystalGroup, f: tuple[int, ...], w: tuple[int, ...], d: int):
-    """D-equivariant rational projection of Q^k onto ker(f) tensor Q,
-    obtained by averaging a coordinate projection over the holonomy;
-    `w` is an integer vector with f.w = d."""
-    k = group.dim
-    # E = I - w f^T / d, a projection with image ker(f)
-    e_rows = [
-        [Fraction(int(i == j)) - Fraction(w[i] * f[j], d) for j in range(k)]
-        for i in range(k)
-    ]
-    n = group.holonomy_order
-    p_rows = [[Fraction(0)] * k for _ in range(k)]
-    for elem in group.elements:
-        a = elem.matrix
-        ainv = group.elements[group.inverse[elem.index]].matrix
-        # accumulate A(s^-1) E A(s)
-        ea = [[sum(e_rows[i][l] * a[l, j] for l in range(k)) for j in range(k)] for i in range(k)]
-        for i in range(k):
-            for j in range(k):
-                p_rows[i][j] += sum(ainv[i, l] * ea[l][j] for l in range(k))
-    for i in range(k):
-        for j in range(k):
-            p_rows[i][j] /= n
-    return p_rows
-
-
-def _apply_rows(rows, vec):
-    return tuple(sum(a * x for a, x in zip(row, vec)) for row in rows)
-
-
 def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
     """Kernel of the surjection as a standard-form group of dimension
-    k - 1, together with the bookkeeping for re-verification."""
+    k - 1, together with the bookkeeping for re-verification.
+
+    Translations are projected onto ker(f) by the holonomy average of
+    E = I - w f^T / d, where f.w = d.  Since f^T A(s) = f^T for every s,
+    A(s^-1) E A(s) = I - A(s^-1) w f^T / d, so the average is the
+    rank-one projection P = I - u f^T / (n d) with u = sum_s A(s) w, one
+    integer vector.  Kernel coordinates come from one inverse of the
+    Smith transform V: (V^-1 P x)[1:] for a translation x and
+    (V^-1 A V)[1:, 1:] for a matrix A, all in integers.
+    """
     k = group.dim
     f = surj.lattice_map
     d = surj.lattice_index
+    fm = IntMatrix([f], cols=k)
+    # the closed form for P needs the invariance on all of the holonomy
+    if any(fm * group.elements[i].matrix != fm for i in group.holonomy_generator_indices()):
+        raise AssertionError("lattice map is not holonomy invariant")
     # U f V = (d, 0, ..., 0): the first column of V, times the unit U,
     # solves f.w = d, and the other columns are a basis of ker(f)
-    snf = smith_normal_form(IntMatrix([f], cols=k))
+    snf = smith_normal_form(fm)
     w = tuple(snf.U[0, 0] * x for x in snf.V.column(0))
     if sum(a * b for a, b in zip(f, w)) != d:
         raise AssertionError("gcd witness vector must exist")
     basis = [snf.V.column(j) for j in range(1, k)]
-    bmat = IntMatrix.from_columns(basis, rows=k)
+    v_inv = invert_unimodular(snf.V)
 
     kernel_holonomy = tuple(
         i for i in range(group.holonomy_order) if surj.lift_values[i] % d == 0
@@ -181,28 +163,31 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
         tuple(-surj.lift_values[idx] // d * x for x in w) for idx in kernel_holonomy
     ]
 
-    proj = _averaged_projection(group, f, w, d)
+    u = tuple(map(sum, zip(*(elem.matrix.apply(w) for elem in group.elements))))
+    nd = group.holonomy_order * d
+    v_inv_u = v_inv.apply(u)
     new_gens_by_element = {}
     for idx, lam in zip(kernel_holonomy, corrections):
         elem = group.elements[idx]
-        shifted = vec_add(elem.translation, frac_vector(lam))
-        projected = _apply_rows(proj, shifted)
-        coords = rational_solve(bmat, projected)
-        if coords is None:
+        # m x is integral for the shifted translation x = t + lam; then
+        # n d m V^-1 P x = n d V^-1 (m x) - (f . m x) V^-1 u
+        m = lcm(*(t.denominator for t in elem.translation))
+        mx = tuple(
+            t.numerator * (m // t.denominator) + m * c for t, c in zip(elem.translation, lam)
+        )
+        fx = sum(a * b for a, b in zip(f, mx))
+        coords = [nd * a - fx * b for a, b in zip(v_inv.apply(mx), v_inv_u)]
+        if coords[0] != 0:
             raise InvariantProjectionFailure(
                 "projected translation is outside the kernel sublattice span"
             )
-        restricted_cols = []
-        for vec in basis:
-            moved = elem.matrix.apply(vec)
-            col = rational_solve(bmat, moved)
-            if col is None or any(x.denominator != 1 for x in col):
-                raise InvariantProjectionFailure(
-                    "holonomy does not restrict integrally to the kernel sublattice"
-                )
-            restricted_cols.append([int(x) for x in col])
-        restricted = IntMatrix.from_columns(restricted_cols, rows=k - 1)
-        new_gens_by_element[idx] = (restricted, coords)
+        in_basis = v_inv * elem.matrix * snf.V  # A in the basis of the columns of V
+        if any(in_basis.row(0)[1:]):
+            raise InvariantProjectionFailure(
+                "holonomy does not restrict integrally to the kernel sublattice"
+            )
+        restricted = IntMatrix([row[1:] for row in in_basis.entries[1:]], cols=k - 1)
+        new_gens_by_element[idx] = (restricted, tuple(Fraction(x, nd * m) for x in coords[1:]))
 
     nontrivial = {idx: pair for idx, pair in new_gens_by_element.items() if idx != 0}
     vasquez_applied = any(mat.is_identity() for mat, _ in nontrivial.values())

@@ -222,6 +222,7 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
         right.append(row)
 
     n = len(matrices)
+    zero_row = ((0,) * dim,) * n
     mult_rows = []
     cocycle_rows = []
     for i, (a, t) in enumerate(zip(matrices, shifts)):
@@ -230,6 +231,9 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
         for p, pos in parent[1:]:
             row.append(right[row[p]][pos])
         mult_rows.append(tuple(row))
+        if q == 1:  # every translation is integral, so every defect is 0
+            cocycle_rows.append(zero_row)
+            continue
         cocycle_row = []
         for j, (tj, ij) in enumerate(zip(shifts, row)):
             defect = [x + y - z for x, y, z in zip(a.apply(tj), t, shifts[ij])]

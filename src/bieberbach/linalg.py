@@ -447,20 +447,19 @@ def rational_solve(rows, rhs) -> tuple[Fraction, ...] | None:
 
 
 def invert_unimodular(m: IntMatrix) -> IntMatrix:
-    """Inverse of a matrix in GL_n(Z); raises if det is not +-1."""
+    """Inverse of a matrix in GL_n(Z), in integers only; raises
+    ValueError if det is not +-1.
+
+    The row Hermite form of a unimodular matrix is the identity: its
+    pivots are positive units, so every entry above them reduces to 0.
+    Then U M = I, and the transform U is the inverse.  Any other Hermite
+    form means det M is not +-1 (a singular M leaves a zero row)."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    n = m.rows
-    cols = []
-    for j in range(n):
-        e = [Fraction(int(i == j)) for i in range(n)]
-        sol = rational_solve(m, e)
-        if sol is None:
-            raise ValueError("matrix is singular")
-        cols.append(sol)
-    if any(x.denominator != 1 for col in cols for x in col):
-        raise ValueError("matrix is not unimodular")
-    return IntMatrix.from_columns([[int(x) for x in col] for col in cols], rows=n)
+    hnf = hermite_normal_form(m)
+    if not hnf.H.is_identity():
+        raise ValueError("matrix is not unimodular (det is not +-1)")
+    return hnf.U
 
 
 def gcd_all(values) -> int:

@@ -36,23 +36,22 @@ class StabilizerRecord:
 
 def orbit_data(chi, group: CrystalGroup) -> StabilizerRecord:
     """Orbit of a character under the dual holonomy action, with its
-    stabilizer subgroup of D; |orbit| * |stabilizer| = |D|."""
+    stabilizer subgroup of D; |orbit| * |stabilizer| = |D|.  The orbit
+    points are sorted, so their order does not depend on how the
+    holonomy elements are labelled."""
     chi = character(chi)
     if len(chi) != group.dim:
         raise ValueError(f"character of dim {len(chi)} against a dim-{group.dim} group")
-    orbit: list[Character] = []
-    seen = set()
+    orbit: set[Character] = set()
     stabilizer = []
     for elem in group.elements:
         moved = vec_mod1(elem.matrix.transpose().apply(chi))
         if moved == chi:
             stabilizer.append(elem.index)
-        if moved not in seen:
-            seen.add(moved)
-            orbit.append(moved)
+        orbit.add(moved)
     record = StabilizerRecord(
         character=chi,
-        orbit=tuple(orbit),
+        orbit=tuple(sorted(orbit)),
         stabilizer=tuple(stabilizer),
         index=len(orbit),
     )

@@ -226,6 +226,9 @@ def test_rank_duality_family_matches_fraction_build():
         except ClosureBudgetExceeded:
             continue
         trials += 1
+        # every translation is integral (q = 1), so every defect is 0
+        n = g.holonomy_order
+        assert g.cocycle == (((0,) * dim,) * n,) * n
         if g.holonomy_order <= 16:
             assert_same_group(fraction_build_group(dim, gens, closure_budget=48), g)
             checked += 1

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from bieberbach.crystal import AffineGen
 from bieberbach.linalg import (
     IntMatrix,
     determinant,
@@ -304,6 +305,89 @@ def test_invert_unimodular():
     assert m * inv == IntMatrix.identity(2)
     with pytest.raises(ValueError):
         invert_unimodular(IntMatrix([[2, 0], [0, 1]]))
+
+
+def rational_inverse(m: IntMatrix) -> IntMatrix:
+    """Oracle: the earlier `invert_unimodular`, one `rational_solve` per
+    column of the identity."""
+    if m.rows != m.cols:
+        raise ValueError("inverse of a non-square matrix")
+    n = m.rows
+    cols = []
+    for j in range(n):
+        e = [Fraction(int(i == j)) for i in range(n)]
+        sol = rational_solve(m, e)
+        if sol is None:
+            raise ValueError("matrix is singular")
+        cols.append(sol)
+    if any(x.denominator != 1 for col in cols for x in col):
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix.from_columns([[int(x) for x in col] for col in cols], rows=n)
+
+
+def random_unimodular(rng: random.Random, n: int, steps: int = 15) -> IntMatrix:
+    """A product of elementary matrices: row additions, row swaps and
+    row negations, so an element of GL_n(Z)."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        kind = rng.randrange(3) if n > 1 else 2
+        i = rng.randrange(n)
+        if kind == 2:
+            rows[i] = [-x for x in rows[i]]
+            continue
+        j = rng.choice([x for x in range(n) if x != i])
+        if kind == 0:
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        else:
+            rows[i], rows[j] = rows[j], rows[i]
+    return IntMatrix(rows, cols=n)
+
+
+def test_invert_unimodular_matches_rational_inverse():
+    rng = random.Random(31)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        m = random_unimodular(rng, n)
+        inv = invert_unimodular(m)
+        assert m * inv == IntMatrix.identity(n) == inv * m
+        assert inv == rational_inverse(m)
+    empty = IntMatrix([], cols=0)
+    assert invert_unimodular(empty) == rational_inverse(empty) == empty
+
+
+def test_invert_unimodular_rejects_non_units():
+    rng = random.Random(32)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = [list(r) for r in random_unimodular(rng, n)]
+        # one row doubled: det = +-2
+        doubled = IntMatrix([[2 * x for x in rows[0]]] + rows[1:], cols=n)
+        assert abs(determinant(doubled)) == 2
+        # one row a multiple of another, or a zero row in dim 1: det = 0
+        singular = IntMatrix(rows[:-1] + [[3 * x for x in rows[0]] if n > 1 else [0]], cols=n)
+        assert determinant(singular) == 0
+        for bad in (doubled, singular):
+            with pytest.raises(ValueError):
+                invert_unimodular(bad)
+            with pytest.raises(ValueError):
+                rational_inverse(bad)
+    for shape in ((2, 3), (3, 2), (1, 0)):
+        with pytest.raises(ValueError):
+            invert_unimodular(IntMatrix.zeros(*shape))
+
+
+def test_affine_invert_roundtrip_on_random_unimodular_matrices():
+    rng = random.Random(33)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        a = AffineGen(
+            random_unimodular(rng, n),
+            tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n)),
+        )
+        inv = a.invert()
+        assert (a * inv).is_identity() and (inv * a).is_identity()
+        assert inv.invert() == a
 
 
 def test_vec_mod1():

@@ -1,9 +1,13 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from bieberbach.cli import main
 from bieberbach.crystal import AffineGen, build_group
+from bieberbach.groupfile import load_group
 from bieberbach.invariants import fixed_torus
 from bieberbach.linalg import IntMatrix
 from bieberbach.orbits import (
@@ -137,3 +141,45 @@ def test_induced_dimension():
 
 def test_character_normalization():
     assert character((F(5, 4), F(-1, 3), 2)) == (F(1, 4), F(2, 3), F(0))
+
+
+def test_orbit_points_are_sorted():
+    rec = orbit_data((F(1, 5), F(2, 7), F(3, 11)), hw_group())
+    assert rec.index == 4
+    assert list(rec.orbit) == sorted(rec.orbit)
+
+
+def test_orbits_output_does_not_depend_on_generator_order(tmp_path, capsys):
+    """Each order of the generators labels the holonomy elements
+    differently.  The printed orbit must not change.  Stabilizer element
+    indices are labels, so the whole output is compared where the
+    stabilizer is trivial or the whole holonomy, and otherwise the
+    stabilizer is compared by its matrices."""
+    gens = [
+        {"matrix": [[0, 0, 1], [1, 0, 0], [0, 1, 0]], "translation": ["0", "0", "0"]},
+        {"matrix": [[-1, 0, 0], [0, -1, 0], [0, 0, 1]], "translation": ["0", "0", "0"]},
+        {"matrix": [[0, 1, 0], [1, 0, 0], [0, 0, -1]], "translation": ["0", "0", "0"]},
+    ]
+    paths = []
+    for n, order in enumerate(itertools.permutations(gens)):
+        path = tmp_path / f"g{n}.json"
+        path.write_text(json.dumps({"name": "g", "dimension": 3, "generators": list(order)}))
+        paths.append(str(path))
+    labels = [[e.matrix for e in load_group(path).elements] for path in paths]
+    assert len({tuple(m) for m in labels}) > 1  # the labellings differ
+    for chi in ("1/5,2/7,3/11", "1/4,0,0", "1/2,1/3,0", "1/3,1/3,1/3", "0,0,0"):
+        outs = []
+        for path, matrices in zip(paths, labels):
+            assert main(["orbits", path, "--char", chi, "--format", "json"]) == 0
+            doc = json.loads(json_out := capsys.readouterr().out)
+            assert main(["orbits", path, "--char", chi]) == 0
+            text = capsys.readouterr().out
+            stabilizer = {matrices[i] for i in doc.pop("stabilizer_elements")}
+            orbit_lines = [line for line in text.splitlines() if "orbit point" in line]
+            outs.append((json_out, text, doc, stabilizer, orbit_lines))
+        json_out, text, doc, stabilizer, orbit_lines = outs[0]
+        assert doc["orbit_size"] > 1 or chi == "0,0,0"
+        for other in outs[1:]:
+            assert other[2:] == (doc, stabilizer, orbit_lines), chi
+            if doc["stabilizer_order"] in (1, len(labels[0])):
+                assert other[:2] == (json_out, text), chi
