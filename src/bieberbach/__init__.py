@@ -84,7 +84,6 @@ from .calabi import (
     PolyZSeries,
     ConnectivityReport,
     NotTorsionFree,
-    InvariantProjectionFailure,
     surjection_to_Z,
     calabi_kernel,
     is_connective,

@@ -4,7 +4,10 @@ A torsion-free group with infinite first homology surjects onto Z; the
 kernel is a torsion-free group one dimension down.  Iterating either
 reaches the trivial group (the group is poly-Z, hence connective) or
 stalls at a stage with finite first homology (a trivial-center core
-certifying the negative verdict).
+certifying the negative verdict).  A stage needs only a checked
+surjection and its kernel: the surjection is checked on the edges of
+the generators' Cayley graph, and the kernel's translations and
+matrices are read off one change of basis.
 """
 
 from __future__ import annotations
@@ -16,23 +19,11 @@ from math import lcm
 from .crystal import AffineGen, CrystalGroup, build_group, is_torsion_free
 from .groupfile import group_to_document
 from .invariants import abelianization
-from .linalg import (
-    IntMatrix,
-    gcd_all,
-    hermite_normal_form,
-    invert_unimodular,
-    rational_solve,
-    smith_normal_form,
-)
+from .linalg import IntMatrix, gcd_all, invert_unimodular, smith_normal_form
 
 
 class NotTorsionFree(Exception):
     """Connectivity is only decided for torsion-free (Bieberbach) input."""
-
-
-class InvariantProjectionFailure(Exception):
-    """The averaged projection left the kernel sublattice span; cannot
-    happen for valid input."""
 
 
 @dataclass(frozen=True)
@@ -51,7 +42,14 @@ class SurjectionToZ:
 class CalabiStep:
     """One peel: the surjection, the kernel group in its own standard
     form, and the data tying the two together (sublattice basis inside
-    the parent lattice, surviving holonomy, lift corrections)."""
+    the parent lattice, surviving holonomy, lift corrections).
+
+    `vasquez_applied` is always False.  A Vasquez pass would be needed
+    only if a non-identity element restricted to the identity on ker(f);
+    with f A = f that forces (A - I)^2 = 0, so A = I for a matrix of
+    finite order, and a faithful holonomy has only the identity there.
+    The field stays because certificate documents and the benchmark's
+    trace carry it."""
 
     surjection: SurjectionToZ
     kernel_group: CrystalGroup
@@ -99,56 +97,54 @@ def surjection_to_Z(group: CrystalGroup) -> SurjectionToZ | None:
     phi = tuple(row[k:])
     if all(x == 0 for x in f):
         raise AssertionError("surjection vanishes on the lattice; rank bookkeeping broken")
-    surj = SurjectionToZ(
-        lattice_map=f, lift_values=phi, lattice_index=gcd_all(f)
-    )
-    _check_surjection(group, surj)
-    return surj
+    return SurjectionToZ(lattice_map=f, lift_values=phi, lattice_index=gcd_all(f))
 
 
 def _check_surjection(group: CrystalGroup, surj: SurjectionToZ) -> None:
+    """Raise AssertionError unless the values define a homomorphism onto
+    Z.  Invariance f A(g) = f and the homomorphism identity
+    phi(s) + phi(g) - phi(sg) = f . tau(s, g) are checked on the
+    holonomy generators g only: every element is a word in them, and the
+    cocycle identity carries the homomorphism identity from the edges
+    (s, g) of the Cayley graph to every pair once phi(e) = 0."""
     f, phi = surj.lattice_map, surj.lift_values
-    k = group.dim
     if gcd_all(list(f) + list(phi)) != 1:
         raise AssertionError("values are not coprime; the map is not onto Z")
-    fm = IntMatrix([f], cols=k)
-    for elem in group.elements:
-        for j in range(k):
-            col = elem.matrix.column(j)
-            if fm.apply(col)[0] != f[j]:
-                raise AssertionError("lattice map is not holonomy invariant")
-    n = group.holonomy_order
-    for s in range(n):
-        for t in range(n):
-            tau = group.cocycle[s][t]
-            if phi[s] + phi[t] - phi[group.mult[s][t]] != sum(
-                a * b for a, b in zip(f, tau)
-            ):
-                raise AssertionError("lift values break the homomorphism property")
+    fm = IntMatrix([f], cols=group.dim)
+    gens = group.holonomy_generator_indices()
+    if any(fm * group.elements[g].matrix != fm for g in gens):
+        raise AssertionError("lattice map is not holonomy invariant")
+    edges_hold = phi[0] == 0 and all(
+        phi[s] + phi[g] - phi[group.mult[s][g]]
+        == sum(a * b for a, b in zip(f, group.cocycle[s][g]))
+        for s in range(group.holonomy_order)
+        for g in gens
+    )
+    if not edges_hold:
+        raise AssertionError("lift values break the homomorphism property")
 
 
 def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
     """Kernel of the surjection as a standard-form group of dimension
     k - 1, together with the bookkeeping for re-verification.
 
-    Translations are projected onto ker(f) by the holonomy average of
-    E = I - w f^T / d, where f.w = d.  Since f^T A(s) = f^T for every s,
-    A(s^-1) E A(s) = I - A(s^-1) w f^T / d, so the average is the
-    rank-one projection P = I - u f^T / (n d) with u = sum_s A(s) w, one
-    integer vector.  Kernel coordinates come from one inverse of the
-    Smith transform V: (V^-1 P x)[1:] for a translation x and
-    (V^-1 A V)[1:, 1:] for a matrix A, all in integers.
+    The surjection is checked first (`_check_surjection`).  A checked
+    surjection has phi(s) = f . t_s for each representative translation
+    t_s: phi - f . t is a homomorphism from the finite holonomy to Q, so
+    it is 0.  So each corrected translation x = t_s + lam lies in ker(f).
+    The columns of the Smith transform V of [f] after the first are a
+    basis of ker(f), so x has kernel coordinates (V^-1 x)[1:], and A
+    restricts to (V^-1 A V)[1:, 1:], all in integers.  The correction
+    lam is a multiple of the first column of V, so it moves only
+    coordinate 0 and the kernel coordinates are (V^-1 t_s)[1:].
     """
+    _check_surjection(group, surj)
     k = group.dim
     f = surj.lattice_map
     d = surj.lattice_index
-    fm = IntMatrix([f], cols=k)
-    # the closed form for P needs the invariance on all of the holonomy
-    if any(fm * group.elements[i].matrix != fm for i in group.holonomy_generator_indices()):
-        raise AssertionError("lattice map is not holonomy invariant")
     # U f V = (d, 0, ..., 0): the first column of V, times the unit U,
     # solves f.w = d, and the other columns are a basis of ker(f)
-    snf = smith_normal_form(fm)
+    snf = smith_normal_form(IntMatrix([f], cols=k))
     w = tuple(snf.U[0, 0] * x for x in snf.V.column(0))
     if sum(a * b for a, b in zip(f, w)) != d:
         raise AssertionError("gcd witness vector must exist")
@@ -163,40 +159,15 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
         tuple(-surj.lift_values[idx] // d * x for x in w) for idx in kernel_holonomy
     ]
 
-    u = tuple(map(sum, zip(*(elem.matrix.apply(w) for elem in group.elements))))
-    nd = group.holonomy_order * d
-    v_inv_u = v_inv.apply(u)
-    new_gens_by_element = {}
-    for idx, lam in zip(kernel_holonomy, corrections):
+    gens = []
+    for idx in kernel_holonomy[1:]:  # kernel_holonomy[0] is the identity
         elem = group.elements[idx]
-        # m x is integral for the shifted translation x = t + lam; then
-        # n d m V^-1 P x = n d V^-1 (m x) - (f . m x) V^-1 u
+        # m t is integral for the representative translation t
         m = lcm(*(t.denominator for t in elem.translation))
-        mx = tuple(
-            t.numerator * (m // t.denominator) + m * c for t, c in zip(elem.translation, lam)
-        )
-        fx = sum(a * b for a, b in zip(f, mx))
-        coords = [nd * a - fx * b for a, b in zip(v_inv.apply(mx), v_inv_u)]
-        if coords[0] != 0:
-            raise InvariantProjectionFailure(
-                "projected translation is outside the kernel sublattice span"
-            )
+        mt = tuple(t.numerator * (m // t.denominator) for t in elem.translation)
         in_basis = v_inv * elem.matrix * snf.V  # A in the basis of the columns of V
-        if any(in_basis.row(0)[1:]):
-            raise InvariantProjectionFailure(
-                "holonomy does not restrict integrally to the kernel sublattice"
-            )
         restricted = IntMatrix([row[1:] for row in in_basis.entries[1:]], cols=k - 1)
-        new_gens_by_element[idx] = (restricted, tuple(Fraction(x, nd * m) for x in coords[1:]))
-
-    nontrivial = {idx: pair for idx, pair in new_gens_by_element.items() if idx != 0}
-    vasquez_applied = any(mat.is_identity() for mat, _ in nontrivial.values())
-    if vasquez_applied:
-        # the kernel sublattice is not maximal abelian: absorb the pure
-        # translations into a finer lattice and present the quotient
-        gens = _vasquez_standardize(k - 1, list(nontrivial.values()))
-    else:
-        gens = [AffineGen(mat, tr) for (mat, tr) in nontrivial.values()]
+        gens.append(AffineGen(restricted, tuple(Fraction(x, m) for x in v_inv.apply(mt)[1:])))
 
     kernel_group = build_group(k - 1, gens, name=_kernel_name(group.name))
     return CalabiStep(
@@ -205,54 +176,11 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
         sublattice_basis=tuple(basis),
         kernel_holonomy=kernel_holonomy,
         lift_corrections=tuple(corrections),
-        vasquez_applied=vasquez_applied,
     )
 
 
 def _kernel_name(name: str) -> str:
     return f"{name}.ker" if name else "ker"
-
-
-def _vasquez_standardize(dim: int, affine_pairs) -> list[AffineGen]:
-    """Replace the lattice by the one generated by Z^dim and the
-    translations of all identity-restriction elements, then rewrite the
-    remaining generators in the finer basis.
-
-    This is the centralizer passage: elements acting trivially on the
-    kernel sublattice are pure translations and belong to the maximal
-    abelian normal subgroup.
-    """
-    pure = [tr for mat, tr in affine_pairs if mat.is_identity()]
-    denom = 1
-    for tr in pure:
-        for x in tr:
-            denom = lcm(denom, x.denominator)
-    scaled = [[int(x * denom) for x in tr] for tr in pure]
-    scaled.extend([denom * int(i == j) for j in range(dim)] for i in range(dim))
-    hnf = hermite_normal_form(IntMatrix(scaled, cols=dim)).H
-    hnf_basis = [list(row) for row in hnf if any(x != 0 for x in row)]
-    if len(hnf_basis) != dim:
-        raise InvariantProjectionFailure("translation lattice is not full rank")
-    # columns of C span the new lattice inside (1/denom) Z^dim
-    cmat_cols = [[Fraction(x, denom) for x in row] for row in hnf_basis]
-    cmat = [[cmat_cols[j][i] for j in range(dim)] for i in range(dim)]
-    gens = []
-    for mat, tr in affine_pairs:
-        new_cols = []
-        for j in range(dim):
-            col = [cmat[i][j] for i in range(dim)]
-            moved = mat.apply(col)
-            coords = rational_solve(cmat, moved)
-            if coords is None or any(x.denominator != 1 for x in coords):
-                raise InvariantProjectionFailure(
-                    "holonomy does not preserve the enlarged lattice"
-                )
-            new_cols.append([int(x) for x in coords])
-        new_tr = rational_solve(cmat, tr)
-        if new_tr is None:
-            raise InvariantProjectionFailure("translation outside the enlarged span")
-        gens.append(AffineGen(IntMatrix.from_columns(new_cols, rows=dim), new_tr))
-    return gens
 
 
 def is_connective(group: CrystalGroup) -> ConnectivityReport:

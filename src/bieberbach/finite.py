@@ -25,7 +25,9 @@ class OrderBudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    """A finite group as a verified multiplication table.
+    """A finite group as a multiplication table that is a group law:
+    verified by `finite_group`, or read off matrix products by
+    `build_group`.
 
     Element 0 is the identity.
     """
@@ -103,7 +105,11 @@ def finite_group(table) -> FiniteGroup:
 
 
 def finite_group_from_holonomy(group: CrystalGroup) -> FiniteGroup:
-    return finite_group(group.mult)
+    """The holonomy as a finite group.  `build_group` read its table
+    off matrix products, so it is a group law already and is not
+    re-verified here."""
+    orders = tuple(e.order for e in group.elements)
+    return FiniteGroup(table=group.mult, orders=orders, inverses=group.inverse)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -139,16 +145,20 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 
 def _closure(group: FiniteGroup, seed) -> frozenset[int]:
-    out = set(seed) | {0}
-    frontier = list(out)
+    """The subgroup generated by `seed`: everything reached from the
+    identity by right multiplication with seed elements (in a finite
+    group each inverse is a positive power)."""
+    out = {0}
+    frontier = [0]
     while frontier:
         new = []
         for x in frontier:
-            for y in list(out):
-                for z in (group.table[x][y], group.table[y][x]):
-                    if z not in out:
-                        out.add(z)
-                        new.append(z)
+            row = group.table[x]
+            for g in seed:
+                z = row[g]
+                if z not in out:
+                    out.add(z)
+                    new.append(z)
         frontier = new
     return frozenset(out)
 
@@ -182,6 +192,8 @@ def _subgroup_lattice(group: FiniteGroup) -> tuple[Subgroup, ...]:
     while True:
         new = set()
         for a, b in itertools.combinations(found, 2):
+            if a <= b or b <= a:
+                continue  # the join is one of them
             join = _closure(group, a | b)
             if join not in found:
                 new.add(join)

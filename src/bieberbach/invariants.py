@@ -1,7 +1,7 @@
 """Homological and fixed-point invariants of a crystallographic group.
 
 Three independent computations of "how much free rank the group has":
-the abelianization (via a multiplication-table presentation), the fixed
+the abelianization (presented on the generators' Cayley graph), the fixed
 lattice of the holonomy action, and the fixed subgroup of the dual
 torus.  For valid groups the three ranks agree; the test suite checks
 that equality rather than assuming it.
@@ -80,9 +80,13 @@ def relation_matrix(group: CrystalGroup) -> IntMatrix:
     """Relations of the abelianized group, one relation per column.
 
     Variables: e_1..e_k (lattice basis), then x_s per holonomy element.
-    Relations: (A(s) - I) e_j = 0 over the acting matrices; x_e = 0
-    pinning the identity lift; and x_s + x_t - x_{st} - <tau(s,t), e> = 0
-    from representative multiplication.
+    Relations: (A(g) - I) e_j = 0 over the holonomy generators g; x_e = 0
+    pinning the identity lift; and r(s, g) = x_s + x_g - x_{sg} -
+    <tau(s,g), e> = 0 on the edges (s, g) of the generators' Cayley
+    graph.  These imply r(s, t) = 0 for every pair: the cocycle identity
+    tau(s,t) + tau(st,u) = A(s) tau(t,u) + tau(s,tu), read modulo
+    (A(s) - I) e = 0, gives r(s,tu) = r(s,t) + r(st,u) - r(t,u), and
+    r(s,e) = x_e starts an induction on the word length of t.
     """
     k = group.dim
     n = group.holonomy_order
@@ -101,15 +105,13 @@ def relation_matrix(group: CrystalGroup) -> IntMatrix:
     col[k] = 1  # identity lift variable is trivial
     columns.append(col)
 
+    gens = group.holonomy_generator_indices()
     for s in range(n):
-        for t in range(n):
-            col = [0] * nvars
-            tau = group.cocycle[s][t]
-            for i in range(k):
-                col[i] = -tau[i]
+        for g in gens:
+            col = [-x for x in group.cocycle[s][g]] + [0] * n
             col[k + s] += 1
-            col[k + t] += 1
-            col[k + group.mult[s][t]] -= 1
+            col[k + g] += 1
+            col[k + group.mult[s][g]] -= 1
             columns.append(col)
 
     # duplicate and zero relations do not change the quotient

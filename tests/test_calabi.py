@@ -7,7 +7,7 @@ import pytest
 from bieberbach.calabi import (
     NotTorsionFree,
     SurjectionToZ,
-    _vasquez_standardize,
+    _check_surjection,
     calabi_kernel,
     is_connective,
     surjection_to_Z,
@@ -19,6 +19,8 @@ from bieberbach.invariants import abelianization, fixed_lattice, fixed_torus
 from bieberbach.linalg import (
     IntMatrix,
     frac_vector,
+    gcd_all,
+    hermite_normal_form,
     integer_kernel,
     rational_solve,
     smith_normal_form,
@@ -155,10 +157,133 @@ def test_kernel_rejects_a_lattice_map_that_is_not_invariant():
     """The closed-form projection holds only for an invariant f; a
     hand-made surjection whose f is moved by the holonomy must raise
     instead of being averaged into some other projection."""
-    for g, f in ((klein_bottle(), (0, 1)), (c4_screw(), (1, 0, 0)), (hw_group(), (1, 1, 0))):
+    for g, f in (
+        (klein_bottle(), (0, 1)),
+        (c4_screw(), (1, 0, 0)),
+        (hw_group(), (1, 1, 0)),
+        (hw_group(), (1, 0, 0)),  # fixed by the first generator only
+    ):
         surj = SurjectionToZ(f, (0,) * g.holonomy_order, lattice_index=1)
         with pytest.raises(AssertionError, match="not holonomy invariant"):
             calabi_kernel(g, surj)
+
+
+# ---------------------------------------------------------------- surjection oracle
+
+def all_pairs_check_surjection(group, surj):
+    """`_check_surjection` as it was before the Cayley-graph check:
+    invariance under every holonomy matrix and the homomorphism identity
+    on all n^2 pairs."""
+    f, phi = surj.lattice_map, surj.lift_values
+    k = group.dim
+    if gcd_all(list(f) + list(phi)) != 1:
+        raise AssertionError("values are not coprime; the map is not onto Z")
+    fm = IntMatrix([f], cols=k)
+    for elem in group.elements:
+        for j in range(k):
+            col = elem.matrix.column(j)
+            if fm.apply(col)[0] != f[j]:
+                raise AssertionError("lattice map is not holonomy invariant")
+    n = group.holonomy_order
+    for s in range(n):
+        for t in range(n):
+            tau = group.cocycle[s][t]
+            if phi[s] + phi[t] - phi[group.mult[s][t]] != sum(
+                a * b for a, b in zip(f, tau)
+            ):
+                raise AssertionError("lift values break the homomorphism property")
+
+
+def accepts(check, group, surj) -> bool:
+    try:
+        check(group, surj)
+    except AssertionError:
+        return False
+    return True
+
+
+def single_entry_perturbations(surj):
+    """The surjection with one lift value or one lattice map entry moved
+    by -1 or +1."""
+    f, phi = list(surj.lattice_map), list(surj.lift_values)
+    for values, rebuild in (
+        (phi, lambda v: SurjectionToZ(surj.lattice_map, tuple(v), surj.lattice_index)),
+        (f, lambda v: SurjectionToZ(tuple(v), surj.lift_values, surj.lattice_index)),
+    ):
+        for i in range(len(values)):
+            for delta in (-1, 1):
+                moved = list(values)
+                moved[i] += delta
+                yield rebuild(moved)
+
+
+def assert_edge_check_matches_all_pairs(group, surj) -> tuple[int, int]:
+    """The edge check and the all-pairs copy agree on `surj` and on each
+    single-entry perturbation; returns (accepted, rejected) counts."""
+    accepted = rejected = 0
+    for candidate in (surj, *single_entry_perturbations(surj)):
+        verdict = accepts(_check_surjection, group, candidate)
+        assert verdict == accepts(all_pairs_check_surjection, group, candidate), (
+            group.name,
+            candidate,
+        )
+        accepted += verdict
+        rejected += not verdict
+    return accepted, rejected
+
+
+def chain_stages(group):
+    """(stage group, surjection) for every stage of the Calabi chain."""
+    stage = group
+    while stage.dim > 0:
+        surj = surjection_to_Z(stage)
+        if surj is None:
+            return
+        yield stage, surj
+        stage = calabi_kernel(stage, surj).kernel_group
+
+
+def test_edge_surjection_check_matches_all_pairs_on_catalog_chains():
+    stages = accepted = rejected = 0
+    for key in catalog_list():
+        for stage, surj in chain_stages(catalog_get(key).group):
+            assert accepts(all_pairs_check_surjection, stage, surj), key
+            a, r = assert_edge_check_matches_all_pairs(stage, surj)
+            stages += 1
+            accepted += a
+            rejected += r
+    assert stages >= 15
+    # on a torus stage a perturbed f is often still onto Z
+    assert accepted > stages and rejected > 5 * stages
+
+
+def test_edge_surjection_check_matches_all_pairs_on_random_chains():
+    """Seeded screw groups (translation denominators 2, 3, 4 and 6) and
+    diagonal (Z/2)^r groups, whose chains carry nonzero lift values."""
+    rng = random.Random(43)
+    groups = [random_screw_group(rng, dim) for dim in (4, 5) for _ in range(4)]
+    groups += [random_diagonal_group(rng, dim, r) for dim in (4, 5) for r in (2, 3)]
+    denominators = {x.denominator for g in groups for e in g.elements for x in e.translation}
+    assert denominators >= {3, 4, 6}
+    nonzero_lifts = 0
+    for g in groups:
+        for stage, surj in chain_stages(g):
+            assert_edge_check_matches_all_pairs(stage, surj)
+            nonzero_lifts += any(surj.lift_values)
+    assert nonzero_lifts >= len(groups)
+
+
+def test_edge_surjection_check_matches_all_pairs_on_hand_made_surjections():
+    """Lift corrections that are not zero, and lift values off by a
+    constant."""
+    g = build_group(3, [AffineGen.of([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (F(1, 2), F(1, 2), 0))])
+    s = g.generator_images[0]
+    for f, phi in (((1, 1, 0), 1), ((-1, -1, 0), -1), ((1, 3, 0), 2), ((3, 1, 0), 2)):
+        for shift in (-1, 0, 2):
+            lift_values = tuple(phi + shift if i == s else 0 for i in range(2))
+            surj = SurjectionToZ(f, lift_values, lattice_index=1)
+            assert accepts(_check_surjection, g, surj) == (shift == 0)
+            assert_edge_check_matches_all_pairs(g, surj)
 
 
 # ---------------------------------------------------------------- Fraction oracle
@@ -237,6 +362,53 @@ def fraction_kernel_generators(group, surj):
     else:
         gens = [AffineGen(mat, tr) for (mat, tr) in nontrivial.values()]
     return tuple(gens), vasquez_applied
+
+
+class InvariantProjectionFailure(Exception):
+    """Raised by `_vasquez_standardize` when the enlarged lattice does
+    not fit the generators."""
+
+
+def _vasquez_standardize(dim: int, affine_pairs) -> list[AffineGen]:
+    """Replace the lattice by the one generated by Z^dim and the
+    translations of all identity-restriction elements, then rewrite the
+    remaining generators in the finer basis.
+
+    This is the centralizer passage: elements acting trivially on the
+    kernel sublattice are pure translations and belong to the maximal
+    abelian normal subgroup.
+    """
+    pure = [tr for mat, tr in affine_pairs if mat.is_identity()]
+    denom = 1
+    for tr in pure:
+        for x in tr:
+            denom = lcm(denom, x.denominator)
+    scaled = [[int(x * denom) for x in tr] for tr in pure]
+    scaled.extend([denom * int(i == j) for j in range(dim)] for i in range(dim))
+    hnf = hermite_normal_form(IntMatrix(scaled, cols=dim)).H
+    hnf_basis = [list(row) for row in hnf if any(x != 0 for x in row)]
+    if len(hnf_basis) != dim:
+        raise InvariantProjectionFailure("translation lattice is not full rank")
+    # columns of C span the new lattice inside (1/denom) Z^dim
+    cmat_cols = [[Fraction(x, denom) for x in row] for row in hnf_basis]
+    cmat = [[cmat_cols[j][i] for j in range(dim)] for i in range(dim)]
+    gens = []
+    for mat, tr in affine_pairs:
+        new_cols = []
+        for j in range(dim):
+            col = [cmat[i][j] for i in range(dim)]
+            moved = mat.apply(col)
+            coords = rational_solve(cmat, moved)
+            if coords is None or any(x.denominator != 1 for x in coords):
+                raise InvariantProjectionFailure(
+                    "holonomy does not preserve the enlarged lattice"
+                )
+            new_cols.append([int(x) for x in coords])
+        new_tr = rational_solve(cmat, tr)
+        if new_tr is None:
+            raise InvariantProjectionFailure("translation outside the enlarged span")
+        gens.append(AffineGen(IntMatrix.from_columns(new_cols, rows=dim), new_tr))
+    return gens
 
 
 def assert_kernel_matches_fraction_oracle(group, surj):
@@ -328,23 +500,25 @@ def test_kernel_matches_fraction_oracle_with_lift_corrections():
         assert_chain_matches_fraction_oracle(step.kernel_group)
 
 
-def test_kernel_matches_fraction_oracle_where_the_projection_moves_translations():
+def test_kernel_rejects_lift_values_that_break_the_homomorphism_property():
     """For a surjection that passes `_check_surjection`, phi(s) = f.t_s
-    (their difference is a homomorphism from the finite holonomy to Q),
-    so every corrected kernel translation already lies in ker(f) and the
-    projection fixes it.  Lift values off by a constant break that, so
-    here the projection moves each non-identity translation by a multiple
-    of u = sum_s A(s) w, which the swap makes different from n w."""
+    (their difference is a homomorphism from the finite holonomy to Q).
+    Lift values off by a constant break the homomorphism identity on
+    s * s, so `calabi_kernel` must reject them before it reads any kernel
+    coordinates; the old averaged projection moved these translations."""
     for dim, f in ((2, (1, 1)), (3, (1, 1, 0)), (3, (2, 2, 1))):
         swap = [[int(j == (1 - i if i < 2 else i)) for j in range(dim)] for i in range(dim)]
         g = build_group(dim, [AffineGen.of(swap, (F(1, 2), F(1, 2)) + (F(0),) * (dim - 2))])
         s = g.generator_images[0]
-        genuine = sum(a * b for a, b in zip(f, g.elements[s].translation))
-        for phi in (genuine - 1, genuine + 2):
+        genuine = int(sum(a * b for a, b in zip(f, g.elements[s].translation)))
+        for phi in (genuine, genuine - 1, genuine + 2):
             lift_values = tuple(phi if i == s else 0 for i in range(2))
             surj = SurjectionToZ(f, lift_values, lattice_index=1)
-            step = assert_kernel_matches_fraction_oracle(g, surj)
-            assert step.kernel_holonomy == (0, s)
+            if phi == genuine:
+                assert calabi_kernel(g, surj).kernel_holonomy == (0, s)
+                continue
+            with pytest.raises(AssertionError, match="homomorphism property"):
+                calabi_kernel(g, surj)
 
 
 def test_kernel_matches_fraction_oracle_on_random_diagonal_and_screw_groups():

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 
 from bieberbach.catalog import catalog_get, catalog_list
-from bieberbach.crystal import AffineGen, build_group
+from bieberbach.crystal import AffineGen, ClosureBudgetExceeded, build_group
 from bieberbach.finite import (
     OrderBudgetExceeded,
     all_subgroups,
@@ -25,6 +25,7 @@ from bieberbach.finite import (
     subgroup_as_group,
     sylow_subgroup,
 )
+from test_build_oracle import random_signed_permutation
 from test_invariants import signed_permutation_group
 
 
@@ -74,6 +75,26 @@ def test_trivial_and_cyclic():
     assert d.order == 4 and d.is_cyclic()
 
 
+def test_from_holonomy_equals_the_verified_table():
+    """`finite_group_from_holonomy` trusts the table `build_group` made;
+    `finite_group` verifies it and must give the same group, on the
+    catalog and on the draws of the acceptance rank-duality test."""
+    groups = [catalog_get(key).group for key in catalog_list()]
+    rng = random.Random(2024)
+    while len(groups) < len(catalog_list()) + 100:
+        dim = rng.randint(2, 6)
+        gens = [
+            AffineGen(random_signed_permutation(rng, dim), (F(0),) * dim)
+            for _ in range(rng.randint(1, 2))
+        ]
+        try:
+            groups.append(build_group(dim, gens, closure_budget=48))
+        except ClosureBudgetExceeded:
+            continue
+    for g in groups:
+        assert finite_group_from_holonomy(g) == finite_group(g.mult), g.name
+
+
 def test_bad_tables_rejected():
     with pytest.raises(ValueError):
         finite_group([[0, 1], [1, 1]])  # not a group law
@@ -112,6 +133,46 @@ def test_subgroups_s3_oracle():
     assert len(subs) == 6  # 1, three C2, C3, S3
     normal_orders = sorted(s.order for s in subs if s.is_normal)
     assert normal_orders == [1, 3, 6]
+
+
+def all_products_closure(g, seed):
+    """Oracle for the subgroup generated by `seed`: close the set under
+    products in both orders with every element found so far."""
+    out = set(seed) | {0}
+    frontier = list(out)
+    while frontier:
+        new = []
+        for x in frontier:
+            for y in list(out):
+                for z in (g.table[x][y], g.table[y][x]):
+                    if z not in out:
+                        out.add(z)
+                        new.append(z)
+        frontier = new
+    return frozenset(out)
+
+
+def all_joins_lattice(g):
+    """Oracle for the subgroup lattice: cyclic subgroups, then the join
+    of every pair (nested pairs included) until nothing new appears."""
+    found = {all_products_closure(g, {x}) for x in range(g.order)}
+    while True:
+        new = {all_products_closure(g, a | b) for a, b in itertools.combinations(found, 2)}
+        if new <= found:
+            return found
+        found |= new
+
+
+def test_subgroup_lattice_matches_all_joins_oracle():
+    groups = [finite_group_from_holonomy(catalog_get(k).group) for k in catalog_list()]
+    groups += [s3(), klein_four(), semidirect_cyclic(5, 4, 2)]
+    rng = random.Random(17)
+    while len(groups) < 30:
+        h = signed_permutation_group(rng, rng.randint(2, 4), order_bound=24)
+        groups.append(finite_group_from_holonomy(h))
+    assert max(g.order for g in groups) >= 16
+    for g in groups:
+        assert {s.elements for s in all_subgroups(g)} == all_joins_lattice(g)
 
 
 def test_subgroup_budget():

@@ -2,8 +2,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from bieberbach.catalog import catalog_get, catalog_list
-from bieberbach.crystal import AffineGen, build_group
+from bieberbach.crystal import AffineGen, CrystalError, build_group
 from bieberbach.invariants import (
     abelianization,
     character_count,
@@ -16,6 +18,7 @@ from bieberbach.linalg import (
     integer_kernel,
     smith_normal_form,
 )
+from test_build_oracle import random_rotation_generator, random_signed_permutation
 
 
 F = Fraction
@@ -125,12 +128,23 @@ def lattice_hnf(basis, dim):
     return IntMatrix([row for row in h if any(row)], cols=dim)
 
 
+def assert_presentation_kills_full_element_relations(g):
+    """The quotient map read off the Cayley-graph relations sends every
+    all-pairs relation to 0 (mod the torsion orders), and both
+    presentations give the same H1."""
+    ab = abelianization(g)
+    assert (ab.rank, ab.torsion) == full_element_h1(g)
+    images = ab.presentation_map * full_element_relation_matrix(g)
+    for i, row in enumerate(images):
+        modulus = ab.torsion[i] if i < len(ab.torsion) else 0
+        assert all((x % modulus if modulus else x) == 0 for x in row), g.name
+
+
 def assert_matches_full_element_oracles(g, h1=True):
     """The Smith divisors >= 2 and the ranks agree with the library's.
     The full-element H1 has about n^2 relations; `h1=False` skips it."""
     if h1:
-        ab = abelianization(g)
-        assert (ab.rank, ab.torsion) == full_element_h1(g)
+        assert_presentation_kills_full_element_relations(g)
     fl = fixed_lattice(g)
     assert lattice_hnf(list(fl.basis), g.dim) == full_element_fixed_lattice(g)
     ft = fixed_torus(g)
@@ -182,6 +196,73 @@ def test_h1_robust_to_full_element_presentation():
     catalog = [catalog_get(key).group for key in catalog_list()]
     for g in [hw_group(), klein_bottle(), torus(3)] + catalog:
         assert_matches_full_element_oracles(g)
+
+
+@pytest.mark.parametrize("q", [3, 4, 6])
+def test_presentation_kills_full_element_relations_with_denominator(q):
+    """Seeded rotation groups whose translations have denominator q."""
+    rng = random.Random(100 + q)
+    built = 0
+    denominators = set()
+    for _ in range(60):
+        dim = rng.randint(2, 4)
+        gens = [random_rotation_generator(rng, dim, q) for _ in range(rng.randint(1, 2))]
+        try:
+            g = build_group(dim, gens, closure_budget=24)
+        except CrystalError:
+            continue
+        assert_presentation_kills_full_element_relations(g)
+        built += 1
+        denominators.update(x.denominator for e in g.elements for x in e.translation)
+    assert built >= 15
+    assert q in denominators
+
+
+def test_presentation_kills_full_element_relations_on_nonabelian_holonomy():
+    """Nonabelian holonomy with a nonzero cocycle: here the edge (s, g)
+    and the edge (g, s) give different relations."""
+    rng = random.Random(7)
+    groups = []
+    while len(groups) < 12:
+        dim = rng.randint(2, 4)
+        q = rng.choice((2, 4))
+        gens = [
+            AffineGen(
+                random_signed_permutation(rng, dim),
+                tuple(F(rng.randrange(q), q) for _ in range(dim)),
+            )
+            for _ in range(2)
+        ]
+        try:
+            g = build_group(dim, gens, closure_budget=16)
+        except CrystalError:
+            continue
+        n = g.holonomy_order
+        abelian = all(g.mult[i][j] == g.mult[j][i] for i in range(n) for j in range(n))
+        if not abelian and any(any(tau) for row in g.cocycle for tau in row):
+            groups.append(g)
+    for g in groups:
+        assert_presentation_kills_full_element_relations(g)
+
+
+def test_presentation_kills_full_element_relations_at_rank_two_and_more():
+    """With two or more free coordinates the free rows of the quotient
+    map are not fixed up to sign, so each of them is checked."""
+    rng = random.Random(5)
+    groups = [torus(2), torus(3)]
+    for _ in range(300):
+        dim = rng.randint(3, 5)
+        gens = [random_rotation_generator(rng, dim, rng.choice((3, 4, 6)))]
+        try:
+            g = build_group(dim, gens, closure_budget=12)
+        except CrystalError:
+            continue
+        if g.holonomy_order > 1 and abelianization(g).rank >= 2:
+            groups.append(g)
+    assert len(groups) >= 30
+    assert {abelianization(g).rank for g in groups} >= {2, 3}
+    for g in groups:
+        assert_presentation_kills_full_element_relations(g)
 
 
 # ---------------------------------------------------------------- fixed lattice
