@@ -299,27 +299,29 @@ def torsion_witness(group: CrystalGroup) -> TorsionWitness | None:
     """Find a nontrivial finite-order element, or None when the group
     is torsion free.
 
-    For a representative g_s of order m over the lattice, torsion in
-    the coset exists iff N_s (a_s + lam) = 0 has an integer solution,
-    where N_s = sum of A(s)^j over j < m.
+    A finite-order element has a power of prime order p, and the cosets
+    of s and s^j (j prime to p) hold torsion together, so one s is checked
+    per cyclic subgroup of prime order.  With c the cocycle, g_s^p = tau(v)
+    for v the sum of c(s^j, s) over 0 < j < p, as g_s^(j+1) =
+    tau(v_j + c(s^j, s)) g_(s^(j+1)).  The coset of s holds torsion iff
+    N_s lam = -v has an integer solution, N_s the sum of the matrices of <s>.
     """
-    for elem in group.elements:
-        if elem.index == 0:
+    mult, cocycle, elements = group.mult, group.cocycle, group.elements
+    seen = {0}
+    for elem in elements:
+        s, p = elem.index, elem.order
+        if s in seen or any(p % d == 0 for d in range(2, p)):
             continue
-        m = elem.order
-        acc = IntMatrix.identity(group.dim)
-        norm = IntMatrix.zeros(group.dim, group.dim)
-        for _ in range(m):
-            norm = norm + acc
-            acc = acc * elem.matrix
-        rhs_frac = norm.apply(elem.translation)
-        # g_s^m is a lattice element, so N_s a_s is integral
-        if any(x.denominator != 1 for x in rhs_frac):
-            raise NonIntegralCocycle("representative power left the lattice")
-        rhs = tuple(-int(x) for x in rhs_frac)
-        sol = solve_integer_linear(norm, rhs)
+        powers = [0, s]
+        while len(powers) < p:
+            powers.append(mult[powers[-1]][s])
+        seen.update(powers)
+        minus_v = [-sum(c) for c in zip(*(cocycle[x][s] for x in powers[1:]))]
+        rows = zip(*(elements[x].matrix.entries for x in powers))
+        norm = IntMatrix([[sum(col) for col in zip(*r)] for r in rows], cols=group.dim)
+        sol = solve_integer_linear(norm, minus_v)
         if sol is not None:
-            return TorsionWitness(element=elem, correction=sol[0], order=m)
+            return TorsionWitness(element=elem, correction=sol[0], order=p)
     return None
 
 

@@ -186,20 +186,18 @@ def all_subgroups(
 
 @computed_once
 def _subgroup_lattice(group: FiniteGroup) -> tuple[Subgroup, ...]:
-    found: set[frozenset[int]] = {frozenset({0})}
-    for g in range(group.order):
-        found.add(_closure(group, {g}))
-    while True:
-        new = set()
-        for a, b in itertools.combinations(found, 2):
-            if a <= b or b <= a:
-                continue  # the join is one of them
-            join = _closure(group, a | b)
-            if join not in found:
-                new.add(join)
-        if not new:
-            break
-        found |= new
+    found: set[frozenset[int]] = set()
+    fresh = {frozenset({0})} | {_closure(group, {g}) for g in range(group.order)}
+    # Round r joins two subgroups new in round r - 1 (round 0: the cyclic
+    # ones).  That finds all: a subgroup whose shortest generating list has
+    # k entries, 2^(r-1) < k <= 2^r, joins the subgroups spanned by its
+    # first and by its last 2^(r-1) entries.  Each needs all of them (else
+    # the list would shorten), so by induction each was new in round r - 1.
+    while fresh:
+        found |= fresh
+        pairs = itertools.combinations(fresh, 2)
+        # a nested pair's join is one of them
+        fresh = {_closure(group, a | b) for a, b in pairs if not (a <= b or b <= a)} - found
     ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
     return tuple(
         Subgroup(elements=s, order=len(s), is_normal=_is_normal(group, s)) for s in ordered
