@@ -1,13 +1,13 @@
 """Calabi reduction and the connectivity decision.
 
-A torsion-free group with infinite first homology surjects onto Z; the
-kernel is a torsion-free group one dimension down.  Iterating either
-reaches the trivial group (the group is poly-Z, hence connective) or
-stalls at a stage with finite first homology (a trivial-center core
-certifying the negative verdict).  A stage needs only a checked
-surjection and its kernel: the surjection is checked on the edges of
-the generators' Cayley graph, and the kernel's translations and
-matrices are read off one change of basis.
+A torsion-free group with a nontrivial centre surjects onto Z, by a map
+read off the holonomy-fixed dual lattice; the kernel is a torsion-free
+group one dimension down.  Iterating either reaches the trivial group
+(the group is poly-Z, hence connective) or stalls at a stage with
+trivial centre (a core with finite first homology, certifying the
+negative verdict).  Each surjection is checked on the edges of the
+generators' Cayley graph, and the kernel's translations and matrices
+are read off one change of basis.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from math import lcm
 
 from .crystal import AffineGen, CrystalGroup, build_group, is_torsion_free
 from .groupfile import group_to_document
-from .invariants import abelianization
+from .invariants import dual_action_smith
 from .linalg import IntMatrix, gcd_all, invert_unimodular, smith_normal_form
 
 
@@ -80,24 +80,28 @@ class ConnectivityReport:
 
 
 def surjection_to_Z(group: CrystalGroup) -> SurjectionToZ | None:
-    """A surjection onto Z, or None when first homology is finite.
+    """A surjection onto Z, or None when the group has trivial centre.
 
-    The map is the first free coordinate of the abelianization, sign
-    normalized so the first nonzero value is positive.
+    Every homomorphism to Q is (A, a) -> f . a with f A = f: the difference
+    on the lifts is a homomorphism from the finite holonomy to Q, so 0.
+    f is the first basis vector of this fixed dual lattice, and the map is
+    divided by the generator of its image, spanned by the f_i and the
+    f . t_s over one common denominator m.  The first nonzero f_i is > 0.
     """
-    ab = abelianization(group)
-    if ab.rank == 0:
+    snf = dual_action_smith(group)
+    nnz = sum(1 for d in snf.divisors if d != 0)
+    if nnz == group.dim:
         return None
-    k = group.dim
-    row = list(ab.presentation_map.row(len(ab.torsion)))
-    lead = next(x for x in row if x != 0)
-    if lead < 0:
-        row = [-x for x in row]
-    f = tuple(row[:k])
-    phi = tuple(row[k:])
-    if all(x == 0 for x in f):
-        raise AssertionError("surjection vanishes on the lattice; rank bookkeeping broken")
-    return SurjectionToZ(lattice_map=f, lift_values=phi, lattice_index=gcd_all(f))
+    f = snf.V.column(nnz)
+    m = lcm(*(t.denominator for elem in group.elements for t in elem.translation))
+    values = [m * x for x in f] + [
+        sum(a * t.numerator * (m // t.denominator) for a, t in zip(f, elem.translation))
+        for elem in group.elements
+    ]
+    scale = gcd_all(values) * (1 if next(x for x in f if x) > 0 else -1)
+    values = [x // scale for x in values]
+    f = tuple(values[: group.dim])
+    return SurjectionToZ(f, tuple(values[group.dim :]), lattice_index=gcd_all(f))
 
 
 def _check_surjection(group: CrystalGroup, surj: SurjectionToZ) -> None:

@@ -207,15 +207,18 @@ def connectivity_text(report: ConnectivityReport) -> str:
     return f"NOT CONNECTIVE; core = {core_name}; H1 = {format_abelian(ab.rank, ab.torsion)}"
 
 
-def _emit(payload, fmt: str, text: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=False))
-    else:
-        print(text)
+def _emit(payload, fmt: str, text) -> None:
+    """Print the payload as JSON, or else the text form `text()` builds."""
+    print(json.dumps(payload, indent=2, sort_keys=False) if fmt == "json" else text())
 
 
 def _load(args) -> CrystalGroup:
-    return load_group(args.file)
+    try:
+        return load_group(args.file)
+    except FileNotFoundError:
+        raise
+    except OSError as exc:  # a directory, no permission, a read error
+        raise GroupFileError(f"cannot read {args.file}: {exc.strerror}") from exc
 
 
 def cmd_validate(args) -> int:
@@ -229,7 +232,7 @@ def cmd_validate(args) -> int:
     _emit(
         doc,
         args.format,
-        f"VALID: {group.name or '(unnamed)'} (dim {group.dim}, "
+        lambda: f"VALID: {group.name or '(unnamed)'} (dim {group.dim}, "
         f"holonomy order {group.holonomy_order})",
     )
     return 0
@@ -237,7 +240,7 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     report = AnalysisReport.compute(_load(args))
-    _emit(report.to_document(), args.format, report.to_text())
+    _emit(report.to_document(), args.format, report.to_text)
     return 0
 
 
@@ -250,7 +253,7 @@ def cmd_h1(args) -> int:
         "torsion": list(ab.torsion),
         "order": "infinite" if order is None else order,
     }
-    _emit(doc, args.format, f"H1 = {format_abelian(ab.rank, ab.torsion)}")
+    _emit(doc, args.format, lambda: f"H1 = {format_abelian(ab.rank, ab.torsion)}")
     return 0
 
 
@@ -260,7 +263,7 @@ def cmd_center(args) -> int:
     doc = {"rank": fl.rank, "basis": [list(v) for v in fl.basis]}
     text = [f"center rank: {fl.rank}"]
     text.extend(f"  basis: ({', '.join(map(str, v))})" for v in fl.basis)
-    _emit(doc, args.format, "\n".join(text))
+    _emit(doc, args.format, lambda: "\n".join(text))
     return 0
 
 
@@ -282,7 +285,7 @@ def cmd_fixed_torus(args) -> int:
         # additive coordinates mod 1; an entry 1/2 is the character value -1
         text.append(f"points ({len(ft.points)}):")
         text.extend(f"  ({', '.join(_rat_list(p))})" for p in ft.points)
-    _emit(doc, args.format, "\n".join(text))
+    _emit(doc, args.format, lambda: "\n".join(text))
     return 0
 
 
@@ -290,14 +293,17 @@ def cmd_connective(args) -> int:
     group = _load(args)
     report = is_connective(group)
     doc: dict = {"connective": report.connective}
-    text = connectivity_text(report)
     if args.certificate:
         doc["certificate"] = connectivity_document(report)
-        if args.format != "json":
-            text += "\n" + json.dumps(doc["certificate"], indent=2)
     else:
         doc["chain_length"] = len(report.chain)
         doc["core"] = None if report.core is None else group_to_document(report.core)
+
+    def text() -> str:
+        if not args.certificate:
+            return connectivity_text(report)
+        return connectivity_text(report) + "\n" + json.dumps(doc["certificate"], indent=2)
+
     _emit(doc, args.format, text)
     return 0
 
@@ -305,26 +311,29 @@ def cmd_connective(args) -> int:
 def cmd_decompose(args) -> int:
     group = _load(args)
     report = is_connective(group)
-    doc = connectivity_document(report)
-    lines = []
-    dim = group.dim
-    for step in report.chain:
-        f = step.surjection.lattice_map
-        lines.append(
-            f"dim {dim} -> {dim - 1}: f = ({', '.join(map(str, f))}), "
-            f"index d = {step.surjection.lattice_index}, "
-            f"kernel holonomy order {step.kernel_group.holonomy_order}"
-        )
-        dim -= 1
-    if report.core is None:
-        lines.append(f"complete poly-Z chain of length {len(report.chain)}")
-    else:
-        ab = abelianization(report.core)
-        lines.append(
-            f"stalled at dim {report.core.dim}: core has finite "
-            f"H1 = {format_abelian(ab.rank, ab.torsion)}"
-        )
-    _emit(doc, args.format, "\n".join(lines))
+
+    def text() -> str:
+        lines = []
+        dim = group.dim
+        for step in report.chain:
+            f = step.surjection.lattice_map
+            lines.append(
+                f"dim {dim} -> {dim - 1}: f = ({', '.join(map(str, f))}), "
+                f"index d = {step.surjection.lattice_index}, "
+                f"kernel holonomy order {step.kernel_group.holonomy_order}"
+            )
+            dim -= 1
+        if report.core is None:
+            lines.append(f"complete poly-Z chain of length {len(report.chain)}")
+        else:
+            ab = abelianization(report.core)
+            lines.append(
+                f"stalled at dim {report.core.dim}: core has finite "
+                f"H1 = {format_abelian(ab.rank, ab.torsion)}"
+            )
+        return "\n".join(lines)
+
+    _emit(connectivity_document(report), args.format, text)
     return 0
 
 
@@ -343,7 +352,7 @@ def cmd_holonomy(args) -> int:
             "coprime class: "
             + ("no" if tree is None else " -> ".join(f"Z/{m}" for m in tree.orders()))
         )
-    _emit(doc, args.format, "\n".join(lines))
+    _emit(doc, args.format, lambda: "\n".join(lines))
     return 0
 
 
@@ -368,14 +377,14 @@ def cmd_orbits(args) -> int:
         f" (elements {', '.join(map(str, record.stabilizer))})",
     ]
     lines.extend(f"  orbit point: ({', '.join(_rat_list(p))})" for p in record.orbit)
-    _emit(doc, args.format, "\n".join(lines))
+    _emit(doc, args.format, lambda: "\n".join(lines))
     return 0
 
 
 def cmd_catalog(args) -> int:
     if args.action == "list":
         keys = catalog_list()
-        _emit(keys, args.format, "\n".join(keys))
+        _emit(keys, args.format, lambda: "\n".join(keys))
         return 0
     if args.key is None:
         raise GroupFileError(f"catalog {args.action} needs a key")
@@ -384,7 +393,7 @@ def cmd_catalog(args) -> int:
         print(json.dumps(group_to_document(entry.group), indent=2))
         return 0
     report = AnalysisReport.compute(entry.group)
-    _emit(report.to_document(), args.format, report.to_text())
+    _emit(report.to_document(), args.format, report.to_text)
     return 0
 
 

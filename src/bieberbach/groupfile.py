@@ -112,7 +112,8 @@ def load_group(path, closure_budget: int = 10_000) -> CrystalGroup:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # a RecursionError means the document nests too deeply to parse
             raise GroupFileError(f"invalid JSON: {exc}") from exc
     return document_to_group(doc, closure_budget=closure_budget)
 

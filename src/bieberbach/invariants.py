@@ -17,6 +17,7 @@ from math import prod
 from .crystal import CrystalGroup, computed_once
 from .linalg import (
     IntMatrix,
+    SmithForm,
     frac_vector,
     integer_kernel,
     smith_normal_form,
@@ -153,6 +154,16 @@ def fixed_lattice(group: CrystalGroup) -> FixedLattice:
     return FixedLattice(basis=tuple(integer_kernel(stacked)))
 
 
+@computed_once
+def dual_action_smith(group: CrystalGroup) -> SmithForm:
+    """Smith form of the stacked A(g)^T - I over the holonomy generators,
+    computed once per group object.  Its V columns past the nonzero
+    divisors are a basis of the holonomy-fixed dual lattice {f : f A = f}."""
+    k = group.dim
+    mats = [m.transpose() - IntMatrix.identity(k) for m in _action_matrices(group)]
+    return smith_normal_form(IntMatrix.vstack(mats) if mats else IntMatrix.zeros(0, k))
+
+
 def fixed_torus(group: CrystalGroup) -> FixedTorusSubgroup:
     """Fixed subgroup of the dual torus under the transposed action.
 
@@ -163,12 +174,7 @@ def fixed_torus(group: CrystalGroup) -> FixedTorusSubgroup:
     finite cyclic components.
     """
     k = group.dim
-    mats = [m.transpose() for m in _action_matrices(group)]
-    if not mats:
-        stacked = IntMatrix.zeros(0, k)
-    else:
-        stacked = IntMatrix.vstack([m - IntMatrix.identity(k) for m in mats])
-    snf = smith_normal_form(stacked)
+    snf = dual_action_smith(group)
     divisors = list(snf.divisors) + [0] * (k - len(snf.divisors))
     rank = sum(1 for d in divisors if d == 0)
     component_orders = tuple(d for d in divisors if d >= 2)

@@ -1,6 +1,10 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from functools import cache
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,8 @@ from bieberbach.calabi import (
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.crystal import AffineGen, CrystalError, build_group, is_torsion_free
 from bieberbach.finite import finite_group_from_holonomy, in_coprime_class
-from bieberbach.invariants import abelianization, fixed_lattice, fixed_torus
+from bieberbach.groupfile import document_to_group
+from bieberbach.invariants import abelianization, dual_action_smith, fixed_lattice, fixed_torus
 from bieberbach.linalg import (
     IntMatrix,
     frac_vector,
@@ -27,6 +32,7 @@ from bieberbach.linalg import (
     solve_integer_linear,
     vec_add,
 )
+from test_invariants import signed_permutation_group
 
 
 F = Fraction
@@ -284,6 +290,132 @@ def test_edge_surjection_check_matches_all_pairs_on_hand_made_surjections():
             surj = SurjectionToZ(f, lift_values, lattice_index=1)
             assert accepts(_check_surjection, g, surj) == (shift == 0)
             assert_edge_check_matches_all_pairs(g, surj)
+
+
+# ---------------------------------------------------------------- H1 surjection oracle
+
+def h1_surjection_to_Z(group):
+    """`surjection_to_Z` as it was before it read the fixed dual lattice:
+    the first free coordinate of the abelianization, sign normalized so
+    that the first nonzero value is positive."""
+    ab = abelianization(group)
+    if ab.rank == 0:
+        return None
+    k = group.dim
+    row = list(ab.presentation_map.row(len(ab.torsion)))
+    if next(x for x in row if x != 0) < 0:
+        row = [-x for x in row]
+    f = tuple(row[:k])
+    assert any(f), "surjection vanishes on the lattice; rank bookkeeping broken"
+    return SurjectionToZ(lattice_map=f, lift_values=tuple(row[k:]), lattice_index=gcd_all(f))
+
+
+def chain_verdict(group, surjection):
+    """(connective, chain length) of the Calabi chain whose stages peel
+    the surjection that `surjection` picks."""
+    stage, length = group, 0
+    while stage.dim > 0:
+        surj = surjection(stage)
+        if surj is None:
+            return False, length
+        stage = calabi_kernel(stage, surj).kernel_group
+        length += 1
+    return True, length
+
+
+PERFBENCH_CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+
+
+@cache
+def perfbench_corpus(workload, seed):
+    """The benchmark's group documents for one workload and seed, drawn
+    by the benchmark's own pure-Python corpus generator."""
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", PERFBENCH_CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # its dataclasses look their module up
+    spec.loader.exec_module(corpus)
+    return tuple(item.doc for item in corpus.generate(workload, seed))
+
+
+def torsion_free_corpus_groups():
+    """The torsion-free groups of the seed-1 and seed-2 `analyze` and
+    `connective` corpora, each built afresh."""
+    for workload in ("analyze", "connective"):
+        for seed in (1, 2):
+            for doc in perfbench_corpus(workload, seed):
+                group = document_to_group(doc)
+                if is_torsion_free(group):
+                    yield group
+
+
+def seeded_chain_groups():
+    """The seeded screw and diagonal groups of the chain tests below."""
+    rng = random.Random(41)
+    groups = [
+        random_diagonal_group(rng, dim, r) for dim in (4, 5, 6) for r in (1, 2, 3) for _ in range(2)
+    ]
+    groups += [random_screw_group(rng, dim) for dim in (4, 5, 6) for _ in range(4)]
+    rng = random.Random(43)
+    groups += [random_screw_group(rng, dim) for dim in (4, 5) for _ in range(4)]
+    groups += [random_diagonal_group(rng, dim, r) for dim in (4, 5) for r in (2, 3)]
+    return groups
+
+
+def assert_same_verdicts_as_h1_oracle(groups) -> tuple[int, int]:
+    """The fixed-dual-lattice chain and the H1 chain reach the same
+    verdict after the same number of peels; returns (groups, groups
+    whose top-stage surjection differs between the two)."""
+    count = differ = 0
+    for g in groups:
+        report = is_connective(g)
+        assert (report.connective, len(report.chain)) == chain_verdict(g, h1_surjection_to_Z), g.name
+        count += 1
+        differ += surjection_to_Z(g) != h1_surjection_to_Z(g)
+    return count, differ
+
+
+def test_surjection_matches_h1_oracle_on_catalog_and_seeded_chains():
+    groups = [catalog_get(key).group for key in catalog_list()] + seeded_chain_groups()
+    count, differ = assert_same_verdicts_as_h1_oracle(groups)
+    assert count == 11 + len(seeded_chain_groups())
+    assert differ > 0  # the tori choose another basis vector of the dual lattice
+
+
+def test_surjection_matches_h1_oracle_on_perfbench_corpora():
+    count, differ = assert_same_verdicts_as_h1_oracle(torsion_free_corpus_groups())
+    assert count >= 350
+    assert differ > 0
+
+
+def assert_normalized_surjection_or_trivial_centre(group):
+    surj = surjection_to_Z(group)
+    assert (surj is None) == (fixed_lattice(group).rank == 0), group.name
+    if surj is not None:
+        _check_surjection(group, surj)
+        assert gcd_all(surj.lattice_map + surj.lift_values) == 1
+        assert next(x for x in surj.lattice_map if x) > 0
+
+
+def test_surjection_is_none_exactly_when_the_centre_is_trivial():
+    for g in [catalog_get(key).group for key in catalog_list()] + seeded_chain_groups():
+        for stage in [g] + [s.kernel_group for s in is_connective(g).chain]:
+            assert_normalized_surjection_or_trivial_centre(stage)
+
+
+def test_surjection_sign_is_normalized_on_signed_permutation_holonomy():
+    """Zero-translation signed-permutation groups (with torsion, which
+    the surjection does not mind), where the fixed dual lattice's first
+    basis vector often leads with a negative entry."""
+    rng = random.Random(5)
+    negative_leads = 0
+    for _ in range(100):
+        g = signed_permutation_group(rng, rng.randint(2, 5))
+        assert_normalized_surjection_or_trivial_centre(g)
+        snf = dual_action_smith(g)
+        nnz = sum(1 for d in snf.divisors if d != 0)
+        if nnz < g.dim:
+            negative_leads += next(x for x in snf.V.column(nnz) if x) < 0
+    assert negative_leads >= 5
 
 
 # ---------------------------------------------------------------- Fraction oracle

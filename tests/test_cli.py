@@ -3,6 +3,7 @@ import json
 import pytest
 
 import bieberbach.cli as cli
+import bieberbach.groupfile as groupfile
 from bieberbach.cli import format_abelian, main
 from bieberbach.finite import OrderBudgetExceeded
 
@@ -141,6 +142,39 @@ def test_catalog_show(capsys):
 def test_missing_file(capsys):
     assert main(["analyze", "/nonexistent/group.json"]) == 2
     assert "file not found" in capsys.readouterr().err
+
+
+def test_directory_as_group_file(tmp_path, capsys):
+    assert main(["analyze", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: GroupFileError: cannot read ")
+    assert captured.err.count("\n") == 1
+
+
+def test_unreadable_group_file(tmp_path, capsys, monkeypatch):
+    """Any OSError on opening, not only a missing file, is an input error."""
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(tmp_path / "locked.json"))
+
+    monkeypatch.setattr(groupfile, "open", denied, raising=False)
+    assert main(["connective", str(tmp_path / "locked.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: GroupFileError: cannot read {tmp_path / 'locked.json'}: Permission denied\n"
+    )
+
+
+@pytest.mark.parametrize("opener", ["[", "{\"a\": "])
+def test_deeply_nested_json(tmp_path, capsys, opener):
+    path = tmp_path / "deep.json"
+    path.write_text(opener * 100_000)
+    assert main(["analyze", str(path), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: GroupFileError: invalid JSON")
+    assert captured.err.count("\n") == 1
 
 
 def test_malformed_json(tmp_path, capsys):

@@ -1,11 +1,13 @@
-"""H1, the torsion witness and the subgroup lattice are computed once per
-group object and shared by every caller."""
+"""H1, the dual-action Smith form, the torsion witness and the subgroup
+lattice are computed once per group object and shared by every caller;
+the connectivity commands never build H1's relation matrix."""
 
 import gc
+import json
 import sys
 import threading
 import weakref
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -13,9 +15,13 @@ import bieberbach.crystal as crystal
 import bieberbach.finite as finite
 import bieberbach.invariants as invariants
 from bieberbach.catalog import catalog_get
-from bieberbach.cli import AnalysisReport
+from bieberbach.catalog import catalog_list
+from bieberbach.cli import AnalysisReport, main
 from bieberbach.crystal import AffineGen, build_group, torsion_witness
 from bieberbach.finite import all_subgroups, finite_group_from_holonomy
+from bieberbach.groupfile import group_to_document
+from bieberbach.linalg import IntMatrix
+from test_calabi import seeded_chain_groups
 
 
 def fresh_catalog_group(key):
@@ -83,6 +89,60 @@ def test_analysis_computes_each_invariant_once(monkeypatch, make_group):
     holonomy = [g for g in lattices.seen if g.order == group.holonomy_order]
     assert len(holonomy) == 1
     assert all(n == 1 for n in lattices.counts.values()), dict(lattices.counts)
+
+
+def test_connectivity_commands_build_no_relation_matrix(monkeypatch, tmp_path, capsys):
+    """`connective --certificate` and `decompose` in JSON read each stage's
+    surjection off the fixed dual lattice and never build the text form,
+    so no first homology is computed anywhere along the chain."""
+    relations = CallCounter()
+    real_relation_matrix = invariants.relation_matrix
+
+    def counting_relation_matrix(group, *args, **kwargs):
+        relations.hit(group)
+        return real_relation_matrix(group, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "relation_matrix", counting_relation_matrix)
+    groups = [fresh_catalog_group(key) for key in catalog_list()] + seeded_chain_groups()
+    for pos, group in enumerate(groups):
+        path = tmp_path / f"{pos}.json"
+        path.write_text(json.dumps(group_to_document(group)))
+        for argv in (["connective", "--certificate"], ["decompose"]):
+            assert main([argv[0], str(path), *argv[1:], "--format", "json"]) == 0
+    capsys.readouterr()
+    assert not relations.seen
+
+
+def dual_action_matrix(group):
+    """The stacked A(g)^T - I over the holonomy generators."""
+    k = group.dim
+    mats = [
+        group.elements[g].matrix.transpose() - IntMatrix.identity(k)
+        for g in group.holonomy_generator_indices()
+    ]
+    return IntMatrix.vstack(mats) if mats else IntMatrix.zeros(0, k)
+
+
+@pytest.mark.parametrize("key", catalog_list())
+def test_analysis_computes_the_dual_action_smith_form_once_per_group(monkeypatch, key):
+    """`fixed_torus` and every stage's surjection share one Smith form of
+    the stacked A(g)^T - I per group object."""
+    calls = []
+    real_smith = invariants.smith_normal_form
+
+    def counting_smith(matrix):
+        calls.append(matrix)
+        return real_smith(matrix)
+
+    monkeypatch.setattr(invariants, "smith_normal_form", counting_smith)
+    group = fresh_catalog_group(key)
+    report = AnalysisReport.compute(group)
+    report.to_document()
+    # every stage down to the core, or above dimension 0, asks for a surjection
+    chain = [group] + [step.kernel_group for step in report.connectivity.chain]
+    stages = [stage for stage in chain if stage.dim > 0]
+    wanted = Counter(dual_action_matrix(stage) for stage in stages)
+    assert Counter(m for m in calls if m in wanted) == wanted
 
 
 def test_torsion_free_verdict_is_computed_once(monkeypatch):
