@@ -173,20 +173,13 @@ class AnalysisReport:
                 else ""
             ),
         ]
-        if self.torus_points is not None:
-            for p in self.torus_points:
-                lines.append(f"  point: ({', '.join(_rat_list(p))})")
-        lines.append(
-            "characters: "
-            + ("infinite" if self.characters is None else str(self.characters))
-        )
+        lines.extend(f"  point: ({', '.join(_rat_list(p))})" for p in self.torus_points or ())
+        lines.append(f"characters: {'infinite' if self.characters is None else self.characters}")
         if self.connectivity is None:
             lines.append("connective: n/a (group has torsion)")
         else:
             lines.append(connectivity_text(self.connectivity))
-        lines.append(
-            f"holonomy primitive: {'yes' if self.holonomy_primitive else 'no'}"
-        )
+        lines.append(f"holonomy primitive: {'yes' if self.holonomy_primitive else 'no'}")
         lines.append(
             "holonomy coprime class: "
             + (

@@ -2,9 +2,9 @@
 
 Works on explicit multiplication tables at desk scale: subgroup
 enumeration, Sylow subgroups, normal complements, the Hiller-Sah
-primitivity test, and recognition of iterated coprime semidirect
-products of cyclic groups.  Everything is brute force on purpose; the
-order budget keeps it honest.
+primitivity test (from element orders and the commutator subgroup), and
+recognition of iterated coprime semidirect products of cyclic groups.
+Everything is brute force on purpose; the order budget keeps it honest.
 """
 
 from __future__ import annotations
@@ -78,12 +78,8 @@ def finite_group(table) -> FiniteGroup:
         raise ValueError("table is not square")
     if any(not (0 <= x < n) for row in table for x in row):
         raise ValueError("table entries out of range")
-    identity = None
-    for e in range(n):
-        if all(table[e][x] == x and table[x][e] == x for x in range(n)):
-            identity = e
-            break
-    if identity != 0:
+    # a two-sided identity is unique
+    if n == 0 or any(table[0][x] != x or table[x][0] != x for x in range(n)):
         raise ValueError("identity must be element 0")
     inverses = []
     for i in range(n):
@@ -278,53 +274,50 @@ def quotient_group(
 
 def is_primitive(group: FiniteGroup, budget: int = DEFAULT_ORDER_BUDGET) -> bool:
     """Hiller-Sah primitivity: no cyclic Sylow subgroup has a normal
-    complement.  The test suite checks this against the equivalent
-    formulation "no cyclic Sylow subgroup is isomorphic to a quotient of
-    the group"."""
+    complement.
+
+    A Sylow p-subgroup P of order p^a is cyclic iff some element has
+    order p^a.  A normal complement K of an abelian P contains G', so
+    P cap G' = 1; conversely that gives a normal p-complement by Tate's
+    theorem (Tate, "Nilpotent quotient groups", Topology 1964).  As PG'/G'
+    is a Sylow subgroup of G/G', P cap G' = 1 iff p^a divides |G/G'|."""
     if group.order > budget:
         raise OrderBudgetExceeded(f"order {group.order} exceeds budget {budget}")
     if group.order == 1:
         return False  # the trivial group counts as cyclic
-    for p in _prime_factors(group.order):
-        syl = sylow_subgroup(group, p, budget=budget)
-        syl_group = subgroup_as_group(group, syl.elements)
-        if syl_group.is_cyclic() and has_normal_complement(group, syl, budget=budget)[0]:
-            return False
-    return True
+    t, inv, n = group.table, group.inverses, group.order
+    commutators = {t[t[inv[a]][inv[b]]][t[a][b]] for a in range(n) for b in range(n)}
+    index = n // len(_closure(group, commutators))
+    return not any(
+        p**a in group.orders and index % p**a == 0 for p, a in _prime_factors(n).items()
+    )
 
 
 def in_coprime_class(
     group: FiniteGroup, budget: int = DEFAULT_ORDER_BUDGET
 ) -> CoprimeTree | None:
     """Recognize iterated semidirect products of cyclic groups with
-    pairwise coprime orders; cyclic groups themselves are leaves."""
-    if group.order > budget:
-        raise OrderBudgetExceeded(f"order {group.order} exceeds budget {budget}")
+    pairwise coprime orders; cyclic groups themselves are leaves.  Every
+    Sylow subgroup of such a group is cyclic, so other groups are
+    rejected before the subgroup lattice is read."""
+    n = group.order
+    if n > budget:
+        raise OrderBudgetExceeded(f"order {n} exceeds budget {budget}")
     if group.is_cyclic():
-        return CoprimeTree(normal_part=None, complement_order=group.order)
+        return CoprimeTree(normal_part=None, complement_order=n)
+    if any(p**a not in group.orders for p, a in _prime_factors(n).items()):
+        return None
     subs = all_subgroups(group, budget=budget)
     for comp in subs:
+        # a cyclic complement; coprime orders make the intersection trivial
         m = comp.order
-        if m == 1 or m == group.order:
-            continue
-        if group.order % m != 0:
-            continue
-        want = group.order // m
-        if gcd(want, m) != 1:
-            continue
-        comp_group = subgroup_as_group(group, comp.elements)
-        if not comp_group.is_cyclic():
+        if m in (1, n) or gcd(m, n // m) != 1 or max(group.orders[x] for x in comp.elements) != m:
             continue
         for normal in subs:
-            if not normal.is_normal or normal.order != want:
-                continue
-            if normal.elements & comp.elements != {0}:
-                continue
-            sub_tree = in_coprime_class(
-                subgroup_as_group(group, normal.elements), budget=budget
-            )
-            if sub_tree is not None:
-                return CoprimeTree(normal_part=sub_tree, complement_order=m)
+            if normal.is_normal and normal.order == n // m:
+                sub_tree = in_coprime_class(subgroup_as_group(group, normal.elements), budget)
+                if sub_tree is not None:
+                    return CoprimeTree(normal_part=sub_tree, complement_order=m)
     return None
 
 

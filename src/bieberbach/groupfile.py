@@ -13,7 +13,7 @@ A group document looks like:
 Matrix entries are JSON integers; translation entries are exact
 rationals written as strings "p/q" or "n" (JSON integers are also
 accepted).  Decimal notation is rejected: this tool never touches
-floats.
+floats.  A dimension above MAX_DIMENSION is rejected.
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ import json
 from fractions import Fraction
 
 from .crystal import AffineGen, CrystalGroup, build_group
+
+
+MAX_DIMENSION = 64  # a group starts from a dim x dim matrix: bound the memory
 
 
 class GroupFileError(ValueError):
@@ -61,6 +64,8 @@ def document_to_group(doc, closure_budget: int = 10_000) -> CrystalGroup:
     dim = doc.get("dimension")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise GroupFileError("'dimension' must be a nonnegative integer")
+    if dim > MAX_DIMENSION:
+        raise GroupFileError(f"'dimension' {dim} exceeds the limit {MAX_DIMENSION}")
     raw_gens = doc.get("generators")
     if not isinstance(raw_gens, list):
         raise GroupFileError("'generators' must be a list")

@@ -1,10 +1,11 @@
 """Homological and fixed-point invariants of a crystallographic group.
 
 Three independent computations of "how much free rank the group has":
-the abelianization (presented on the generators' Cayley graph), the fixed
-lattice of the holonomy action, and the fixed subgroup of the dual
-torus.  For valid groups the three ranks agree; the test suite checks
-that equality rather than assuming it.
+the abelianization (presented on k + |gens| variables by a spanning
+tree of the generators' Cayley graph), the fixed lattice of the
+holonomy action, and the fixed subgroup of the dual torus.  For valid
+groups the three ranks agree; the test suite checks that equality
+rather than assuming it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 from .crystal import CrystalGroup, computed_once
 from .linalg import (
@@ -77,70 +79,76 @@ def _action_matrices(group: CrystalGroup) -> list[IntMatrix]:
     return [group.elements[i].matrix for i in group.holonomy_generator_indices()]
 
 
-def relation_matrix(group: CrystalGroup) -> IntMatrix:
-    """Relations of the abelianized group, one relation per column.
+@computed_once
+def _tree_lifts(group: CrystalGroup) -> tuple[tuple[int, ...], ...]:
+    """Each lift variable x_s over (e_1..e_k, then y_g per holonomy
+    generator g), along a BFS spanning tree of the generators' Cayley
+    graph: x_e = 0 and x_{sg} = x_s + y_g - tau(s,g).e on the edge that
+    first reaches sg.  Computed once per group object."""
+    k = group.dim
+    gens = group.holonomy_generator_indices()
+    pad = (0,) * len(gens)
+    lifts = [(0,) * (k + len(gens))] + [None] * (group.holonomy_order - 1)
+    queue = [0]
+    for s in queue:  # grows as we go
+        xs, row, tau = lifts[s], group.mult[s], group.cocycle[s]
+        for pos, g in enumerate(gens):
+            if lifts[row[g]] is None:
+                x = [a - b for a, b in zip(xs, tau[g] + pad)]
+                x[k + pos] += 1
+                lifts[row[g]] = tuple(x)
+                queue.append(row[g])
+    return tuple(lifts)
 
-    Variables: e_1..e_k (lattice basis), then x_s per holonomy element.
-    Relations: (A(g) - I) e_j = 0 over the holonomy generators g; x_e = 0
-    pinning the identity lift; and r(s, g) = x_s + x_g - x_{sg} -
-    <tau(s,g), e> = 0 on the edges (s, g) of the generators' Cayley
-    graph.  These imply r(s, t) = 0 for every pair: the cocycle identity
-    tau(s,t) + tau(st,u) = A(s) tau(t,u) + tau(s,tu), read modulo
-    (A(s) - I) e = 0, gives r(s,tu) = r(s,t) + r(st,u) - r(t,u), and
-    r(s,e) = x_e starts an induction on the word length of t.
+
+def relation_matrix(group: CrystalGroup) -> IntMatrix:
+    """Relations of the abelianized group, one relation per column, on
+    the variables e_1..e_k (lattice basis), then y_g per holonomy
+    generator g.
+
+    With a lift variable x_s per holonomy element, H1 is presented by
+    (A(g) - I) e = 0, x_e = 0 and r(s, g) = x_s + x_g - x_{sg} -
+    tau(s,g).e = 0 on the edges (s, g) of the generators' Cayley graph:
+    the cocycle identity, read modulo (A(s) - I) e = 0, gives r(s,tu) =
+    r(s,t) + r(st,u) - r(t,u), so with r(s,e) = x_e every r(s, t) follows.
+    The tree edges of `_tree_lifts` solve for the x_s (Reidemeister-
+    Schreier), leaving r(s, g) on the other edges: k + |gens| rows.
     """
     k = group.dim
-    n = group.holonomy_order
-    nvars = k + n
-    columns: list[list[int]] = []
-
-    for mat in _action_matrices(group):
-        delta = mat - IntMatrix.identity(k)
-        for j in range(k):
-            col = [0] * nvars
-            for i in range(k):
-                col[i] = delta[i, j]
-            columns.append(col)
-
-    col = [0] * nvars
-    col[k] = 1  # identity lift variable is trivial
-    columns.append(col)
-
     gens = group.holonomy_generator_indices()
-    for s in range(n):
-        for g in gens:
-            col = [-x for x in group.cocycle[s][g]] + [0] * n
-            col[k + s] += 1
-            col[k + g] += 1
-            col[k + group.mult[s][g]] -= 1
-            columns.append(col)
-
-    # duplicate and zero relations do not change the quotient
-    unique = []
-    seen = set()
-    zero = (0,) * nvars
-    for col in columns:
-        key = tuple(col)
-        if key != zero and key not in seen:
-            seen.add(key)
-            unique.append(col)
-    return IntMatrix.from_columns(unique, rows=nvars)
+    lifts = _tree_lifts(group)
+    pad = (0,) * len(gens)
+    columns = [
+        tuple(row[j] - (i == j) for i, row in enumerate(mat)) + pad
+        for mat in _action_matrices(group)
+        for j in range(k)
+    ]
+    for xs, row, tau in zip(lifts, group.mult, group.cocycle):
+        for pos, g in enumerate(gens):
+            col = [a - b - c for a, b, c in zip(xs, lifts[row[g]], tau[g] + pad)]
+            col[k + pos] += 1
+            columns.append(tuple(col))
+    # tree edges give zero relations; zero and repeated ones change nothing
+    unique = [col for col in dict.fromkeys(columns) if any(col)]
+    return IntMatrix.from_columns(unique, rows=k + len(gens))
 
 
 @computed_once
 def abelianization(group: CrystalGroup) -> AbelianInvariants:
     """First homology of the group, i.e. its abelianization; computed
-    once per group object."""
+    once per group object.  The quotient map on the original variables
+    sends x_s to the image of its tree vector."""
     rel = relation_matrix(group)
     snf = smith_normal_form(rel)
     nvars = rel.rows
     nnz = sum(1 for d in snf.divisors if d != 0)
     torsion = tuple(d for d in snf.divisors if d >= 2)
     rank = nvars - nnz
-    keep = [i for i, d in enumerate(snf.divisors) if d >= 2]
-    keep.extend(range(nnz, nvars))
-    pres = IntMatrix([snf.U.row(i) for i in keep], cols=nvars)
-    return AbelianInvariants(rank=rank, torsion=torsion, presentation_map=pres)
+    keep = [i for i, d in enumerate(snf.divisors) if d >= 2] + list(range(nnz, nvars))
+    lifts = _tree_lifts(group)
+    rows = [snf.U.row(i) for i in keep]
+    pres = [u[: group.dim] + tuple(sum(map(mul, u, x)) for x in lifts) for u in rows]
+    return AbelianInvariants(rank, torsion, IntMatrix(pres, cols=group.dim + group.holonomy_order))
 
 
 def fixed_lattice(group: CrystalGroup) -> FixedLattice:

@@ -51,6 +51,20 @@ class CallCounter:
         self.seen.append(obj)
 
 
+def count_lattice_enumerations(monkeypatch) -> CallCounter:
+    """Counts real subgroup-lattice enumerations, not reads of a lattice
+    already computed for the same group object."""
+    lattices = CallCounter()
+    enumerate_lattice = finite._subgroup_lattice.__wrapped__
+
+    def counting_enumeration(group):
+        lattices.hit(group)
+        return enumerate_lattice(group)
+
+    monkeypatch.setattr(finite, "_subgroup_lattice", crystal.computed_once(counting_enumeration))
+    return lattices
+
+
 @pytest.mark.parametrize(
     "make_group",
     [
@@ -61,23 +75,19 @@ class CallCounter:
     ids=["hw", "dim3_c6", "order24_signed_permutations"],
 )
 def test_analysis_computes_each_invariant_once(monkeypatch, make_group):
+    """H1's relation matrix is built once per group, and none of these
+    holonomies needs the subgroup lattice at all: Z/6 is cyclic, and
+    Z/2 + Z/2 and the order-24 rotations have a non-cyclic Sylow
+    2-subgroup."""
     relations = CallCounter()
-    lattices = CallCounter()
+    lattices = count_lattice_enumerations(monkeypatch)
     real_relation_matrix = invariants.relation_matrix
-    real_closure = finite._closure
 
     def counting_relation_matrix(group, *args, **kwargs):
         relations.hit(group)
         return real_relation_matrix(group, *args, **kwargs)
 
-    def counting_closure(group, seed):
-        # every subgroup enumeration starts from the trivial subgroup
-        if set(seed) == {0}:
-            lattices.hit(group)
-        return real_closure(group, seed)
-
     monkeypatch.setattr(invariants, "relation_matrix", counting_relation_matrix)
-    monkeypatch.setattr(finite, "_closure", counting_closure)
 
     group = make_group()
     report = AnalysisReport.compute(group)
@@ -86,9 +96,17 @@ def test_analysis_computes_each_invariant_once(monkeypatch, make_group):
 
     assert relations.counts[id(group)] == 1
     assert all(n == 1 for n in relations.counts.values()), dict(relations.counts)
-    holonomy = [g for g in lattices.seen if g.order == group.holonomy_order]
-    assert len(holonomy) == 1
-    assert all(n == 1 for n in lattices.counts.values()), dict(lattices.counts)
+    assert not lattices.seen
+
+
+def test_coprime_class_enumerates_the_lattice_once_when_it_must(monkeypatch):
+    """A holonomy that is not cyclic but has only cyclic Sylow subgroups
+    (S3) still searches the lattice, once per group object."""
+    lattices = count_lattice_enumerations(monkeypatch)
+    s3 = finite.semidirect_cyclic(3, 2, 2)
+    assert finite.in_coprime_class(s3).orders() == (3, 2)
+    assert finite.in_coprime_class(s3).orders() == (3, 2)
+    assert lattices.seen == [s3]
 
 
 def test_connectivity_commands_build_no_relation_matrix(monkeypatch, tmp_path, capsys):

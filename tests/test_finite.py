@@ -8,6 +8,7 @@ import pytest
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.crystal import AffineGen, ClosureBudgetExceeded, build_group
 from bieberbach.finite import (
+    CoprimeTree,
     OrderBudgetExceeded,
     all_subgroups,
     abelian_invariant_factors,
@@ -281,6 +282,59 @@ def primitive_via_quotients(g):
             if quot.order in sylow_orders and quot.is_cyclic():
                 return False
     return True
+
+
+def lattice_is_primitive(group, budget=64):
+    """`is_primitive` before Tate's criterion: each Sylow subgroup and a
+    normal complement are looked up in the subgroup lattice."""
+    if group.order > budget:
+        raise OrderBudgetExceeded(f"order {group.order} exceeds budget {budget}")
+    if group.order == 1:
+        return False  # the trivial group counts as cyclic
+    for p in prime_factors(group.order):
+        syl = sylow_subgroup(group, p, budget=budget)
+        syl_group = subgroup_as_group(group, syl.elements)
+        if syl_group.is_cyclic() and has_normal_complement(group, syl, budget=budget)[0]:
+            return False
+    return True
+
+
+def lattice_in_coprime_class(group, budget=64):
+    """`in_coprime_class` before the cyclic-Sylow test: every group
+    that is not cyclic searches the subgroup lattice."""
+    if group.order > budget:
+        raise OrderBudgetExceeded(f"order {group.order} exceeds budget {budget}")
+    if group.is_cyclic():
+        return CoprimeTree(normal_part=None, complement_order=group.order)
+    subs = all_subgroups(group, budget=budget)
+    for comp in subs:
+        m = comp.order
+        if m == 1 or m == group.order:
+            continue
+        if group.order % m != 0:
+            continue
+        want = group.order // m
+        if gcd(want, m) != 1:
+            continue
+        comp_group = subgroup_as_group(group, comp.elements)
+        if not comp_group.is_cyclic():
+            continue
+        for normal in subs:
+            if not normal.is_normal or normal.order != want:
+                continue
+            if normal.elements & comp.elements != {0}:
+                continue
+            sub_tree = lattice_in_coprime_class(
+                subgroup_as_group(group, normal.elements), budget=budget
+            )
+            if sub_tree is not None:
+                return CoprimeTree(normal_part=sub_tree, complement_order=m)
+    return None
+
+
+def prime_factors(n):
+    """The primes dividing n, in increasing order."""
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
 
 
 def test_primitivity_matches_quotient_criterion():

@@ -99,6 +99,48 @@ def full_element_relation_matrix(g):
     return IntMatrix.from_columns(columns, rows=k + n)
 
 
+def cayley_graph_relation_matrix(group):
+    """The library's relations before the spanning tree: one lift
+    variable x_s per holonomy element (k + n rows), x_e = 0, and r(s, g)
+    on every edge (s, g) of the generators' Cayley graph."""
+    k = group.dim
+    n = group.holonomy_order
+    nvars = k + n
+    columns: list[list[int]] = []
+
+    for mat in [group.elements[i].matrix for i in group.holonomy_generator_indices()]:
+        delta = mat - IntMatrix.identity(k)
+        for j in range(k):
+            col = [0] * nvars
+            for i in range(k):
+                col[i] = delta[i, j]
+            columns.append(col)
+
+    col = [0] * nvars
+    col[k] = 1  # identity lift variable is trivial
+    columns.append(col)
+
+    gens = group.holonomy_generator_indices()
+    for s in range(n):
+        for g in gens:
+            col = [-x for x in group.cocycle[s][g]] + [0] * n
+            col[k + s] += 1
+            col[k + g] += 1
+            col[k + group.mult[s][g]] -= 1
+            columns.append(col)
+
+    # duplicate and zero relations do not change the quotient
+    unique = []
+    seen = set()
+    zero = (0,) * nvars
+    for col in columns:
+        key = tuple(col)
+        if key != zero and key not in seen:
+            seen.add(key)
+            unique.append(col)
+    return IntMatrix.from_columns(unique, rows=nvars)
+
+
 def full_element_h1(g):
     """(rank, torsion) of the quotient by the full-element relations."""
     rel = full_element_relation_matrix(g)
@@ -129,15 +171,12 @@ def lattice_hnf(basis, dim):
 
 
 def assert_presentation_kills_full_element_relations(g):
-    """The quotient map read off the Cayley-graph relations sends every
+    """The quotient map read off the spanning-tree relations sends every
     all-pairs relation to 0 (mod the torsion orders), and both
     presentations give the same H1."""
     ab = abelianization(g)
     assert (ab.rank, ab.torsion) == full_element_h1(g)
-    images = ab.presentation_map * full_element_relation_matrix(g)
-    for i, row in enumerate(images):
-        modulus = ab.torsion[i] if i < len(ab.torsion) else 0
-        assert all((x % modulus if modulus else x) == 0 for x in row), g.name
+    assert_presentation_kills(ab, full_element_relation_matrix(g))
 
 
 def assert_matches_full_element_oracles(g, h1=True):
@@ -174,22 +213,24 @@ def test_h1_klein():
     assert ab.torsion == (2,)
 
 
-def test_h1_presentation_map_kills_relations():
-    from bieberbach.invariants import relation_matrix
+def assert_presentation_kills(ab, relations):
+    """Every column of `relations`, on the k + n original variables, maps
+    to 0 (mod the torsion orders) under the presentation map."""
+    images = ab.presentation_map * relations
+    for i, row in enumerate(images):
+        modulus = ab.torsion[i] if i < len(ab.torsion) else 0
+        assert all((x % modulus if modulus else x) == 0 for x in row)
 
+
+def test_h1_presentation_map_kills_relations():
+    """The quotient map, read off the spanning-tree relations and
+    carried back to one variable per holonomy element, kills the
+    Cayley-graph and the all-pairs relations."""
     for g in (hw_group(), klein_bottle(), torus(2)):
         ab = abelianization(g)
-        rel = relation_matrix(g)
-        pres = ab.presentation_map
-        ntor = len(ab.torsion)
-        for c in range(rel.cols):
-            col = rel.column(c)
-            image = pres.apply(col)
-            for i, val in enumerate(image):
-                if i < ntor:
-                    assert val % ab.torsion[i] == 0
-                else:
-                    assert val == 0
+        assert ab.presentation_map.cols == g.dim + g.holonomy_order
+        assert_presentation_kills(ab, cayley_graph_relation_matrix(g))
+        assert_presentation_kills(ab, full_element_relation_matrix(g))
 
 
 def test_h1_robust_to_full_element_presentation():
