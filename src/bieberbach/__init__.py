@@ -25,7 +25,6 @@ from .crystal import (
     TorsionWitness,
     CrystalError,
     ClosureBudgetExceeded,
-    NonIntegralCocycle,
     HolonomyNotFaithful,
     NotInGroup,
     build_group,
@@ -33,8 +32,6 @@ from .crystal import (
     reconstruct_element,
     is_torsion_free,
     torsion_witness,
-    multiply,
-    invert,
 )
 from .invariants import (
     AbelianInvariants,

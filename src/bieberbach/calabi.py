@@ -119,10 +119,9 @@ def _check_surjection(group: CrystalGroup, surj: SurjectionToZ) -> None:
     if any(fm * group.elements[g].matrix != fm for g in gens):
         raise AssertionError("lattice map is not holonomy invariant")
     edges_hold = phi[0] == 0 and all(
-        phi[s] + phi[g] - phi[group.mult[s][g]]
-        == sum(a * b for a, b in zip(f, group.cocycle[s][g]))
-        for s in range(group.holonomy_order)
-        for g in gens
+        phi[s] + phi[g] - phi[group.mult[s][g]] == sum(a * b for a, b in zip(f, tau))
+        for s, taus in enumerate(group.edge_cocycle)
+        for g, tau in zip(gens, taus)
     )
     if not edges_hold:
         raise AssertionError("lift values break the homomorphism property")

@@ -2,9 +2,9 @@
 
 A group lives here as: the lattice Z^k (implicit), a finite holonomy
 table of integer matrices with rational coset-representative
-translations in [0,1)^k, and the integral defect table of representative
-multiplication.  Inputs that do not close to such a structure are
-rejected with a specific error.
+translations in [0,1)^k, and the integral cocycle on the edges of the
+generators' Cayley graph.  Inputs that do not close to such a structure
+are rejected with a specific error.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ class CrystalError(Exception):
 class ClosureBudgetExceeded(CrystalError):
     """Holonomy closure grew past the budget; the input generators do
     not define a crystallographic group."""
-
-
-class NonIntegralCocycle(CrystalError):
-    """A representative-multiplication defect fell outside Z^k."""
 
 
 class HolonomyNotFaithful(CrystalError):
@@ -108,14 +104,6 @@ class AffineGen:
         return self.matrix.is_identity() and all(x == 0 for x in self.translation)
 
 
-def multiply(g: AffineGen, h: AffineGen) -> AffineGen:
-    return g * h
-
-
-def invert(g: AffineGen) -> AffineGen:
-    return g.invert()
-
-
 @dataclass(frozen=True)
 class HolonomyElement:
     """One coset of the lattice: matrix plus the representative
@@ -139,13 +127,16 @@ class TorsionWitness:
 
 @dataclass(frozen=True, eq=False)
 class CrystalGroup:
+    """`edge_cocycle[s][j]` is the lattice vector c with g_s g_h = c + g_sh
+    for h the j-th of `holonomy_generator_indices()`."""
+
     name: str
     dim: int
     generators: tuple[AffineGen, ...]
     elements: tuple[HolonomyElement, ...]
     mult: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
-    cocycle: tuple[tuple[tuple[int, ...], ...], ...]
+    edge_cocycle: tuple[tuple[tuple[int, ...], ...], ...]
     generator_images: tuple[int, ...]
 
     @property
@@ -162,11 +153,7 @@ class CrystalGroup:
 
     def holonomy_generator_indices(self) -> tuple[int, ...]:
         """Distinct non-identity generator images, in first-seen order."""
-        seen = []
-        for idx in self.generator_images:
-            if idx != 0 and idx not in seen:
-                seen.append(idx)
-        return tuple(seen)
+        return tuple(idx for idx in dict.fromkeys(self.generator_images) if idx != 0)
 
 
 def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) -> CrystalGroup:
@@ -176,9 +163,12 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
     is the lcm of the generators' translation denominators; t/q is the
     representative translation in [0,1)^k.  The closure multiplies by the
     generators on the right and is keyed on the matrix alone, so the
-    multiplication table is read off the Cayley graph.  Raises
-    ClosureBudgetExceeded, HolonomyNotFaithful or NonIntegralCocycle
-    when the input is not crystallographic in standard form.
+    multiplication table is read off the Cayley graph, and so is each
+    edge's cocycle: the quotient by q of the sum reduced to its shift.
+    Every edge lands on its element's shift, so by induction along the
+    closure every defect is integral.
+    Raises ClosureBudgetExceeded or HolonomyNotFaithful when the input is
+    not crystallographic in standard form.
     """
     gens = tuple(gens)
     for g in gens:
@@ -198,11 +188,13 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
     index_of = {matrices[0]: 0}
     parent: list[tuple[int, int]] = [(0, -1)]  # (element, generator) that first reached it
     right: list[list[int]] = []  # right[i][g]: element i times generator g
+    defects: list[list[tuple[int, ...]]] = []  # defects[i][g]: the cocycle of that edge
     for i, (a, t) in enumerate(zip(matrices, shifts)):  # both lists grow as we go
-        row = []
+        row, defect_row = [], []
         for pos, (b, u) in enumerate(gen_pairs):
             mat = a * b
-            shift = tuple((x + y) % q for x, y in zip(a.apply(u), t))
+            total = [x + y for x, y in zip(a.apply(u), t)]
+            shift = tuple(x % q for x in total)
             idx = index_of.get(mat)
             if idx is None:
                 idx = index_of[mat] = len(matrices)
@@ -219,29 +211,21 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
                     "holonomy matrix; the lattice is not maximal abelian"
                 )
             row.append(idx)
+            defect_row.append(tuple(x // q for x in total))
         right.append(row)
+        defects.append(defect_row)
 
     n = len(matrices)
-    zero_row = ((0,) * dim,) * n
     mult_rows = []
-    cocycle_rows = []
-    for i, (a, t) in enumerate(zip(matrices, shifts)):
+    for i in range(n):
         # element j is parent(j) * g, so i * j = (i * parent(j)) * g
         row = [i]
         for p, pos in parent[1:]:
             row.append(right[row[p]][pos])
         mult_rows.append(tuple(row))
-        if q == 1:  # every translation is integral, so every defect is 0
-            cocycle_rows.append(zero_row)
-            continue
-        cocycle_row = []
-        for j, (tj, ij) in enumerate(zip(shifts, row)):
-            defect = [x + y - z for x, y, z in zip(a.apply(tj), t, shifts[ij])]
-            if any(x % q for x in defect):
-                raise NonIntegralCocycle(f"defect of pair ({i},{j}) is not in Z^{dim}")
-            cocycle_row.append(tuple(x // q for x in defect))
-        cocycle_rows.append(tuple(cocycle_row))
     mult = tuple(mult_rows)
+    # the first input generator with each holonomy generator's matrix
+    positions = [right[0].index(g) for g in dict.fromkeys(right[0]) if g != 0]
 
     inverse = tuple(row.index(0) for row in mult)
     orders = [0] * n
@@ -268,7 +252,7 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
         elements=elements,
         mult=mult,
         inverse=inverse,
-        cocycle=tuple(cocycle_rows),
+        edge_cocycle=tuple(tuple(row[pos] for pos in positions) for row in defects),
         generator_images=tuple(right[0]),
     )
 
@@ -301,12 +285,12 @@ def torsion_witness(group: CrystalGroup) -> TorsionWitness | None:
 
     A finite-order element has a power of prime order p, and the cosets
     of s and s^j (j prime to p) hold torsion together, so one s is checked
-    per cyclic subgroup of prime order.  With c the cocycle, g_s^p = tau(v)
-    for v the sum of c(s^j, s) over 0 < j < p, as g_s^(j+1) =
-    tau(v_j + c(s^j, s)) g_(s^(j+1)).  The coset of s holds torsion iff
-    N_s lam = -v has an integer solution, N_s the sum of the matrices of <s>.
+    per cyclic subgroup of prime order.  With N_s the sum of the matrices
+    of <s> and g_s = (A, t_s), g_s^p = (A^p, (A^(p-1) + ... + I) t_s) =
+    (I, N_s t_s), a lattice translation.  The coset of s holds torsion iff
+    N_s lam = -N_s t_s has an integer solution.
     """
-    mult, cocycle, elements = group.mult, group.cocycle, group.elements
+    mult, elements = group.mult, group.elements
     seen = {0}
     for elem in elements:
         s, p = elem.index, elem.order
@@ -316,9 +300,11 @@ def torsion_witness(group: CrystalGroup) -> TorsionWitness | None:
         while len(powers) < p:
             powers.append(mult[powers[-1]][s])
         seen.update(powers)
-        minus_v = [-sum(c) for c in zip(*(cocycle[x][s] for x in powers[1:]))]
         rows = zip(*(elements[x].matrix.entries for x in powers))
         norm = IntMatrix([[sum(col) for col in zip(*r)] for r in rows], cols=group.dim)
+        m = lcm(*(x.denominator for x in elem.translation))  # N_s t_s is integral
+        mt = [x.numerator * (m // x.denominator) for x in elem.translation]
+        minus_v = [-y // m for y in norm.apply(mt)]
         sol = solve_integer_linear(norm, minus_v)
         if sol is not None:
             return TorsionWitness(element=elem, correction=sol[0], order=p)

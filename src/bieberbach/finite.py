@@ -3,8 +3,9 @@
 Works on explicit multiplication tables at desk scale: subgroup
 enumeration, Sylow subgroups, normal complements, the Hiller-Sah
 primitivity test (from element orders and the commutator subgroup), and
-recognition of iterated coprime semidirect products of cyclic groups.
-Everything is brute force on purpose; the order budget keeps it honest.
+recognition of iterated coprime semidirect products of cyclic groups
+(from element orders).  The subgroup lattice is brute force on purpose;
+the order budget keeps it honest.
 """
 
 from __future__ import annotations
@@ -297,28 +298,34 @@ def in_coprime_class(
     group: FiniteGroup, budget: int = DEFAULT_ORDER_BUDGET
 ) -> CoprimeTree | None:
     """Recognize iterated semidirect products of cyclic groups with
-    pairwise coprime orders; cyclic groups themselves are leaves.  Every
-    Sylow subgroup of such a group is cyclic, so other groups are
-    rejected before the subgroup lattice is read."""
+    pairwise coprime orders; cyclic groups themselves are leaves.  These
+    are the groups whose Sylow subgroups are all cyclic (Hoelder,
+    Burnside, Zassenhaus)."""
     n = group.order
     if n > budget:
         raise OrderBudgetExceeded(f"order {n} exceeds budget {budget}")
-    if group.is_cyclic():
-        return CoprimeTree(normal_part=None, complement_order=n)
     if any(p**a not in group.orders for p, a in _prime_factors(n).items()):
         return None
-    subs = all_subgroups(group, budget=budget)
-    for comp in subs:
-        # a cyclic complement; coprime orders make the intersection trivial
-        m = comp.order
-        if m in (1, n) or gcd(m, n // m) != 1 or max(group.orders[x] for x in comp.elements) != m:
+    return _coprime_tree(group, range(n))
+
+
+def _coprime_tree(group: FiniteGroup, elems) -> CoprimeTree:
+    """The tree of the subgroup on `elems`, whose Sylow subgroups are
+    cyclic.  Z/m splits off for the smallest m coprime to n/m such that
+    an element has order m and the elements of order dividing n/m form a
+    subgroup: that subgroup is then normal of order n/m."""
+    n = len(elems)
+    orders = {group.orders[x] for x in elems}
+    if n in orders:
+        return CoprimeTree(normal_part=None, complement_order=n)
+    for m in range(2, n):
+        if n % m or gcd(m, n // m) != 1 or m not in orders:
             continue
-        for normal in subs:
-            if normal.is_normal and normal.order == n // m:
-                sub_tree = in_coprime_class(subgroup_as_group(group, normal.elements), budget)
-                if sub_tree is not None:
-                    return CoprimeTree(normal_part=sub_tree, complement_order=m)
-    return None
+        normal = [x for x in elems if (n // m) % group.orders[x] == 0]
+        members = set(normal)
+        if all(group.table[a][b] in members for a in normal for b in normal):
+            return CoprimeTree(normal_part=_coprime_tree(group, normal), complement_order=m)
+    raise AssertionError("a group with cyclic Sylow subgroups splits (Hoelder)")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import mul
 
 from .crystal import CrystalGroup, computed_once
@@ -23,7 +23,6 @@ from .linalg import (
     frac_vector,
     integer_kernel,
     smith_normal_form,
-    vec_mod1,
 )
 
 
@@ -91,10 +90,10 @@ def _tree_lifts(group: CrystalGroup) -> tuple[tuple[int, ...], ...]:
     lifts = [(0,) * (k + len(gens))] + [None] * (group.holonomy_order - 1)
     queue = [0]
     for s in queue:  # grows as we go
-        xs, row, tau = lifts[s], group.mult[s], group.cocycle[s]
+        xs, row, taus = lifts[s], group.mult[s], group.edge_cocycle[s]
         for pos, g in enumerate(gens):
             if lifts[row[g]] is None:
-                x = [a - b for a, b in zip(xs, tau[g] + pad)]
+                x = [a - b for a, b in zip(xs, taus[pos] + pad)]
                 x[k + pos] += 1
                 lifts[row[g]] = tuple(x)
                 queue.append(row[g])
@@ -123,9 +122,9 @@ def relation_matrix(group: CrystalGroup) -> IntMatrix:
         for mat in _action_matrices(group)
         for j in range(k)
     ]
-    for xs, row, tau in zip(lifts, group.mult, group.cocycle):
+    for xs, row, taus in zip(lifts, group.mult, group.edge_cocycle):
         for pos, g in enumerate(gens):
-            col = [a - b - c for a, b, c in zip(xs, lifts[row[g]], tau[g] + pad)]
+            col = [a - b - c for a, b, c in zip(xs, lifts[row[g]], taus[pos] + pad)]
             col[k + pos] += 1
             columns.append(tuple(col))
     # tree edges give zero relations; zero and repeated ones change nothing
@@ -190,12 +189,10 @@ def fixed_torus(group: CrystalGroup) -> FixedTorusSubgroup:
 
     points = None
     if rank == 0:
-        pts = []
-        ranges = [range(max(d, 1)) for d in divisors]
-        for combo in itertools.product(*ranges):
-            b = [Fraction(c, max(d, 1)) for c, d in zip(combo, divisors)]
-            pts.append(vec_mod1(snf.V.apply(b)))
-        points = tuple(sorted(pts))
+        q = lcm(*divisors)  # the points V (c_i / d_i) mod 1, times q
+        ranges = [range(0, q, q // d) for d in divisors]
+        pts = sorted(tuple(x % q for x in snf.V.apply(c)) for c in itertools.product(*ranges))
+        points = tuple(tuple(Fraction(x, q) for x in p) for p in pts)
     return FixedTorusSubgroup(
         rank=rank,
         component_orders=component_orders,

@@ -17,7 +17,6 @@ from bieberbach.crystal import (
     AffineGen,
     build_group,
     is_torsion_free,
-    multiply,
     reconstruct_element,
 )
 from bieberbach.finite import (
@@ -275,7 +274,7 @@ def brute_force_torsion(group, box=4):
             candidate = reconstruct_element(group, elem.index, lam)
             power = candidate
             for _ in range(elem.order - 1):
-                power = multiply(power, candidate)
+                power = power * candidate
             if power.is_identity():
                 return True
     return False

@@ -6,13 +6,17 @@ oracle: it closes (matrix, translation mod 1) pairs by all-pairs products
 in `Fraction` arithmetic and reads every table entry off a product.  The
 library's build must give the same element set, and the same
 multiplication, cocycle, inverse, order and generator tables up to a
-relabelling of the elements.  The oracle is slow (about 10 s on S5, of
-order 120), so the large groups are checked by group axioms instead.
+relabelling of the elements.  The library keeps the cocycle on the
+edges (s, g) of the generators' Cayley graph only; `full_cocycle`
+computes it on every pair from the elements.  The oracle is slow (about
+10 s on S5, of order 120), so the large groups are checked by group
+axioms instead.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -24,15 +28,49 @@ from bieberbach.crystal import (
     CrystalGroup,
     HolonomyElement,
     HolonomyNotFaithful,
-    NonIntegralCocycle,
     RatVec,
     build_group,
+    computed_once,
     reconstruct_element,
 )
 from bieberbach.linalg import IntMatrix, vec_add, vec_mod1, vec_sub
 
 
 F = Fraction
+
+
+class NonIntegralCocycle(CrystalError):
+    """A representative-multiplication defect fell outside Z^k."""
+
+
+@computed_once
+def full_cocycle(group):
+    """tau(s, t) = A_s t_t + t_s - t_st for every pair of holonomy
+    elements: the lattice vector with g_s g_t = tau(s, t) + g_st, computed
+    from the elements (in integers, over the common denominator q of the
+    translations) once per group object."""
+    es = group.elements
+    q = lcm(*(x.denominator for e in es for x in e.translation))
+    shifts = [tuple(x.numerator * (q // x.denominator) for x in e.translation) for e in es]
+    rows = []
+    for e, t_s, products in zip(es, shifts, group.mult):
+        row = []
+        for t, (t_t, st) in enumerate(zip(shifts, products)):
+            defect = [a + b - c for a, b, c in zip(e.matrix.apply(t_t), t_s, shifts[st])]
+            if any(x % q for x in defect):
+                raise NonIntegralCocycle(f"defect of pair ({e.index},{t}) is not in Z^{group.dim}")
+            row.append(tuple(x // q for x in defect))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def assert_edge_cocycle_is_full(group):
+    """`edge_cocycle` is the full cocycle at the holonomy generators."""
+    cocycle = full_cocycle(group)
+    gens = group.holonomy_generator_indices()
+    assert len(group.edge_cocycle) == group.holonomy_order
+    for row, full_row in zip(group.edge_cocycle, cocycle):
+        assert row == tuple(full_row[g] for g in gens), group.name
 
 
 # ---------------------------------------------------------------- the Fraction build
@@ -122,7 +160,6 @@ def fraction_build_group(
                 )
             row.append(tuple(int(x) for x in defect))
         cocycle_rows.append(tuple(row))
-    cocycle = tuple(cocycle_rows)
 
     orders = [0] * n
     for i in range(n):
@@ -137,6 +174,7 @@ def fraction_build_group(
         for i in range(n)
     )
     generator_images = tuple(index_of[p] for p in gen_pairs)
+    gen_columns = [g for g in dict.fromkeys(generator_images) if g != 0]
 
     return CrystalGroup(
         name=name,
@@ -145,7 +183,7 @@ def fraction_build_group(
         elements=elements,
         mult=mult,
         inverse=tuple(inverse),
-        cocycle=cocycle,
+        edge_cocycle=tuple(tuple(row[g] for g in gen_columns) for row in cocycle_rows),
         generator_images=generator_images,
     )
 
@@ -178,8 +216,11 @@ def assert_same_group(old, new):
     n = old.holonomy_order
     for i, j in itertools.product(range(n), repeat=2):
         assert new.mult[perm[i]][perm[j]] == perm[old.mult[i][j]]
-        assert new.cocycle[perm[i]][perm[j]] == old.cocycle[i][j]
     assert new.generator_images == tuple(perm[x] for x in old.generator_images)
+    # so the holonomy generators correspond too, in the same order
+    for i in range(n):
+        assert new.edge_cocycle[perm[i]] == old.edge_cocycle[i]
+    assert_edge_cocycle_is_full(new)
 
 
 def assert_builds_agree(dim, gens, closure_budget):
@@ -227,8 +268,8 @@ def test_rank_duality_family_matches_fraction_build():
             continue
         trials += 1
         # every translation is integral (q = 1), so every defect is 0
-        n = g.holonomy_order
-        assert g.cocycle == (((0,) * dim,) * n,) * n
+        assert full_cocycle(g) == (((0,) * dim,) * g.holonomy_order,) * g.holonomy_order
+        assert_edge_cocycle_is_full(g)
         if g.holonomy_order <= 16:
             assert_same_group(fraction_build_group(dim, gens, closure_budget=48), g)
             checked += 1
@@ -351,25 +392,27 @@ def check_group_axioms(g, samples):
     for gen, idx in zip(g.generators, g.generator_images):
         elem = g.elements[idx]
         assert elem.matrix == gen.matrix and elem.translation == vec_mod1(gen.translation)
+    assert_edge_cocycle_is_full(g)
+    c = full_cocycle(g)
     rng = random.Random(n)
     for _ in range(samples):
         s, t, u = (rng.randrange(n) for _ in range(3))
         st, tu = g.mult[s][t], g.mult[t][u]
         assert g.mult[st][u] == g.mult[s][tu]
         # tau(s,t) + tau(st,u) = A(s) tau(t,u) + tau(s,tu)
-        left = vec_add(g.cocycle[s][t], g.cocycle[st][u])
-        right = vec_add(g.elements[s].matrix.apply(g.cocycle[t][u]), g.cocycle[s][tu])
+        left = vec_add(c[s][t], c[st][u])
+        right = vec_add(g.elements[s].matrix.apply(c[t][u]), c[s][tu])
         assert left == right
         # the tables describe the affine product of representatives
         prod = reconstruct_element(g, s, (0,) * g.dim) * reconstruct_element(g, t, (0,) * g.dim)
-        assert prod == reconstruct_element(g, st, g.cocycle[s][t])
+        assert prod == reconstruct_element(g, st, c[s][t])
 
 
 def test_s5_builds_a_group():
     g = s5_group()
     assert g.holonomy_order == 120
     assert sorted(e.order for e in g.elements).count(5) == 24
-    assert any(any(row) for row in itertools.chain.from_iterable(g.cocycle))
+    assert any(any(row) for row in itertools.chain.from_iterable(g.edge_cocycle))
     check_group_axioms(g, samples=400)
 
 
@@ -377,5 +420,5 @@ def test_diagonal_z2_7_builds_a_group():
     g = diagonal_z2_7()
     assert g.holonomy_order == 128
     assert all(e.order == 2 for e in g.elements[1:])
-    assert any(any(row) for row in itertools.chain.from_iterable(g.cocycle))
+    assert any(any(row) for row in itertools.chain.from_iterable(g.edge_cocycle))
     check_group_axioms(g, samples=400)

@@ -32,6 +32,7 @@ from bieberbach.linalg import (
     solve_integer_linear,
     vec_add,
 )
+from test_build_oracle import full_cocycle
 from test_invariants import signed_permutation_group
 
 
@@ -191,9 +192,10 @@ def all_pairs_check_surjection(group, surj):
             if fm.apply(col)[0] != f[j]:
                 raise AssertionError("lattice map is not holonomy invariant")
     n = group.holonomy_order
+    cocycle = full_cocycle(group)
     for s in range(n):
         for t in range(n):
-            tau = group.cocycle[s][t]
+            tau = cocycle[s][t]
             if phi[s] + phi[t] - phi[group.mult[s][t]] != sum(
                 a * b for a, b in zip(f, tau)
             ):

@@ -22,6 +22,7 @@ from bieberbach.cli import main
 from bieberbach.crystal import AffineGen, build_group
 from bieberbach.groupfile import document_to_group, group_to_document
 from bieberbach.linalg import IntMatrix, gcd_all, smith_normal_form, vec_add
+from test_build_oracle import full_cocycle
 from test_calabi import perfbench_corpus, seeded_chain_groups
 from test_invariants import full_element_h1
 
@@ -73,9 +74,10 @@ def verify_step(stage, step):
     check(all(row * g.matrix == row for g in stage.generators), "lattice map is not invariant")
     check(phi[0] == 0, "lift value of the identity is not 0")
     check(gcd_all(f + phi) == 1, "values are not coprime; the map is not onto Z")
+    cocycle = full_cocycle(stage)
     check(
         all(
-            phi[s] + phi[t] - phi[stage.mult[s][t]] == dot(f, stage.cocycle[s][t])
+            phi[s] + phi[t] - phi[stage.mult[s][t]] == dot(f, cocycle[s][t])
             for s in range(n)
             for t in range(n)
         ),

@@ -7,6 +7,8 @@ import bieberbach.cli as cli
 import bieberbach.groupfile as groupfile
 from bieberbach.cli import format_abelian, main
 from bieberbach.finite import OrderBudgetExceeded
+from test_build_oracle import permutation_matrix
+from test_computed_once import count_lattice_enumerations
 
 
 @pytest.fixture
@@ -320,3 +322,61 @@ def test_format_abelian():
     assert format_abelian(1, ()) == "Z"
     assert format_abelian(2, (2,)) == "Z^2 + Z/2"
     assert format_abelian(0, (4, 4)) == "Z/4 + Z/4"
+
+
+def block_diagonal(a, b):
+    return [row + [0] * len(b) for row in a] + [[0] * len(a) + row for row in b]
+
+
+HEX_ROTATION = [[0, -1], [1, -1]]
+HEX_REFLECTION = [[0, 1], [1, 0]]
+# companion matrix of 1 + x + x^2 + x^3 + x^4: order 5 on Z^4
+C5 = [[0, 0, 0, -1], [1, 0, 0, -1], [0, 1, 0, -1], [0, 0, 1, -1]]
+I2 = [[1, 0], [0, 1]]
+I4 = [[int(i == j) for j in range(4)] for i in range(4)]
+
+COPRIME_CLASS_HOLONOMIES = {
+    "d3_hexagonal": ([HEX_ROTATION, HEX_REFLECTION], (3, 2)),
+    "d3_times_c5": (
+        [
+            block_diagonal(HEX_ROTATION, I4),
+            block_diagonal(HEX_REFLECTION, I4),
+            block_diagonal(I2, C5),
+        ],
+        (15, 2),
+    ),
+    "f21": (
+        [
+            permutation_matrix([(i + 1) % 7 for i in range(7)]),
+            permutation_matrix([2 * i % 7 for i in range(7)]),
+        ],
+        (7, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COPRIME_CLASS_HOLONOMIES))
+def test_holonomy_in_the_coprime_class_but_not_cyclic(tmp_path, capsys, monkeypatch, name):
+    """Non-cyclic holonomies whose Sylow subgroups are all cyclic: D3 on
+    the hexagonal lattice, D3 x Z/5 (order 30) and the Frobenius group
+    of order 21.  Each is a coprime semidirect product of cyclic groups,
+    so none is primitive, and no command enumerates a subgroup lattice."""
+    lattices = count_lattice_enumerations(monkeypatch)
+    mats, orders = COPRIME_CLASS_HOLONOMIES[name]
+    dim = len(mats[0])
+    doc = {
+        "name": name,
+        "dimension": dim,
+        "generators": [{"matrix": m, "translation": ["0"] * dim} for m in mats],
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    argv = ["holonomy", str(path), "--primitivity", "--coprime-class"]
+    assert main(argv) == 0
+    tree = " -> ".join(f"Z/{m}" for m in orders)
+    assert capsys.readouterr().out.splitlines()[1:] == ["primitive: no", f"coprime class: {tree}"]
+    held = run_json(capsys, argv)
+    assert (held["primitive"], held["coprime_class"]) == (False, {"orders": list(orders)})
+    report = run_json(capsys, ["analyze", str(path)])
+    assert report["holonomy"] == held
+    assert not lattices.seen

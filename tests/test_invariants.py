@@ -18,7 +18,11 @@ from bieberbach.linalg import (
     integer_kernel,
     smith_normal_form,
 )
-from test_build_oracle import random_rotation_generator, random_signed_permutation
+from test_build_oracle import (
+    full_cocycle,
+    random_rotation_generator,
+    random_signed_permutation,
+)
 
 
 F = Fraction
@@ -89,9 +93,10 @@ def full_element_relation_matrix(g):
     identity_lift = [0] * (k + n)
     identity_lift[k] = 1
     columns.append(identity_lift)
+    cocycle = full_cocycle(g)
     for s in range(n):
         for t in range(n):
-            col = [-x for x in g.cocycle[s][t]] + [0] * n
+            col = [-x for x in cocycle[s][t]] + [0] * n
             col[k + s] += 1
             col[k + t] += 1
             col[k + g.mult[s][t]] -= 1
@@ -121,9 +126,10 @@ def cayley_graph_relation_matrix(group):
     columns.append(col)
 
     gens = group.holonomy_generator_indices()
+    cocycle = full_cocycle(group)
     for s in range(n):
         for g in gens:
-            col = [-x for x in group.cocycle[s][g]] + [0] * n
+            col = [-x for x in cocycle[s][g]] + [0] * n
             col[k + s] += 1
             col[k + g] += 1
             col[k + group.mult[s][g]] -= 1
@@ -280,7 +286,7 @@ def test_presentation_kills_full_element_relations_on_nonabelian_holonomy():
             continue
         n = g.holonomy_order
         abelian = all(g.mult[i][j] == g.mult[j][i] for i in range(n) for j in range(n))
-        if not abelian and any(any(tau) for row in g.cocycle for tau in row):
+        if not abelian and any(any(tau) for row in full_cocycle(g) for tau in row):
             groups.append(g)
     for g in groups:
         assert_presentation_kills_full_element_relations(g)

@@ -1,9 +1,10 @@
-"""H1 on the spanning-tree presentation and primitivity from Tate's
-criterion, against the whole-group computations they replaced: the
-Cayley-graph relations on k + n variables, and Sylow subgroups and
-normal complements looked up in the subgroup lattice.  The corpora are
-the catalog, the rank-duality draws, the seed-1 and seed-2 perfbench
-`analyze` and `connective` corpora, and small finite groups."""
+"""H1 on the spanning-tree presentation, primitivity from Tate's
+criterion and the cocycle kept on the Cayley-graph edges, against the
+whole-group computations they replaced: the Cayley-graph relations on
+k + n variables, Sylow subgroups and normal complements looked up in the
+subgroup lattice, and the cocycle on every pair of elements.  The
+corpora are the catalog, the rank-duality draws, the seed-1 and seed-2
+perfbench `analyze` and `connective` corpora, and small finite groups."""
 
 from functools import cache
 
@@ -21,6 +22,7 @@ from bieberbach.finite import (
 from bieberbach.groupfile import document_to_group
 from bieberbach.invariants import abelianization, relation_matrix
 from bieberbach.linalg import smith_normal_form
+from test_build_oracle import assert_edge_cocycle_is_full
 from test_calabi import perfbench_corpus
 from test_crystal import rank_duality_draws
 from test_finite import (
@@ -70,6 +72,11 @@ def small_finite_groups():
     return groups
 
 
+def test_edge_cocycle_is_the_full_cocycle_at_the_generators():
+    for g in crystal_corpus():
+        assert_edge_cocycle_is_full(g)
+
+
 def test_h1_matches_the_cayley_graph_presentation():
     groups = crystal_corpus()
     assert len(groups) >= 11 + 100 + 350
@@ -102,3 +109,25 @@ def test_primitivity_and_coprime_class_match_the_subgroup_lattice():
             rejected += not cyclic_sylows
     # both branches of `in_coprime_class` past the cyclic leaf are covered
     assert searched >= 10 and rejected >= 100
+
+
+def test_coprime_class_matches_the_subgroup_lattice_on_cyclic_extensions():
+    """Every Z/n x| Z/m with nm <= 64 and every Z/a + Z/b with ab <= 64."""
+    groups = [
+        semidirect_cyclic(n, m, unit)
+        for n in range(1, 65)
+        for m in range(1, 64 // n + 1)
+        for unit in range(n)
+        if pow(unit, m, n) == 1 % n
+    ]
+    groups += [
+        direct_product(cyclic_group(a), cyclic_group(b))
+        for a in range(2, 9)
+        for b in range(a, 64 // a + 1)
+    ]
+    split = 0
+    for d in groups:
+        tree = in_coprime_class(d)
+        assert tree == lattice_in_coprime_class(d), d.order
+        split += tree is not None and tree.normal_part is not None
+    assert len(groups) >= 500 and split >= 60
