@@ -73,7 +73,6 @@ from .groupfile import (
     document_to_group,
     group_to_document,
     load_group,
-    dump_group,
 )
 from .calabi import (
     SurjectionToZ,

@@ -106,14 +106,17 @@ def surjection_to_Z(group: CrystalGroup) -> SurjectionToZ | None:
 
 def _check_surjection(group: CrystalGroup, surj: SurjectionToZ) -> None:
     """Raise AssertionError unless the values define a homomorphism onto
-    Z.  Invariance f A(g) = f and the homomorphism identity
-    phi(s) + phi(g) - phi(sg) = f . tau(s, g) are checked on the
-    holonomy generators g only: every element is a word in them, and the
-    cocycle identity carries the homomorphism identity from the edges
-    (s, g) of the Cayley graph to every pair once phi(e) = 0."""
+    Z whose `lattice_index` is gcd(f).  Invariance f A(g) = f and the
+    homomorphism identity phi(s) + phi(g) - phi(sg) = f . tau(s, g) are
+    checked on the holonomy generators g only: every element is a word
+    in them, and the cocycle identity carries the homomorphism identity
+    from the edges (s, g) of the Cayley graph to every pair once
+    phi(e) = 0."""
     f, phi = surj.lattice_map, surj.lift_values
     if gcd_all(list(f) + list(phi)) != 1:
         raise AssertionError("values are not coprime; the map is not onto Z")
+    if surj.lattice_index != gcd_all(f):
+        raise AssertionError("lattice_index is not the gcd of the lattice map")
     fm = IntMatrix([f], cols=group.dim)
     gens = group.holonomy_generator_indices()
     if any(fm * group.elements[g].matrix != fm for g in gens):
@@ -149,8 +152,6 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
     # solves f.w = d, and the other columns are a basis of ker(f)
     snf = smith_normal_form(IntMatrix([f], cols=k))
     w = tuple(snf.U[0, 0] * x for x in snf.V.column(0))
-    if sum(a * b for a, b in zip(f, w)) != d:
-        raise AssertionError("gcd witness vector must exist")
     basis = [snf.V.column(j) for j in range(1, k)]
     v_inv = invert_unimodular(snf.V)
 

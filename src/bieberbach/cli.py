@@ -59,6 +59,26 @@ def _rat_list(vec) -> list[str]:
     return [format_rational(x) for x in vec]
 
 
+def _coprime_text(tree: CoprimeTree | None) -> str:
+    return "no" if tree is None else " -> ".join(f"Z/{m}" for m in tree.orders())
+
+
+def _coprime_document(tree: CoprimeTree | None) -> dict | None:
+    return None if tree is None else {"orders": list(tree.orders())}
+
+
+def _h1_document(rank: int, torsion, order: int | None) -> dict:
+    return {"rank": rank, "torsion": list(torsion), "order": "infinite" if order is None else order}
+
+
+def _verdict_document(report: ConnectivityReport) -> dict:
+    return {
+        "connective": report.connective,
+        "chain_length": len(report.chain),
+        "core": None if report.core is None else group_to_document(report.core),
+    }
+
+
 @dataclass(frozen=True)
 class AnalysisReport:
     """Everything the analyzer knows about one group, aggregated."""
@@ -110,15 +130,6 @@ class AnalysisReport:
         )
 
     def to_document(self) -> dict:
-        conn: dict | None = None
-        if self.connectivity is not None:
-            conn = {
-                "connective": self.connectivity.connective,
-                "chain_length": len(self.connectivity.chain),
-                "core": None
-                if self.connectivity.core is None
-                else group_to_document(self.connectivity.core),
-            }
         return {
             "name": self.group.name,
             "dimension": self.group.dim,
@@ -128,15 +139,9 @@ class AnalysisReport:
                 "order": self.holonomy_order,
                 "structure": self.holonomy_id,
                 "primitive": self.holonomy_primitive,
-                "coprime_class": None
-                if self.coprime_class is None
-                else {"orders": list(self.coprime_class.orders())},
+                "coprime_class": _coprime_document(self.coprime_class),
             },
-            "h1": {
-                "rank": self.h1_rank,
-                "torsion": list(self.h1_torsion),
-                "order": "infinite" if self.characters is None else self.characters,
-            },
+            "h1": _h1_document(self.h1_rank, self.h1_torsion, self.characters),
             "center": {
                 "rank": self.center_rank,
                 "basis": [list(v) for v in self.center_basis],
@@ -149,7 +154,9 @@ class AnalysisReport:
                 else [_rat_list(p) for p in self.torus_points],
             },
             "characters": "infinite" if self.characters is None else self.characters,
-            "connectivity": conn,
+            "connectivity": None
+            if self.connectivity is None
+            else _verdict_document(self.connectivity),
         }
 
     def to_text(self) -> str:
@@ -180,14 +187,7 @@ class AnalysisReport:
         else:
             lines.append(connectivity_text(self.connectivity))
         lines.append(f"holonomy primitive: {'yes' if self.holonomy_primitive else 'no'}")
-        lines.append(
-            "holonomy coprime class: "
-            + (
-                "no"
-                if self.coprime_class is None
-                else " -> ".join(f"Z/{m}" for m in self.coprime_class.orders())
-            )
-        )
+        lines.append(f"holonomy coprime class: {_coprime_text(self.coprime_class)}")
         return "\n".join(lines)
 
 
@@ -240,12 +240,7 @@ def cmd_analyze(args) -> int:
 def cmd_h1(args) -> int:
     group = _load(args)
     ab = abelianization(group)
-    order = ab.order()
-    doc = {
-        "rank": ab.rank,
-        "torsion": list(ab.torsion),
-        "order": "infinite" if order is None else order,
-    }
+    doc = _h1_document(ab.rank, ab.torsion, ab.order())
     _emit(doc, args.format, lambda: f"H1 = {format_abelian(ab.rank, ab.torsion)}")
     return 0
 
@@ -285,12 +280,10 @@ def cmd_fixed_torus(args) -> int:
 def cmd_connective(args) -> int:
     group = _load(args)
     report = is_connective(group)
-    doc: dict = {"connective": report.connective}
     if args.certificate:
-        doc["certificate"] = connectivity_document(report)
+        doc = {"connective": report.connective, "certificate": connectivity_document(report)}
     else:
-        doc["chain_length"] = len(report.chain)
-        doc["core"] = None if report.core is None else group_to_document(report.core)
+        doc = _verdict_document(report)
 
     def text() -> str:
         if not args.certificate:
@@ -340,11 +333,8 @@ def cmd_holonomy(args) -> int:
         lines.append(f"primitive: {'yes' if doc['primitive'] else 'no'}")
     if args.coprime_class:
         tree = in_coprime_class(d)
-        doc["coprime_class"] = None if tree is None else {"orders": list(tree.orders())}
-        lines.append(
-            "coprime class: "
-            + ("no" if tree is None else " -> ".join(f"Z/{m}" for m in tree.orders()))
-        )
+        doc["coprime_class"] = _coprime_document(tree)
+        lines.append(f"coprime class: {_coprime_text(tree)}")
     _emit(doc, args.format, lambda: "\n".join(lines))
     return 0
 

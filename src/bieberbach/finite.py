@@ -88,8 +88,16 @@ def finite_group(table) -> FiniteGroup:
         if inv is None:
             raise ValueError(f"element {i} has no inverse")
         inverses.append(inv)
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if table[table[i][j]][k] != table[i][table[j][k]]:
+    # Light's test: the a with (x.a).y = x.(a.y) for all x, y contain 0 and
+    # are closed under products, so a generating set suffices.  It runs
+    # before the order loop, whose powers need not return to 0 otherwise.
+    gens, reached = [], {0}
+    for g in range(n):
+        if g not in reached:
+            gens.append(g)
+            reached = _closure(table, gens)
+    for g, x, y in itertools.product(gens, range(n), range(n)):
+        if table[table[x][g]][y] != table[x][table[g][y]]:
             raise ValueError("table is not associative")
     orders = []
     for i in range(n):
@@ -141,7 +149,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return finite_group(table)
 
 
-def _closure(group: FiniteGroup, seed) -> frozenset[int]:
+def _closure(table, seed) -> frozenset[int]:
     """The subgroup generated by `seed`: everything reached from the
     identity by right multiplication with seed elements (in a finite
     group each inverse is a positive power)."""
@@ -150,7 +158,7 @@ def _closure(group: FiniteGroup, seed) -> frozenset[int]:
     while frontier:
         new = []
         for x in frontier:
-            row = group.table[x]
+            row = table[x]
             for g in seed:
                 z = row[g]
                 if z not in out:
@@ -184,7 +192,7 @@ def all_subgroups(
 @computed_once
 def _subgroup_lattice(group: FiniteGroup) -> tuple[Subgroup, ...]:
     found: set[frozenset[int]] = set()
-    fresh = {frozenset({0})} | {_closure(group, {g}) for g in range(group.order)}
+    fresh = {frozenset({0})} | {_closure(group.table, {g}) for g in range(group.order)}
     # Round r joins two subgroups new in round r - 1 (round 0: the cyclic
     # ones).  That finds all: a subgroup whose shortest generating list has
     # k entries, 2^(r-1) < k <= 2^r, joins the subgroups spanned by its
@@ -194,7 +202,7 @@ def _subgroup_lattice(group: FiniteGroup) -> tuple[Subgroup, ...]:
         found |= fresh
         pairs = itertools.combinations(fresh, 2)
         # a nested pair's join is one of them
-        fresh = {_closure(group, a | b) for a, b in pairs if not (a <= b or b <= a)} - found
+        fresh = {_closure(group.table, a | b) for a, b in pairs if not (a <= b or b <= a)} - found
     ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
     return tuple(
         Subgroup(elements=s, order=len(s), is_normal=_is_normal(group, s)) for s in ordered
@@ -288,7 +296,7 @@ def is_primitive(group: FiniteGroup, budget: int = DEFAULT_ORDER_BUDGET) -> bool
         return False  # the trivial group counts as cyclic
     t, inv, n = group.table, group.inverses, group.order
     commutators = {t[t[inv[a]][inv[b]]][t[a][b]] for a in range(n) for b in range(n)}
-    index = n // len(_closure(group, commutators))
+    index = n // len(_closure(group.table, commutators))
     return not any(
         p**a in group.orders and index % p**a == 0 for p, a in _prime_factors(n).items()
     )
@@ -398,7 +406,7 @@ def abelian_invariant_factors(group: FiniteGroup) -> tuple[int, ...] | None:
     while current.order > 1:
         g = max(range(current.order), key=lambda i: current.orders[i])
         factors.append(current.orders[g])
-        current, _ = quotient_group(current, _closure(current, {g}))
+        current, _ = quotient_group(current, _closure(current.table, {g}))
     return tuple(factors)
 
 

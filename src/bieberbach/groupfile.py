@@ -121,9 +121,3 @@ def load_group(path, closure_budget: int = 10_000) -> CrystalGroup:
             # a RecursionError means the document nests too deeply to parse
             raise GroupFileError(f"invalid JSON: {exc}") from exc
     return document_to_group(doc, closure_budget=closure_budget)
-
-
-def dump_group(group: CrystalGroup, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(group_to_document(group), fh, indent=2)
-        fh.write("\n")

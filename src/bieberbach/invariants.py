@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from operator import mul
 
 from .crystal import CrystalGroup, computed_once
 from .linalg import (
@@ -28,18 +27,11 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class AbelianInvariants:
-    """A finitely generated abelian group: Z^rank + sum of Z/d_i.
-
-    `presentation_map` carries the quotient map on the original
-    generators (e_1..e_k, then one lift variable per holonomy element):
-    its first len(torsion) rows are the finite cyclic coordinates (row i
-    taken mod torsion[i]), and its last `rank` rows are the free
-    coordinates.
-    """
+    """A finitely generated abelian group: Z^rank + sum of Z/d_i, with
+    the d_i >= 2 in divisibility order."""
 
     rank: int
     torsion: tuple[int, ...]
-    presentation_map: IntMatrix
 
     def order(self) -> int | None:
         """Group order, or None when infinite."""
@@ -78,12 +70,11 @@ def _action_matrices(group: CrystalGroup) -> list[IntMatrix]:
     return [group.elements[i].matrix for i in group.holonomy_generator_indices()]
 
 
-@computed_once
 def _tree_lifts(group: CrystalGroup) -> tuple[tuple[int, ...], ...]:
     """Each lift variable x_s over (e_1..e_k, then y_g per holonomy
     generator g), along a BFS spanning tree of the generators' Cayley
     graph: x_e = 0 and x_{sg} = x_s + y_g - tau(s,g).e on the edge that
-    first reaches sg.  Computed once per group object."""
+    first reaches sg."""
     k = group.dim
     gens = group.holonomy_generator_indices()
     pad = (0,) * len(gens)
@@ -134,20 +125,12 @@ def relation_matrix(group: CrystalGroup) -> IntMatrix:
 
 @computed_once
 def abelianization(group: CrystalGroup) -> AbelianInvariants:
-    """First homology of the group, i.e. its abelianization; computed
-    once per group object.  The quotient map on the original variables
-    sends x_s to the image of its tree vector."""
+    """First homology of the group, i.e. its abelianization, read off the
+    Smith divisors of `relation_matrix`; computed once per group object."""
     rel = relation_matrix(group)
-    snf = smith_normal_form(rel)
-    nvars = rel.rows
-    nnz = sum(1 for d in snf.divisors if d != 0)
-    torsion = tuple(d for d in snf.divisors if d >= 2)
-    rank = nvars - nnz
-    keep = [i for i, d in enumerate(snf.divisors) if d >= 2] + list(range(nnz, nvars))
-    lifts = _tree_lifts(group)
-    rows = [snf.U.row(i) for i in keep]
-    pres = [u[: group.dim] + tuple(sum(map(mul, u, x)) for x in lifts) for u in rows]
-    return AbelianInvariants(rank, torsion, IntMatrix(pres, cols=group.dim + group.holonomy_order))
+    divisors = smith_normal_form(rel).divisors
+    rank = rel.rows - sum(1 for d in divisors if d != 0)
+    return AbelianInvariants(rank, tuple(d for d in divisors if d >= 2))
 
 
 def fixed_lattice(group: CrystalGroup) -> FixedLattice:

@@ -1,6 +1,7 @@
 import importlib.util
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -33,7 +34,7 @@ from bieberbach.linalg import (
     vec_add,
 )
 from test_build_oracle import full_cocycle
-from test_invariants import signed_permutation_group
+from test_invariants import presentation_map, signed_permutation_group
 
 
 F = Fraction
@@ -175,6 +176,17 @@ def test_kernel_rejects_a_lattice_map_that_is_not_invariant():
             calabi_kernel(g, surj)
 
 
+def test_kernel_rejects_a_lattice_index_that_is_not_the_gcd():
+    """The index is read, not recomputed, when the kernel holonomy and
+    the lift corrections are divided by it, so a wrong one must raise."""
+    for key in ("torus_2", "klein_bottle", "dim3_c3"):
+        g = catalog_get(key).group
+        surj = surjection_to_Z(g)
+        wrong = replace(surj, lattice_index=gcd_all(surj.lattice_map) + 1)
+        with pytest.raises(AssertionError, match="lattice_index"):
+            calabi_kernel(g, wrong)
+
+
 # ---------------------------------------------------------------- surjection oracle
 
 def all_pairs_check_surjection(group, surj):
@@ -212,11 +224,11 @@ def accepts(check, group, surj) -> bool:
 
 def single_entry_perturbations(surj):
     """The surjection with one lift value or one lattice map entry moved
-    by -1 or +1."""
+    by -1 or +1; a moved lattice map carries its own lattice index."""
     f, phi = list(surj.lattice_map), list(surj.lift_values)
     for values, rebuild in (
         (phi, lambda v: SurjectionToZ(surj.lattice_map, tuple(v), surj.lattice_index)),
-        (f, lambda v: SurjectionToZ(tuple(v), surj.lift_values, surj.lattice_index)),
+        (f, lambda v: SurjectionToZ(tuple(v), surj.lift_values, gcd_all(v))),
     ):
         for i in range(len(values)):
             for delta in (-1, 1):
@@ -304,7 +316,7 @@ def h1_surjection_to_Z(group):
     if ab.rank == 0:
         return None
     k = group.dim
-    row = list(ab.presentation_map.row(len(ab.torsion)))
+    row = list(presentation_map(group).row(len(ab.torsion)))
     if next(x for x in row if x != 0) < 0:
         row = [-x for x in row]
     f = tuple(row[:k])

@@ -101,6 +101,17 @@ def test_bad_tables_rejected():
         finite_group([[0, 1], [1, 1]])  # not a group law
     with pytest.raises(ValueError):
         finite_group([[1, 0], [0, 1]])  # identity not at 0
+    # loops with identity 0 and inverses: in the first x.x = 0 and
+    # (1.2).4 != 1.(2.4); the second, generated by 1 and 2, associates
+    # at 1 and fails only at 2
+    loops = (
+        [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+        [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 3, 4, 5, 0, 1],
+         [3, 2, 5, 4, 1, 0], [4, 5, 0, 1, 3, 2], [5, 4, 1, 0, 2, 3]],
+    )
+    for loop in loops:
+        with pytest.raises(ValueError, match="not associative"):
+            finite_group(loop)
 
 
 def test_semidirect_requires_action():

@@ -86,7 +86,7 @@ def test_h1_matches_the_cayley_graph_presentation():
         divisors = smith_normal_form(cayley).divisors
         rank = cayley.rows - sum(1 for d in divisors if d != 0)
         assert (ab.rank, ab.torsion) == (rank, tuple(d for d in divisors if d >= 2)), g.name
-        assert_presentation_kills(ab, cayley)
+        assert_presentation_kills(g, cayley)
         assert relation_matrix(g).rows == g.dim + len(g.holonomy_generator_indices())
 
 
