@@ -9,6 +9,7 @@ failures: the exit code is 0 for any successfully computed analysis and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from .groupfile import (
     format_rational,
     group_to_document,
     load_group,
+    parse_rational,
 )
 from .invariants import (
     abelianization,
@@ -342,8 +344,8 @@ def cmd_holonomy(args) -> int:
 def cmd_orbits(args) -> int:
     group = _load(args)
     try:
-        chi = tuple(Fraction(part.strip()) for part in args.char.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+        chi = tuple(parse_rational(part) for part in args.char.split(","))
+    except GroupFileError as exc:
         raise GroupFileError(f"bad character {args.char!r}: {exc}") from exc
     record = orbit_data(chi, group)
     doc = {
@@ -380,7 +382,10 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parsing
+    leaves it unchanged, so every `main` call shares it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -422,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

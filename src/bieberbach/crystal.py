@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from math import lcm
+from operator import mul
 
 from .linalg import (
     IntMatrix,
@@ -162,9 +163,10 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
     An element is its matrix and an integer translation t mod q, where q
     is the lcm of the generators' translation denominators; t/q is the
     representative translation in [0,1)^k.  The closure multiplies by the
-    generators on the right and is keyed on the matrix alone, so the
-    multiplication table is read off the Cayley graph, and so is each
-    edge's cocycle: the quotient by q of the sum reduced to its shift.
+    generators on the right, row tuples by each generator's columns, and
+    is keyed on those rows alone, with one `IntMatrix` made per element;
+    so the multiplication table is read off the Cayley graph, and so is
+    each edge's cocycle: the quotient by q of the sum reduced to its shift.
     Every edge lands on its element's shift, so by induction along the
     closure every defect is integral.
     Raises ClosureBudgetExceeded or HolonomyNotFaithful when the input is
@@ -178,27 +180,31 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
             raise ValueError(f"generator of dim {g.matrix.rows} in a dim-{dim} group")
 
     q = lcm(*(x.denominator for g in gens for x in g.translation))
-    gen_pairs = [
-        (g.matrix, tuple(x.numerator * (q // x.denominator) % q for x in g.translation))
+    gen_pairs = [  # each generator's columns, and its translation times q
+        (
+            tuple(zip(*g.matrix.entries)),
+            tuple(x.numerator * (q // x.denominator) % q for x in g.translation),
+        )
         for g in gens
     ]
 
     matrices = [IntMatrix.identity(dim)]
     shifts = [(0,) * dim]
-    index_of = {matrices[0]: 0}
+    index_of = {matrices[0].entries: 0}  # keyed on the rows
     parent: list[tuple[int, int]] = [(0, -1)]  # (element, generator) that first reached it
     right: list[list[int]] = []  # right[i][g]: element i times generator g
     defects: list[list[tuple[int, ...]]] = []  # defects[i][g]: the cocycle of that edge
-    for i, (a, t) in enumerate(zip(matrices, shifts)):  # both lists grow as we go
+    for i, (m, t) in enumerate(zip(matrices, shifts)):  # both lists grow as we go
+        a = m.entries
         row, defect_row = [], []
-        for pos, (b, u) in enumerate(gen_pairs):
-            mat = a * b
-            total = [x + y for x, y in zip(a.apply(u), t)]
+        for pos, (b_cols, u) in enumerate(gen_pairs):
+            mat = tuple(tuple(sum(map(mul, r, col)) for col in b_cols) for r in a)
+            total = [sum(map(mul, r, u)) + x for r, x in zip(a, t)]
             shift = tuple(x % q for x in total)
             idx = index_of.get(mat)
             if idx is None:
                 idx = index_of[mat] = len(matrices)
-                matrices.append(mat)
+                matrices.append(IntMatrix(mat, cols=dim))
                 shifts.append(shift)
                 parent.append((i, pos))
                 if len(matrices) > closure_budget:

@@ -11,20 +11,24 @@ A group document looks like:
     }
 
 Matrix entries are JSON integers; translation entries are exact
-rationals written as strings "p/q" or "n" (JSON integers are also
-accepted).  Decimal notation is rejected: this tool never touches
-floats.  A dimension above MAX_DIMENSION is rejected.
+rationals written as strings "p/q" or "n": an optional sign, ASCII
+digits and an optional "/digits", with surrounding whitespace allowed
+(JSON integers are also accepted).  Decimal and exponent notation are
+rejected: this tool never touches floats.  A dimension above
+MAX_DIMENSION is rejected.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .crystal import AffineGen, CrystalGroup, build_group
 
 
 MAX_DIMENSION = 64  # a group starts from a dim x dim matrix: bound the memory
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 class GroupFileError(ValueError):
@@ -42,11 +46,11 @@ def parse_rational(value) -> Fraction:
         )
     if isinstance(value, str):
         text = value.strip()
-        if "." in text or not text:
+        if not _RATIONAL.fullmatch(text):
             raise GroupFileError(f"not an exact rational: {value!r}")
         try:
             return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
+        except ZeroDivisionError as exc:
             raise GroupFileError(f"not an exact rational: {value!r}") from exc
     raise GroupFileError(f"not a rational: {value!r}")
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .crystal import CrystalGroup
 from .linalg import frac_vector, vec_mod1
@@ -34,6 +36,18 @@ class StabilizerRecord:
         return len(self.stabilizer)
 
 
+def _dual_action(group: CrystalGroup):
+    """The dual action on characters c/q, in integers: a function of
+    (c, q) that lists A^T c mod q for each holonomy element in index
+    order, reading A^T's rows off A's columns."""
+    columns = [tuple(zip(*e.matrix.entries)) for e in group.elements]
+
+    def images(c, q):
+        return [tuple(sum(map(mul, col, c)) % q for col in cols) for cols in columns]
+
+    return images
+
+
 def orbit_data(chi, group: CrystalGroup) -> StabilizerRecord:
     """Orbit of a character under the dual holonomy action, with its
     stabilizer subgroup of D; |orbit| * |stabilizer| = |D|.  The orbit
@@ -42,17 +56,15 @@ def orbit_data(chi, group: CrystalGroup) -> StabilizerRecord:
     chi = character(chi)
     if len(chi) != group.dim:
         raise ValueError(f"character of dim {len(chi)} against a dim-{group.dim} group")
-    orbit: set[Character] = set()
-    stabilizer = []
-    for elem in group.elements:
-        moved = vec_mod1(elem.matrix.transpose().apply(chi))
-        if moved == chi:
-            stabilizer.append(elem.index)
-        orbit.add(moved)
+    q = lcm(*(x.denominator for x in chi))
+    c = tuple(x.numerator * (q // x.denominator) for x in chi)
+    images = _dual_action(group)(c, q)
+    # over one denominator, the integer tuples sort as the fractions do
+    orbit = sorted(set(images))
     record = StabilizerRecord(
         character=chi,
-        orbit=tuple(sorted(orbit)),
-        stabilizer=tuple(stabilizer),
+        orbit=tuple(tuple(Fraction(x, q) for x in point) for point in orbit),
+        stabilizer=tuple(i for i, image in enumerate(images) if image == c),
         index=len(orbit),
     )
     assert record.index * len(record.stabilizer) == group.holonomy_order
@@ -64,15 +76,11 @@ def stabilizer_classes(group: CrystalGroup, q: int) -> set[frozenset[int]]:
     {0, 1/q, ..., (q-1)/q}."""
     if q < 1:
         raise ValueError("denominator bound must be >= 1")
-    out: set[frozenset[int]] = set()
-    transposed = [e.matrix.transpose() for e in group.elements]
-    for combo in itertools.product(range(q), repeat=group.dim):
-        chi = tuple(Fraction(c, q) for c in combo)
-        stab = frozenset(
-            i for i, m in enumerate(transposed) if vec_mod1(m.apply(chi)) == chi
-        )
-        out.add(stab)
-    return out
+    act = _dual_action(group)
+    return {
+        frozenset(i for i, image in enumerate(act(c, q)) if image == c)
+        for c in itertools.product(range(q), repeat=group.dim)
+    }
 
 
 def induced_dimension(record: StabilizerRecord, sigma_dim: int) -> int:

@@ -1,5 +1,7 @@
+import argparse
 import json
 import time
+from fractions import Fraction as F
 
 import pytest
 
@@ -221,6 +223,98 @@ def test_decimal_translation_rejected(tmp_path, capsys):
     )
     assert main(["analyze", str(path)]) == 2
     assert "decimal" in capsys.readouterr().err
+
+
+NOT_RATIONALS = ["1e-5", "1E3", "0.5", "1_000", "١", "1 / 2", "1/2/3", "--1", "1/-2", "", " "]
+
+
+@pytest.mark.parametrize("text", NOT_RATIONALS)
+def test_only_sign_digits_and_slash_translations_accepted(tmp_path, capsys, text):
+    """Exponent notation, underscores and non-ASCII digits are not the
+    documented "p/q" or "n", though `Fraction` reads them."""
+    path = tmp_path / "exp.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "bad",
+                "dimension": 1,
+                "generators": [{"matrix": [[1]], "translation": [text]}],
+            }
+        )
+    )
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: GroupFileError: not an exact rational: {text!r}\n"
+
+
+def test_exact_rationals_parse():
+    parse = groupfile.parse_rational
+    assert parse(" -3/4 ") == F(-3, 4)
+    assert parse("+1/2") == F(1, 2)
+    assert parse("007") == 7
+    assert parse("6/4") == F(3, 2)
+    assert parse(-2) == -2
+    with pytest.raises(groupfile.GroupFileError):
+        parse("1/0")
+
+
+@pytest.mark.parametrize("char", ["0.5,1e-1,0", "1e-1,0,0", "1/4,0.5,0", "1/4,0,1_0", "1/4,0"])
+def test_orbits_char_rejects_what_a_group_file_rejects(hw_file, capsys, char):
+    code = main(["orbits", hw_file, "--char", char])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_orbits_char_entries_parse_like_translations(hw_file, capsys):
+    """Whitespace, signs and entries >= 1 are accepted and reduced mod 1."""
+    doc = run_json(capsys, ["orbits", hw_file, "--char", " -1/4, 5/4 ,+2"])
+    assert doc == run_json(capsys, ["orbits", hw_file, "--char", "3/4,1/4,0"])
+
+
+# ---------------------------------------------------------------- one parser
+
+def test_the_parser_is_built_once(hw_file, capsys, monkeypatch):
+    assert main(["validate", hw_file]) == 0
+    capsys.readouterr()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["fixed-torus", hw_file, "--format", "json"]) == 0
+    assert main(["orbits", hw_file, "--char", "1/4,0,0", "--format", "json"]) == 0
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_the_shared_parser_keeps_no_options_between_calls(hw_file, torus2_file, capsys):
+    doc = run_json(capsys, ["connective", torus2_file, "--certificate"])
+    assert "certificate" in doc
+    doc = run_json(capsys, ["connective", torus2_file])
+    assert "certificate" not in doc and doc["connective"] is True
+    assert "primitive" in run_json(capsys, ["holonomy", hw_file, "--primitivity"])
+    assert "primitive" not in run_json(capsys, ["holonomy", hw_file])
+
+
+def test_the_shared_parser_survives_a_usage_error(hw_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["orbits", hw_file])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ") and "--char" in captured.err
+    assert run_json(capsys, ["orbits", hw_file, "--char", "1/4,0,0"])["orbit_size"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: bieberbach" in capsys.readouterr().out
+    assert main(["validate", hw_file]) == 0
 
 
 def test_validation_error_class_named(tmp_path, capsys):

@@ -5,17 +5,20 @@ from fractions import Fraction
 
 import pytest
 
+from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.cli import main
 from bieberbach.crystal import AffineGen, build_group
 from bieberbach.groupfile import load_group
 from bieberbach.invariants import fixed_torus
-from bieberbach.linalg import IntMatrix
+from bieberbach.linalg import IntMatrix, vec_mod1
 from bieberbach.orbits import (
+    StabilizerRecord,
     character,
     induced_dimension,
     orbit_data,
     stabilizer_classes,
 )
+from test_crystal import rank_duality_draws
 
 
 F = Fraction
@@ -183,3 +186,84 @@ def test_orbits_output_does_not_depend_on_generator_order(tmp_path, capsys):
             assert other[2:] == (doc, stabilizer, orbit_lines), chi
             if doc["stabilizer_order"] in (1, len(labels[0])):
                 assert other[:2] == (json_out, text), chi
+
+
+# ------------------------------------------------- Fraction oracles
+
+
+def fraction_orbit_data(chi, group):
+    """The dual action in `Fraction` arithmetic: each element's transpose
+    applied to the character, reduced mod 1 (the library works in
+    integers over one common denominator)."""
+    chi = character(chi)
+    if len(chi) != group.dim:
+        raise ValueError(f"character of dim {len(chi)} against a dim-{group.dim} group")
+    orbit = set()
+    stabilizer = []
+    for elem in group.elements:
+        moved = vec_mod1(elem.matrix.transpose().apply(chi))
+        if moved == chi:
+            stabilizer.append(elem.index)
+        orbit.add(moved)
+    return StabilizerRecord(
+        character=chi,
+        orbit=tuple(sorted(orbit)),
+        stabilizer=tuple(stabilizer),
+        index=len(orbit),
+    )
+
+
+def fraction_stabilizer_classes(group, q):
+    transposed = [e.matrix.transpose() for e in group.elements]
+    out = set()
+    for combo in itertools.product(range(q), repeat=group.dim):
+        chi = tuple(F(c, q) for c in combo)
+        out.add(frozenset(i for i, m in enumerate(transposed) if vec_mod1(m.apply(chi)) == chi))
+    return out
+
+
+def oracle_characters(rng, dim):
+    """The zero character, one character over each of the denominators
+    2, 3, 4 and 6 with entries in [-2, 2], negative and >= 1 included,
+    and one with mixed denominators."""
+    chars = [(0,) * dim]
+    for d in (2, 3, 4, 6):
+        chars.append(tuple(F(rng.randint(-2 * d, 2 * d), d) for _ in range(dim)))
+    chars.append(tuple(F(rng.randint(-12, 12), rng.choice((2, 3, 4, 6))) for _ in range(dim)))
+    return chars
+
+
+def hexagonal_d6():
+    """The order-12 point group of the hexagonal lattice: A^T is not A^-1,
+    so the dual action is not the action itself."""
+    rotation = AffineGen.of([[0, -1], [1, 1]], (0, 0))
+    reflection = AffineGen.of([[0, 1], [1, 0]], (0, 0))
+    return build_group(2, [rotation, reflection], name="hexagonal_d6")
+
+
+def test_orbit_data_matches_the_fraction_oracle():
+    rng = random.Random(2025)
+    catalog = [catalog_get(key).group for key in catalog_list()]
+    groups = rank_duality_draws() + catalog + [hexagonal_d6()]
+    assert hexagonal_d6().holonomy_order == 12
+    indices = []
+    for g in groups:
+        for chi in oracle_characters(rng, g.dim):
+            record = orbit_data(chi, g)
+            assert record == fraction_orbit_data(chi, g), (g.name, chi)
+            indices.append((record.index, g.holonomy_order))
+    assert any(1 < index < order for index, order in indices)  # proper, nontrivial orbits
+
+
+def test_orbit_data_in_dimension_zero():
+    g = build_group(0, [], name="point")
+    assert orbit_data((), g) == fraction_orbit_data((), g)
+    assert orbit_data((), g) == StabilizerRecord(character=(), orbit=((),), stabilizer=(0,), index=1)
+
+
+def test_stabilizer_classes_match_the_fraction_oracle():
+    groups = [g for g in rank_duality_draws() if g.dim <= 3] + [hw_group(), hexagonal_d6()]
+    assert len(groups) > 10
+    for g in groups:
+        for q in (1, 2, 3):
+            assert stabilizer_classes(g, q) == fraction_stabilizer_classes(g, q), (g.dim, q)
