@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import mul
 
 from .crystal import AffineGen, CrystalGroup, build_group, is_torsion_free
 from .groupfile import group_to_document
@@ -86,18 +86,16 @@ def surjection_to_Z(group: CrystalGroup) -> SurjectionToZ | None:
     on the lifts is a homomorphism from the finite holonomy to Q, so 0.
     f is the first basis vector of this fixed dual lattice, and the map is
     divided by the generator of its image, spanned by the f_i and the
-    f . t_s over one common denominator m.  The first nonzero f_i is > 0.
+    f . t_s over the group's common denominator q.  The first nonzero f_i
+    is > 0.
     """
     snf = dual_action_smith(group)
     nnz = sum(1 for d in snf.divisors if d != 0)
     if nnz == group.dim:
         return None
     f = snf.V.column(nnz)
-    m = lcm(*(t.denominator for elem in group.elements for t in elem.translation))
-    values = [m * x for x in f] + [
-        sum(a * t.numerator * (m // t.denominator) for a, t in zip(f, elem.translation))
-        for elem in group.elements
-    ]
+    q = group.denominator
+    values = [q * x for x in f] + [sum(map(mul, f, elem.shift)) for elem in group.elements]
     scale = gcd_all(values) * (1 if next(x for x in f if x) > 0 else -1)
     values = [x // scale for x in values]
     f = tuple(values[: group.dim])
@@ -163,15 +161,14 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
         tuple(-surj.lift_values[idx] // d * x for x in w) for idx in kernel_holonomy
     ]
 
+    q = group.denominator
     gens = []
     for idx in kernel_holonomy[1:]:  # kernel_holonomy[0] is the identity
         elem = group.elements[idx]
-        # m t is integral for the representative translation t
-        m = lcm(*(t.denominator for t in elem.translation))
-        mt = tuple(t.numerator * (m // t.denominator) for t in elem.translation)
         in_basis = v_inv * elem.matrix * snf.V  # A in the basis of the columns of V
         restricted = IntMatrix([row[1:] for row in in_basis.entries[1:]], cols=k - 1)
-        gens.append(AffineGen(restricted, tuple(Fraction(x, m) for x in v_inv.apply(mt)[1:])))
+        shift = v_inv.apply(elem.shift)[1:]  # q times the kernel coordinates
+        gens.append(AffineGen(restricted, tuple(Fraction(x, q) for x in shift)))
 
     kernel_group = build_group(k - 1, gens, name=_kernel_name(group.name))
     return CalabiStep(

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .calabi import (
     ConnectivityReport,
@@ -202,9 +202,50 @@ def connectivity_text(report: ConnectivityReport) -> str:
     return f"NOT CONNECTIVE; core = {core_name}; H1 = {format_abelian(ab.rank, ab.torsion)}"
 
 
+def json_text(value) -> str:
+    """The bytes of `json.dumps(value, indent=2)`, for the values the CLI
+    prints: dicts with str keys, lists, str, int, bool and None.  Any other
+    type raises TypeError, so it never prints anything else."""
+    return _json_lines(value, "\n")
+
+
+def _json_lines(value, newline: str) -> str:
+    """`value` as JSON; `newline` is a line break plus the indentation of
+    `value`'s own level."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = newline + "  "
+    if type(value) is list:
+        if not value:
+            return "[]"
+        if all(type(x) is int for x in value):
+            items = map(int.__repr__, value)
+        else:
+            items = (_json_lines(x, inner) for x in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be str")
+        items = (
+            encode_basestring_ascii(k) + ": " + _json_lines(v, inner) for k, v in value.items()
+        )
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"cannot write a {type(value).__name__} as JSON")
+
+
 def _emit(payload, fmt: str, text) -> None:
     """Print the payload as JSON, or else the text form `text()` builds."""
-    print(json.dumps(payload, indent=2, sort_keys=False) if fmt == "json" else text())
+    print(json_text(payload) if fmt == "json" else text())
 
 
 def _load(args) -> CrystalGroup:
@@ -290,7 +331,7 @@ def cmd_connective(args) -> int:
     def text() -> str:
         if not args.certificate:
             return connectivity_text(report)
-        return connectivity_text(report) + "\n" + json.dumps(doc["certificate"], indent=2)
+        return connectivity_text(report) + "\n" + json_text(doc["certificate"])
 
     _emit(doc, args.format, text)
     return 0
@@ -375,7 +416,7 @@ def cmd_catalog(args) -> int:
         raise GroupFileError(f"catalog {args.action} needs a key")
     entry = catalog_get(args.key)
     if args.action == "export":
-        print(json.dumps(group_to_document(entry.group), indent=2))
+        print(json_text(group_to_document(entry.group)))
         return 0
     report = AnalysisReport.compute(entry.group)
     _emit(report.to_document(), args.format, report.to_text)

@@ -1,10 +1,11 @@
 """Standard-form crystallographic groups.
 
 A group lives here as: the lattice Z^k (implicit), a finite holonomy
-table of integer matrices with rational coset-representative
-translations in [0,1)^k, and the integral cocycle on the edges of the
-generators' Cayley graph.  Inputs that do not close to such a structure
-are rejected with a specific error.
+table of integer matrices with coset-representative translations in
+[0,1)^k, kept as integer shifts over one common denominator, and the
+integral cocycle on the edges of the generators' Cayley graph.  Inputs
+that do not close to such a structure are rejected with a specific
+error.
 """
 
 from __future__ import annotations
@@ -108,12 +109,19 @@ class AffineGen:
 @dataclass(frozen=True)
 class HolonomyElement:
     """One coset of the lattice: matrix plus the representative
-    translation reduced into [0,1)^k."""
+    translation shift/denominator, reduced into [0,1)^k.  Every element
+    of a group has the group's denominator q, and each shift lies in
+    [0, q)^k."""
 
     index: int
     matrix: IntMatrix
-    translation: RatVec
+    shift: tuple[int, ...]
+    denominator: int
     order: int
+
+    @property
+    def translation(self) -> RatVec:
+        return tuple(Fraction(x, self.denominator) for x in self.shift)
 
 
 @dataclass(frozen=True)
@@ -143,6 +151,11 @@ class CrystalGroup:
     @property
     def holonomy_order(self) -> int:
         return len(self.elements)
+
+    @property
+    def denominator(self) -> int:
+        """The common denominator q of the representative translations."""
+        return self.elements[0].denominator
 
     @cached_property
     def _matrix_index(self) -> dict[IntMatrix, int]:
@@ -204,7 +217,7 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
             idx = index_of.get(mat)
             if idx is None:
                 idx = index_of[mat] = len(matrices)
-                matrices.append(IntMatrix(mat, cols=dim))
+                matrices.append(IntMatrix._trusted(mat, dim))
                 shifts.append(shift)
                 parent.append((i, pos))
                 if len(matrices) > closure_budget:
@@ -244,10 +257,7 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
 
     elements = tuple(
         HolonomyElement(
-            index=i,
-            matrix=matrices[i],
-            translation=tuple(Fraction(x, q) for x in shifts[i]),
-            order=orders[i],
+            index=i, matrix=matrices[i], shift=shifts[i], denominator=q, order=orders[i]
         )
         for i in range(n)
     )
@@ -296,7 +306,7 @@ def torsion_witness(group: CrystalGroup) -> TorsionWitness | None:
     (I, N_s t_s), a lattice translation.  The coset of s holds torsion iff
     N_s lam = -N_s t_s has an integer solution.
     """
-    mult, elements = group.mult, group.elements
+    mult, elements, q = group.mult, group.elements, group.denominator
     seen = {0}
     for elem in elements:
         s, p = elem.index, elem.order
@@ -308,9 +318,7 @@ def torsion_witness(group: CrystalGroup) -> TorsionWitness | None:
         seen.update(powers)
         rows = zip(*(elements[x].matrix.entries for x in powers))
         norm = IntMatrix([[sum(col) for col in zip(*r)] for r in rows], cols=group.dim)
-        m = lcm(*(x.denominator for x in elem.translation))  # N_s t_s is integral
-        mt = [x.numerator * (m // x.denominator) for x in elem.translation]
-        minus_v = [-y // m for y in norm.apply(mt)]
+        minus_v = [-y // q for y in norm.apply(elem.shift)]  # N_s t_s is integral
         sol = solve_integer_linear(norm, minus_v)
         if sol is not None:
             return TorsionWitness(element=elem, correction=sol[0], order=p)

@@ -56,7 +56,7 @@ def parse_rational(value) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value)
 
 
 def document_to_group(doc, closure_budget: int = 10_000) -> CrystalGroup:

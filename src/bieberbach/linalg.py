@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add, mul, sub
 
 
 def _as_int(x):
@@ -24,7 +25,9 @@ class IntMatrix:
     """Immutable integer matrix (row-major, arbitrary precision).
 
     Zero-row and zero-column matrices are allowed; pass `cols=` when
-    there are no rows to fix the width.
+    there are no rows to fix the width.  The constructor checks every
+    entry; the results of this module's own integer arithmetic are made
+    by `_trusted`, which does not.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -45,12 +48,22 @@ class IntMatrix:
         self._data = data
 
     @classmethod
+    def _trusted(cls, data, cols: int) -> IntMatrix:
+        """A matrix on `data`, unchecked: a tuple of tuples of ints,
+        each of width `cols`, such as integer arithmetic makes."""
+        m = object.__new__(cls)
+        m.rows = len(data)
+        m.cols = cols
+        m._data = data
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> IntMatrix:
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+        return cls._trusted(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> IntMatrix:
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._trusted(((0,) * cols,) * rows, cols)
 
     @classmethod
     def from_columns(cls, columns, rows: int | None = None) -> IntMatrix:
@@ -69,10 +82,7 @@ class IntMatrix:
         cols = mats[0].cols
         if any(m.cols != cols for m in mats):
             raise ValueError("mismatched widths")
-        out = []
-        for m in mats:
-            out.extend(m._data)
-        return IntMatrix(out, cols=cols)
+        return IntMatrix._trusted(tuple(row for m in mats for row in m._data), cols)
 
     @property
     def entries(self):
@@ -97,9 +107,9 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape()} by {other.shape()}")
         ot = other.transpose()._data
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self._data],
-            cols=other.cols,
+        return IntMatrix._trusted(
+            tuple(tuple(sum(map(mul, row, col)) for col in ot) for row in self._data),
+            other.cols,
         )
 
     def apply(self, vec):
@@ -111,24 +121,23 @@ class IntMatrix:
     def __sub__(self, other: IntMatrix) -> IntMatrix:
         if self.shape() != other.shape():
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)],
-            cols=self.cols,
+        return IntMatrix._trusted(
+            tuple(tuple(map(sub, r1, r2)) for r1, r2 in zip(self._data, other._data)),
+            self.cols,
         )
 
     def __add__(self, other: IntMatrix) -> IntMatrix:
         if self.shape() != other.shape():
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._data, other._data)],
-            cols=self.cols,
+        return IntMatrix._trusted(
+            tuple(tuple(map(add, r1, r2)) for r1, r2 in zip(self._data, other._data)),
+            self.cols,
         )
 
     def transpose(self) -> IntMatrix:
-        return IntMatrix(
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        # with no rows, zip(*rows) would lose the width
+        data = tuple(zip(*self._data)) if self.rows else ((),) * self.cols
+        return IntMatrix._trusted(data, self.rows)
 
     def shape(self):
         return (self.rows, self.cols)
@@ -265,9 +274,9 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
     divisors = tuple(a[i][i] for i in range(min(r, c)))
     return SmithForm(
-        U=IntMatrix(u, cols=r),
-        D=IntMatrix(a, cols=c),
-        V=IntMatrix(v, cols=c),
+        U=IntMatrix._trusted(tuple(map(tuple, u)), r),
+        D=IntMatrix._trusted(tuple(map(tuple, a)), c),
+        V=IntMatrix._trusted(tuple(map(tuple, v)), c),
         divisors=divisors,
     )
 
@@ -319,7 +328,10 @@ def hermite_normal_form(m: IntMatrix) -> HermiteForm:
                     row_sub(i, p, q)
             p += 1
 
-    return HermiteForm(H=IntMatrix(h, cols=c), U=IntMatrix(u, cols=r))
+    return HermiteForm(
+        H=IntMatrix._trusted(tuple(map(tuple, h)), c),
+        U=IntMatrix._trusted(tuple(map(tuple, u)), r),
+    )
 
 
 def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:

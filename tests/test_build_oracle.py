@@ -169,8 +169,15 @@ def fraction_build_group(
             order += 1
         orders[i] = order
 
+    q = lcm(*(x.denominator for _, t in pairs for x in t))
     elements = tuple(
-        HolonomyElement(index=i, matrix=pairs[i][0], translation=pairs[i][1], order=orders[i])
+        HolonomyElement(
+            index=i,
+            matrix=pairs[i][0],
+            shift=tuple(x.numerator * (q // x.denominator) for x in pairs[i][1]),
+            denominator=q,
+            order=orders[i],
+        )
         for i in range(n)
     )
     generator_images = tuple(index_of[p] for p in gen_pairs)

@@ -474,3 +474,78 @@ def test_holonomy_in_the_coprime_class_but_not_cyclic(tmp_path, capsys, monkeypa
     report = run_json(capsys, ["analyze", str(path)])
     assert report["holonomy"] == held
     assert not lattices.seen
+
+
+# ---------------------------------------------------------------- JSON writer
+
+WRITER_CASES = [
+    {},
+    [],
+    {"a": {}, "b": [], "c": [[], {}], "d": [{}]},
+    [[], [[]], [{}], {"x": []}],
+    None,
+    True,
+    False,
+    {"verdict": True, "core": None, "flags": [True, False, None, 0, 1]},
+    [1, True, 0, False],
+    -7,
+    [-1, 0, 2**64, -(2**64) - 1, 10**40],
+    {"name": "Gruppe äß 漢 \U0001d4b3", "dimension": -3},
+    {"naïve \"key\"": "a \"quoted\" \\ back\\slash"},
+    "control \x00\x01\x1f\t\n\r\x7f  ",
+    {"generators": [{"matrix": [[1, 0], [0, -1]], "translation": ["1/2", "0"]}]},
+]
+
+
+@pytest.mark.parametrize("value", WRITER_CASES, ids=range(len(WRITER_CASES)))
+def test_json_writer_prints_what_json_dumps_prints(value):
+    assert cli.json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, (1, 2), {"a": (1,)}, [0.0], {"a": [1, 2.0]}, {1: "int key"}, {None: 1}]
+)
+def test_json_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        cli.json_text(value)
+
+
+def catalog_payloads(monkeypatch, tmp_path, capsys):
+    """Every document the CLI writes as JSON for the golden catalog
+    commands (both formats), `catalog export` and `catalog list`."""
+    from bieberbach.catalog import catalog_list
+    from test_golden_outputs import COMMANDS, FORMATS
+
+    payloads = []
+    real = cli.json_text
+
+    def spy(value):
+        payloads.append(value)
+        return real(value)
+
+    monkeypatch.setattr(cli, "json_text", spy)
+    assert main(["catalog", "list", "--format", "json"]) == 0
+    for key in catalog_list():
+        capsys.readouterr()
+        assert main(["catalog", "export", key]) == 0
+        path = tmp_path / f"{key}.json"
+        path.write_text(capsys.readouterr().out)
+        for command in COMMANDS:
+            for fmt in FORMATS:
+                if command[0] == "catalog":
+                    argv = [*command, key]
+                else:
+                    argv = [command[0], str(path), *command[1:]]
+                assert main(argv + ["--format", fmt]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    return payloads
+
+
+def test_json_writer_matches_json_dumps_on_every_catalog_payload(monkeypatch, tmp_path, capsys):
+    payloads = catalog_payloads(monkeypatch, tmp_path, capsys)
+    # catalog list; per group: export, one per command in json, and the
+    # certificate inside `connective --certificate --format text`
+    assert len(payloads) == 1 + 11 * (1 + 8 + 1)
+    for payload in payloads:
+        assert cli.json_text(payload) == json.dumps(payload, indent=2)

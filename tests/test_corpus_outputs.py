@@ -1,0 +1,93 @@
+"""Byte-exact CLI output on the benchmark's seed-1 corpora.
+
+The catalog digests in `golden_outputs.json` cover 11 groups.  These
+cover the groups the benchmark runs: every seed-1 group document of the
+`connective`, `analyze` and `lattice` workloads, drawn read-only by
+`perfbench/corpus.py`, goes through the benchmark's own commands, and
+one SHA-256 over all of a command's outputs (the group name, exit code,
+stdout and stderr of each run, in corpus order) must match the digest
+pinned below.  A change that is meant to keep behaviour must keep them.
+
+To print the digests of the current code:
+
+    PYTHONPATH=src python tests/test_corpus_outputs.py
+"""
+
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from bieberbach.cli import main
+
+
+PERFBENCH_CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+
+DIGESTS = {
+    "connective --certificate --format json": (
+        "connective",
+        "c848442bc64315440b59ccd83021d681d40baba9924d03368872b3c6faeb1411",
+    ),
+    "analyze --format json": (
+        "analyze",
+        "c5be8ee7113ebf6763ccae871b2f1b4b5bc89d806bd4be0f84d2a4baddd88ac2",
+    ),
+    "fixed-torus --format json": (
+        "lattice",
+        "029f15a3104fa485491ebcecb63686d1c741460e71272688ead07c62e821feba",
+    ),
+    "orbits --char --format json": (
+        "lattice",
+        "d6faf3c65ee585f43d2952088b1a152c1728888f12a009fdee794118cb3e1474",
+    ),
+}
+
+
+@cache
+def corpus_items(workload):
+    """The benchmark's seed-1 items of one workload, drawn by its own
+    pure-Python corpus generator."""
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", PERFBENCH_CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # its dataclasses look their module up
+    spec.loader.exec_module(corpus)
+    return tuple(corpus.generate(workload, 1))
+
+
+def argv_for(command, item, path):
+    words = command.split()
+    argv = [words[0], str(path), *words[1:]]
+    if words[0] == "orbits":
+        argv.insert(argv.index("--char") + 1, item.expect["char"])
+    return argv
+
+
+def corpus_digest(command, workload, workdir):
+    sha = hashlib.sha256()
+    for item in corpus_items(workload):
+        path = Path(workdir) / f"{item.name}.json"
+        path.write_text(json.dumps(item.doc, indent=2) + "\n", encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv_for(command, item, path))
+        sha.update(f"{item.name}\0exit {code}\n{out.getvalue()}\0{err.getvalue()}\0".encode("utf-8"))
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(DIGESTS))
+def test_seed1_corpus_outputs_match_pinned_digests(command, tmp_path):
+    workload, digest = DIGESTS[command]
+    assert corpus_digest(command, workload, tmp_path) == digest
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, (workload, _) in DIGESTS.items():
+            print(f"{command}: {corpus_digest(command, workload, tmp)}")

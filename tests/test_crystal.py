@@ -480,3 +480,45 @@ def test_torsion_test_solves_once_per_prime_order_cyclic_subgroup(monkeypatch, m
         assert len(solves) == subgroups
     else:
         assert 1 <= len(solves) <= subgroups
+
+
+# ---------------------------------------------------------------- integer translations
+
+def test_group_core_makes_no_fractions(monkeypatch):
+    """`build_group`, `torsion_witness` and `surjection_to_Z` read each
+    element's integer shift over the group's denominator q; the
+    Fraction translation is derived from them on demand."""
+    import bieberbach.calabi as calabi
+
+    inputs = [
+        (g.dim, g.generators, g.name)
+        for groups, _ in oracle_corpus().values()
+        for g in groups
+    ]
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(crystal, "Fraction", CountingFraction)
+    monkeypatch.setattr(calabi, "Fraction", CountingFraction)
+    groups = []
+    for dim, gens, name in inputs:
+        group = build_group(dim, gens, name=name)
+        torsion_witness(group)
+        calabi.surjection_to_Z(group)
+        groups.append(group)
+    monkeypatch.undo()
+
+    assert made == []
+    denominators = set()
+    for group in groups:
+        q = group.denominator
+        denominators.add(q)
+        for e in group.elements:
+            assert e.denominator == q
+            assert all(type(x) is int and 0 <= x < q for x in e.shift)
+            assert e.translation == tuple(Fraction(x, q) % 1 for x in e.shift)
+    assert {1, 2, 3, 4, 6} <= denominators

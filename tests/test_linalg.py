@@ -408,3 +408,68 @@ def test_matrix_basics():
         IntMatrix([[Fraction(1, 2)]])
     with pytest.raises(ValueError):
         IntMatrix([[1, 2], [3]])
+
+
+# ---------------------------------------------------------------- trusted results
+
+def assert_well_formed(m: IntMatrix):
+    """What the public constructor would check: int entries, rectangular
+    rows of width `cols`, and the same matrix when rebuilt through it."""
+    assert isinstance(m.entries, tuple) and len(m.entries) == m.rows
+    for row in m.entries:
+        assert isinstance(row, tuple) and len(row) == m.cols
+        assert all(type(x) is int for x in row)
+    assert IntMatrix(m.entries, cols=m.cols) == m
+
+
+def test_linalg_results_are_well_formed_int_matrices():
+    rng = random.Random(2027)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4)]
+    shapes += [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(30)]
+    for rows, cols in shapes:
+        a = IntMatrix(
+            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], cols=cols
+        )
+        b = IntMatrix(
+            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], cols=cols
+        )
+        inner = rng.randint(0, 5)
+        c = IntMatrix(
+            [[rng.randint(-9, 9) for _ in range(inner)] for _ in range(cols)], cols=inner
+        )
+        snf = smith_normal_form(a)
+        hnf = hermite_normal_form(a)
+        results = [
+            a * c,
+            a + b,
+            a - b,
+            a.transpose(),
+            IntMatrix.vstack([a, b, IntMatrix.zeros(2, cols)]),
+            IntMatrix.identity(rows),
+            IntMatrix.zeros(rows, cols),
+            snf.U,
+            snf.D,
+            snf.V,
+            hnf.H,
+            hnf.U,
+        ]
+        for m in results:
+            assert_well_formed(m)
+        assert (a * c).shape() == (rows, inner)
+        assert a.transpose().shape() == (cols, rows)
+        assert a.transpose().transpose() == a
+        assert snf.U * a * snf.V == snf.D
+        assert hnf.U * a == hnf.H
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(TypeError):
+        IntMatrix([[Fraction(1, 2)]])
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]], cols=3)
+    assert type(IntMatrix([[Fraction(4, 2), True]]).entries[0][0]) is int
+    assert IntMatrix.from_columns([(1, 2)]).entries == ((1,), (2,))
+    with pytest.raises(TypeError):
+        IntMatrix.from_columns([(Fraction(1, 3),)])
