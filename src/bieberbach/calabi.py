@@ -120,9 +120,9 @@ def _check_surjection(group: CrystalGroup, surj: SurjectionToZ) -> None:
     if any(fm * group.elements[g].matrix != fm for g in gens):
         raise AssertionError("lattice map is not holonomy invariant")
     edges_hold = phi[0] == 0 and all(
-        phi[s] + phi[g] - phi[group.mult[s][g]] == sum(a * b for a, b in zip(f, tau))
-        for s, taus in enumerate(group.edge_cocycle)
-        for g, tau in zip(gens, taus)
+        phi[s] + phi[g] - phi[t] == sum(a * b for a, b in zip(f, tau))
+        for s, (row, taus) in enumerate(zip(group.edges, group.edge_cocycle))
+        for g, t, tau in zip(gens, row, taus)
     )
     if not edges_hold:
         raise AssertionError("lift values break the homomorphism property")
@@ -166,9 +166,11 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
     for idx in kernel_holonomy[1:]:  # kernel_holonomy[0] is the identity
         elem = group.elements[idx]
         in_basis = v_inv * elem.matrix * snf.V  # A in the basis of the columns of V
-        restricted = IntMatrix([row[1:] for row in in_basis.entries[1:]], cols=k - 1)
+        # f A = f, so A keeps ker(f): row 0 of in_basis is (a, 0, ..., 0),
+        # and a det(restricted) = det(A) = +-1 makes the block unimodular
+        restricted = IntMatrix._trusted(tuple(row[1:] for row in in_basis.entries[1:]), k - 1)
         shift = v_inv.apply(elem.shift)[1:]  # q times the kernel coordinates
-        gens.append(AffineGen(restricted, tuple(Fraction(x, q) for x in shift)))
+        gens.append(AffineGen._trusted(restricted, tuple(Fraction(x, q) for x in shift)))
 
     kernel_group = build_group(k - 1, gens, name=_kernel_name(group.name))
     return CalabiStep(

@@ -1,11 +1,12 @@
 """Standard-form crystallographic groups.
 
 A group lives here as: the lattice Z^k (implicit), a finite holonomy
-table of integer matrices with coset-representative translations in
+of integer matrices with coset-representative translations in
 [0,1)^k, kept as integer shifts over one common denominator, and the
-integral cocycle on the edges of the generators' Cayley graph.  Inputs
-that do not close to such a structure are rejected with a specific
-error.
+Cayley graph of the holonomy generators with the integral cocycle on
+its edges.  The multiplication table, the inverses and the element
+orders are read off that graph on first use.  Inputs that do not close
+to such a structure are rejected with a specific error.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .linalg import (
     IntMatrix,
@@ -68,42 +69,63 @@ def computed_once(func):
 
 @dataclass(frozen=True)
 class AffineGen:
-    """Affine element (A, a): x -> A x + a with A integral and a rational."""
+    """Affine element (A, a): x -> A x + a with A integral and a rational.
+
+    The constructor and `of` normalize the translation to `Fraction`s and
+    check the shapes and |det A| = 1; products, inverses and the Calabi
+    kernel's generators are made by `_trusted`, which does not."""
 
     matrix: IntMatrix
     translation: RatVec
 
     def __post_init__(self):
         object.__setattr__(self, "translation", frac_vector(self.translation))
-        if self.matrix.rows != self.matrix.cols:
-            raise ValueError("matrix must be square")
-        if len(self.translation) != self.matrix.rows:
-            raise ValueError("translation dim does not match matrix")
-        if abs(determinant(self.matrix)) != 1:
-            raise ValueError("matrix is not invertible over Z (|det| != 1)")
+        _check_affine(self.matrix, self.translation)
+
+    @classmethod
+    def _trusted(cls, matrix: IntMatrix, translation: RatVec) -> AffineGen:
+        """An element on `matrix` and `translation`, unchecked: a square
+        matrix with |det| = 1 and a tuple of `Fraction`s of its size, such
+        as products and inverses of checked elements make."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "matrix", matrix)
+        object.__setattr__(g, "translation", translation)
+        return g
 
     @classmethod
     def identity(cls, dim: int) -> AffineGen:
-        return cls(IntMatrix.identity(dim), (Fraction(0),) * dim)
+        return cls._trusted(IntMatrix.identity(dim), (Fraction(0),) * dim)
 
     @classmethod
     def of(cls, matrix_rows, translation) -> AffineGen:
-        return cls(IntMatrix(matrix_rows, cols=len(tuple(translation))), frac_vector(translation))
+        matrix = IntMatrix(matrix_rows, cols=len(tuple(translation)))
+        translation = frac_vector(translation)
+        _check_affine(matrix, translation)
+        return cls._trusted(matrix, translation)
 
     def __mul__(self, other: AffineGen) -> AffineGen:
         if self.matrix.cols != other.matrix.rows:
             raise ValueError("dimension mismatch")
-        return AffineGen(
+        return AffineGen._trusted(
             self.matrix * other.matrix,
             vec_add(self.matrix.apply(other.translation), self.translation),
         )
 
     def invert(self) -> AffineGen:
         inv = invert_unimodular(self.matrix)
-        return AffineGen(inv, tuple(-x for x in inv.apply(self.translation)))
+        return AffineGen._trusted(inv, tuple(-x for x in inv.apply(self.translation)))
 
     def is_identity(self) -> bool:
         return self.matrix.is_identity() and all(x == 0 for x in self.translation)
+
+
+def _check_affine(matrix: IntMatrix, translation: RatVec) -> None:
+    if matrix.rows != matrix.cols:
+        raise ValueError("matrix must be square")
+    if len(translation) != matrix.rows:
+        raise ValueError("translation dim does not match matrix")
+    if abs(determinant(matrix)) != 1:
+        raise ValueError("matrix is not invertible over Z (|det| != 1)")
 
 
 @dataclass(frozen=True)
@@ -117,7 +139,6 @@ class HolonomyElement:
     matrix: IntMatrix
     shift: tuple[int, ...]
     denominator: int
-    order: int
 
     @property
     def translation(self) -> RatVec:
@@ -136,15 +157,16 @@ class TorsionWitness:
 
 @dataclass(frozen=True, eq=False)
 class CrystalGroup:
-    """`edge_cocycle[s][j]` is the lattice vector c with g_s g_h = c + g_sh
-    for h the j-th of `holonomy_generator_indices()`."""
+    """The generators' Cayley graph: `edges[s][j]` is the element s h and
+    `edge_cocycle[s][j]` the lattice vector c with g_s g_h = c + g_sh, for
+    h the j-th of `holonomy_generator_indices()`.  `mult`, `inverse` and
+    `orders` are read off that graph on first use."""
 
     name: str
     dim: int
     generators: tuple[AffineGen, ...]
     elements: tuple[HolonomyElement, ...]
-    mult: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
+    edges: tuple[tuple[int, ...], ...]
     edge_cocycle: tuple[tuple[tuple[int, ...], ...], ...]
     generator_images: tuple[int, ...]
 
@@ -156,6 +178,34 @@ class CrystalGroup:
     def denominator(self) -> int:
         """The common denominator q of the representative translations."""
         return self.elements[0].denominator
+
+    @property
+    def mult(self) -> tuple[tuple[int, ...], ...]:
+        """The n x n multiplication table: mult[s][t] is the element st."""
+        return _multiplication_table(self)[0]
+
+    @property
+    def inverse(self) -> tuple[int, ...]:
+        return _multiplication_table(self)[1]
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        """Each element's order: the powers of s step along s's word."""
+        orders = [1]
+        for s in range(1, self.holonomy_order):
+            power, order = s, 1
+            while power != 0:
+                power = self.times(power, s)
+                order += 1
+            orders.append(order)
+        return tuple(orders)
+
+    def times(self, x: int, s: int) -> int:
+        """The element x s, by following the edges of s's word from x."""
+        edges = self.edges
+        for pos in _words(self)[s]:
+            x = edges[x][pos]
+        return x
 
     @cached_property
     def _matrix_index(self) -> dict[IntMatrix, int]:
@@ -170,17 +220,59 @@ class CrystalGroup:
         return tuple(idx for idx in dict.fromkeys(self.generator_images) if idx != 0)
 
 
+@computed_once
+def spanning_tree(group: CrystalGroup) -> tuple[tuple[int, int], ...]:
+    """(s, j) for each element t: t = s h_j on the edge that first reaches
+    t in a breadth-first walk of the Cayley graph from the identity, which
+    is its own (0, -1).  `build_group` numbers the elements in that walk's
+    order, so s < t."""
+    tree: list[tuple[int, int] | None] = [(0, -1)] + [None] * (group.holonomy_order - 1)
+    for s, row in enumerate(group.edges):
+        for pos, t in enumerate(row):
+            if tree[t] is None:
+                tree[t] = (s, pos)
+    return tuple(tree)
+
+
+@computed_once
+def _words(group: CrystalGroup) -> tuple[tuple[int, ...], ...]:
+    """Each element as a word in the holonomy generators' positions, read
+    along the spanning tree."""
+    words = [()]
+    for s, pos in spanning_tree(group)[1:]:
+        words.append(words[s] + (pos,))
+    return tuple(words)
+
+
+@computed_once
+def _multiplication_table(group: CrystalGroup):
+    """The n x n multiplication table and the inverses: t = s h_j on its
+    tree edge, so x t = (x s) h_j, one edge per entry."""
+    edges, tree = group.edges, spanning_tree(group)[1:]
+    rows = []
+    for x in range(group.holonomy_order):
+        row = [x]
+        for s, pos in tree:
+            row.append(edges[row[s]][pos])
+        rows.append(tuple(row))
+    return tuple(rows), tuple(row.index(0) for row in rows)
+
+
 def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) -> CrystalGroup:
     """Close the generators into a standard-form crystallographic group.
 
     An element is its matrix and an integer translation t mod q, where q
     is the lcm of the generators' translation denominators; t/q is the
     representative translation in [0,1)^k.  The closure multiplies by the
-    generators on the right, row tuples by each generator's columns, and
-    is keyed on those rows alone, with one `IntMatrix` made per element;
-    so the multiplication table is read off the Cayley graph, and so is
-    each edge's cocycle: the quotient by q of the sum reduced to its shift.
-    Every edge lands on its element's shift, so by induction along the
+    generators on the right, breadth first.  It holds a matrix as the
+    indices of its rows in the orbit of the unit row vectors: row r of
+    A B is (row r of A) B, so each generator acts on that orbit, and a
+    right multiplication is one lookup per row.  Each (orbit row,
+    generator) image, and the row's dot with the generator's translation,
+    is computed once, on first use.  The closure is keyed on the row
+    indices, and one `IntMatrix` is made per element at the end.  Each
+    edge's cocycle is the quotient by q of the sum reduced to its shift;
+    every edge lands on its element's shift, so by induction along the
     closure every defect is integral.
     Raises ClosureBudgetExceeded or HolonomyNotFaithful when the input is
     not crystallographic in standard form.
@@ -193,34 +285,51 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
             raise ValueError(f"generator of dim {g.matrix.rows} in a dim-{dim} group")
 
     q = lcm(*(x.denominator for g in gens for x in g.translation))
-    gen_pairs = [  # each generator's columns, and its translation times q
+    orbit = [tuple(int(r == c) for c in range(dim)) for r in range(dim)]
+    orbit_index = {row: r for r, row in enumerate(orbit)}
+    actions = [  # each generator's columns, its translation times q, and
+        # its images and dots on the orbit rows reached so far
         (
             tuple(zip(*g.matrix.entries)),
             tuple(x.numerator * (q // x.denominator) % q for x in g.translation),
+            {},
+            {},
         )
         for g in gens
     ]
 
-    matrices = [IntMatrix.identity(dim)]
+    def extend(cols, u, image, dot, key):
+        """A generator's images and dots on the rows of `key` it has not met."""
+        for o in key:
+            if o not in image:
+                row = orbit[o]
+                new = tuple(sum(map(mul, row, col)) for col in cols)
+                image[o] = orbit_index.setdefault(new, len(orbit))
+                if image[o] == len(orbit):
+                    orbit.append(new)
+                dot[o] = sum(map(mul, row, u))
+
+    keys = [tuple(range(dim))]  # each element's matrix, as orbit rows
     shifts = [(0,) * dim]
-    index_of = {matrices[0].entries: 0}  # keyed on the rows
-    parent: list[tuple[int, int]] = [(0, -1)]  # (element, generator) that first reached it
+    index_of = {keys[0]: 0}
     right: list[list[int]] = []  # right[i][g]: element i times generator g
     defects: list[list[tuple[int, ...]]] = []  # defects[i][g]: the cocycle of that edge
-    for i, (m, t) in enumerate(zip(matrices, shifts)):  # both lists grow as we go
-        a = m.entries
+    for i, (key, t) in enumerate(zip(keys, shifts)):  # both lists grow as we go
         row, defect_row = [], []
-        for pos, (b_cols, u) in enumerate(gen_pairs):
-            mat = tuple(tuple(sum(map(mul, r, col)) for col in b_cols) for r in a)
-            total = [sum(map(mul, r, u)) + x for r, x in zip(a, t)]
-            shift = tuple(x % q for x in total)
+        for pos, (cols, u, image, dot) in enumerate(actions):
+            try:
+                mat = tuple(map(image.__getitem__, key))
+            except KeyError:
+                extend(cols, u, image, dot, key)
+                mat = tuple(map(image.__getitem__, key))
+            total = list(map(add, map(dot.__getitem__, key), t))
+            shift = tuple(map(q.__rmod__, total))
             idx = index_of.get(mat)
             if idx is None:
-                idx = index_of[mat] = len(matrices)
-                matrices.append(IntMatrix._trusted(mat, dim))
+                idx = index_of[mat] = len(keys)
+                keys.append(mat)
                 shifts.append(shift)
-                parent.append((i, pos))
-                if len(matrices) > closure_budget:
+                if len(keys) > closure_budget:
                     raise ClosureBudgetExceeded(
                         f"holonomy closure exceeded {closure_budget} elements"
                     )
@@ -230,44 +339,27 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
                     "holonomy matrix; the lattice is not maximal abelian"
                 )
             row.append(idx)
-            defect_row.append(tuple(x // q for x in total))
+            defect_row.append(tuple(map(q.__rfloordiv__, total)))
         right.append(row)
         defects.append(defect_row)
 
-    n = len(matrices)
-    mult_rows = []
-    for i in range(n):
-        # element j is parent(j) * g, so i * j = (i * parent(j)) * g
-        row = [i]
-        for p, pos in parent[1:]:
-            row.append(right[row[p]][pos])
-        mult_rows.append(tuple(row))
-    mult = tuple(mult_rows)
     # the first input generator with each holonomy generator's matrix
     positions = [right[0].index(g) for g in dict.fromkeys(right[0]) if g != 0]
-
-    inverse = tuple(row.index(0) for row in mult)
-    orders = [0] * n
-    for i in range(n):
-        power, order = i, 1
-        while power != 0:
-            power = mult[power][i]
-            order += 1
-        orders[i] = order
-
     elements = tuple(
         HolonomyElement(
-            index=i, matrix=matrices[i], shift=shifts[i], denominator=q, order=orders[i]
+            index=i,
+            matrix=IntMatrix._trusted(tuple(map(orbit.__getitem__, key)), dim),
+            shift=shift,
+            denominator=q,
         )
-        for i in range(n)
+        for i, (key, shift) in enumerate(zip(keys, shifts))
     )
     return CrystalGroup(
         name=name,
         dim=dim,
         generators=gens,
         elements=elements,
-        mult=mult,
-        inverse=inverse,
+        edges=tuple(tuple(row[pos] for pos in positions) for row in right),
         edge_cocycle=tuple(tuple(row[pos] for pos in positions) for row in defects),
         generator_images=tuple(right[0]),
     )
@@ -306,15 +398,16 @@ def torsion_witness(group: CrystalGroup) -> TorsionWitness | None:
     (I, N_s t_s), a lattice translation.  The coset of s holds torsion iff
     N_s lam = -N_s t_s has an integer solution.
     """
-    mult, elements, q = group.mult, group.elements, group.denominator
+    orders, elements, q = group.orders, group.elements, group.denominator
     seen = {0}
     for elem in elements:
-        s, p = elem.index, elem.order
+        s = elem.index
+        p = orders[s]
         if s in seen or any(p % d == 0 for d in range(2, p)):
             continue
         powers = [0, s]
         while len(powers) < p:
-            powers.append(mult[powers[-1]][s])
+            powers.append(group.times(powers[-1], s))
         seen.update(powers)
         rows = zip(*(elements[x].matrix.entries for x in powers))
         norm = IntMatrix([[sum(col) for col in zip(*r)] for r in rows], cols=group.dim)

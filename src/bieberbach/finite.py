@@ -27,8 +27,8 @@ class OrderBudgetExceeded(Exception):
 @dataclass(frozen=True)
 class FiniteGroup:
     """A finite group as a multiplication table that is a group law:
-    verified by `finite_group`, or read off matrix products by
-    `build_group`.
+    verified by `finite_group`, or read off the Cayley graph of a
+    crystallographic group's holonomy.
 
     Element 0 is the identity.
     """
@@ -110,11 +110,10 @@ def finite_group(table) -> FiniteGroup:
 
 
 def finite_group_from_holonomy(group: CrystalGroup) -> FiniteGroup:
-    """The holonomy as a finite group.  `build_group` read its table
-    off matrix products, so it is a group law already and is not
-    re-verified here."""
-    orders = tuple(e.order for e in group.elements)
-    return FiniteGroup(table=group.mult, orders=orders, inverses=group.inverse)
+    """The holonomy as a finite group, on the n x n table read off the
+    Cayley graph of `build_group`'s closure: a group law already, so it
+    is not re-verified here."""
+    return FiniteGroup(table=group.mult, orders=group.orders, inverses=group.inverse)
 
 
 def cyclic_group(n: int) -> FiniteGroup:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
-from .crystal import CrystalGroup, computed_once
+from .crystal import CrystalGroup, computed_once, spanning_tree
 from .linalg import (
     IntMatrix,
     SmithForm,
@@ -72,22 +72,16 @@ def _action_matrices(group: CrystalGroup) -> list[IntMatrix]:
 
 def _tree_lifts(group: CrystalGroup) -> tuple[tuple[int, ...], ...]:
     """Each lift variable x_s over (e_1..e_k, then y_g per holonomy
-    generator g), along a BFS spanning tree of the generators' Cayley
+    generator g), along the spanning tree of the generators' Cayley
     graph: x_e = 0 and x_{sg} = x_s + y_g - tau(s,g).e on the edge that
     first reaches sg."""
     k = group.dim
-    gens = group.holonomy_generator_indices()
-    pad = (0,) * len(gens)
-    lifts = [(0,) * (k + len(gens))] + [None] * (group.holonomy_order - 1)
-    queue = [0]
-    for s in queue:  # grows as we go
-        xs, row, taus = lifts[s], group.mult[s], group.edge_cocycle[s]
-        for pos, g in enumerate(gens):
-            if lifts[row[g]] is None:
-                x = [a - b for a, b in zip(xs, taus[pos] + pad)]
-                x[k + pos] += 1
-                lifts[row[g]] = tuple(x)
-                queue.append(row[g])
+    pad = (0,) * len(group.holonomy_generator_indices())
+    lifts = [(0,) * (k + len(pad))]
+    for s, pos in spanning_tree(group)[1:]:  # s comes before the element it reaches
+        x = [a - b for a, b in zip(lifts[s], group.edge_cocycle[s][pos] + pad)]
+        x[k + pos] += 1
+        lifts.append(tuple(x))
     return tuple(lifts)
 
 
@@ -113,9 +107,9 @@ def relation_matrix(group: CrystalGroup) -> IntMatrix:
         for mat in _action_matrices(group)
         for j in range(k)
     ]
-    for xs, row, taus in zip(lifts, group.mult, group.edge_cocycle):
-        for pos, g in enumerate(gens):
-            col = [a - b - c for a, b, c in zip(xs, lifts[row[g]], taus[pos] + pad)]
+    for xs, row, taus in zip(lifts, group.edges, group.edge_cocycle):
+        for pos, t in enumerate(row):
+            col = [a - b - c for a, b, c in zip(xs, lifts[t], taus[pos] + pad)]
             col[k + pos] += 1
             columns.append(tuple(col))
     # tree edges give zero relations; zero and repeated ones change nothing

@@ -1,9 +1,10 @@
 """The integer build of a crystallographic group against the Fraction
 build it replaced.
 
-`fraction_build_group` is the earlier `build_group`, kept verbatim as an
-oracle: it closes (matrix, translation mod 1) pairs by all-pairs products
-in `Fraction` arithmetic and reads every table entry off a product.  The
+`fraction_build_group` is the earlier `build_group`, kept as an oracle
+with its tables returned in a `FractionGroup`: it closes (matrix,
+translation mod 1) pairs by all-pairs products in `Fraction` arithmetic
+and reads every table entry off a product.  The
 library's build must give the same element set, and the same
 multiplication, cocycle, inverse, order and generator tables up to a
 relabelling of the elements.  The library keeps the cocycle on the
@@ -15,6 +16,7 @@ axioms instead.
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -25,7 +27,6 @@ from bieberbach.crystal import (
     AffineGen,
     ClosureBudgetExceeded,
     CrystalError,
-    CrystalGroup,
     HolonomyElement,
     HolonomyNotFaithful,
     RatVec,
@@ -75,9 +76,30 @@ def assert_edge_cocycle_is_full(group):
 
 # ---------------------------------------------------------------- the Fraction build
 
+@dataclass(frozen=True)
+class FractionGroup:
+    """What the Fraction build made, every table read off products: the
+    library's `CrystalGroup` keeps only the Cayley graph and reads its
+    tables off that."""
+
+    name: str
+    dim: int
+    generators: tuple[AffineGen, ...]
+    elements: tuple[HolonomyElement, ...]
+    mult: tuple[tuple[int, ...], ...]
+    inverse: tuple[int, ...]
+    orders: tuple[int, ...]
+    edge_cocycle: tuple[tuple[tuple[int, ...], ...], ...]
+    generator_images: tuple[int, ...]
+
+    @property
+    def holonomy_order(self) -> int:
+        return len(self.elements)
+
+
 def fraction_build_group(
     dim: int, gens, name: str = "", closure_budget: int = 10_000
-) -> CrystalGroup:
+) -> FractionGroup:
     """Close the generators into a standard-form crystallographic group.
 
     Representatives are composed and reduced mod Z^k into [0,1)^k; the
@@ -176,20 +198,20 @@ def fraction_build_group(
             matrix=pairs[i][0],
             shift=tuple(x.numerator * (q // x.denominator) for x in pairs[i][1]),
             denominator=q,
-            order=orders[i],
         )
         for i in range(n)
     )
     generator_images = tuple(index_of[p] for p in gen_pairs)
     gen_columns = [g for g in dict.fromkeys(generator_images) if g != 0]
 
-    return CrystalGroup(
+    return FractionGroup(
         name=name,
         dim=dim,
         generators=gens,
         elements=elements,
         mult=mult,
         inverse=tuple(inverse),
+        orders=tuple(orders),
         edge_cocycle=tuple(tuple(row[g] for g in gen_columns) for row in cocycle_rows),
         generator_images=generator_images,
     )
@@ -218,7 +240,8 @@ def assert_same_group(old, new):
     assert perm[0] == 0
     for e in old.elements:
         mine = new.elements[perm[e.index]]
-        assert (mine.matrix, mine.translation, mine.order) == (e.matrix, e.translation, e.order)
+        assert (mine.matrix, mine.translation) == (e.matrix, e.translation)
+        assert new.orders[mine.index] == old.orders[e.index]
         assert new.inverse[perm[e.index]] == perm[old.inverse[e.index]]
     n = old.holonomy_order
     for i, j in itertools.product(range(n), repeat=2):
@@ -418,7 +441,7 @@ def check_group_axioms(g, samples):
 def test_s5_builds_a_group():
     g = s5_group()
     assert g.holonomy_order == 120
-    assert sorted(e.order for e in g.elements).count(5) == 24
+    assert sorted(g.orders).count(5) == 24
     assert any(any(row) for row in itertools.chain.from_iterable(g.edge_cocycle))
     check_group_axioms(g, samples=400)
 
@@ -426,6 +449,6 @@ def test_s5_builds_a_group():
 def test_diagonal_z2_7_builds_a_group():
     g = diagonal_z2_7()
     assert g.holonomy_order == 128
-    assert all(e.order == 2 for e in g.elements[1:])
+    assert all(order == 2 for order in g.orders[1:])
     assert any(any(row) for row in itertools.chain.from_iterable(g.edge_cocycle))
     check_group_axioms(g, samples=400)

@@ -55,7 +55,7 @@ def torus(k):
 def test_build_hw():
     g = hw_group()
     assert g.holonomy_order == 4
-    assert all(e.order == 2 for e in g.elements if e.index != 0)
+    assert all(g.orders[e.index] == 2 for e in g.elements if e.index != 0)
     # defining relations x^2 y x^2 = y and y^2 x y^2 = x
     x, y = g.generators
     x2 = x * x
@@ -224,7 +224,7 @@ def brute_force_torsion(group, box=4):
         for lam in itertools.product(range(-box, box + 1), repeat=group.dim):
             a = reconstruct_element(group, elem.index, lam)
             power = a
-            for _ in range(elem.order - 1):
+            for _ in range(group.orders[elem.index] - 1):
                 power = power * a
             if power.is_identity():
                 return True
@@ -295,7 +295,7 @@ def per_element_torsion_witness(group):
     for elem in group.elements:
         if elem.index == 0:
             continue
-        m = elem.order
+        m = group.orders[elem.index]
         acc = IntMatrix.identity(group.dim)
         norm = IntMatrix.zeros(group.dim, group.dim)
         for _ in range(m):
@@ -319,7 +319,7 @@ def is_prime(n):
 def assert_witness_is_torsion(group, w):
     """`w` names an element of prime order whose lift, shifted by the
     correction, has that order in the group."""
-    assert is_prime(w.order) and w.element.order == w.order
+    assert is_prime(w.order) and group.orders[w.element.index] == w.order
     a = reconstruct_element(group, w.element.index, w.correction)
     power = a
     for _ in range(w.order - 1):
