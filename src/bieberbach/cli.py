@@ -26,7 +26,6 @@ from .crystal import CrystalError, CrystalGroup, is_torsion_free
 from .finite import (
     CoprimeTree,
     OrderBudgetExceeded,
-    finite_group_from_holonomy,
     in_coprime_class,
     is_primitive,
     structure_name,
@@ -111,7 +110,7 @@ class AnalysisReport:
             raise AssertionError(
                 f"rank chain broken: H1 {ab.rank}, center {fl.rank}, torus {ft.rank}"
             )
-        d = finite_group_from_holonomy(group)
+        d = group.holonomy
         report = is_connective(group) if torsion_free else None
         return cls(
             group=group,
@@ -368,9 +367,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_holonomy(args) -> int:
     group = _load(args)
-    d = finite_group_from_holonomy(group)
+    d = group.holonomy
     doc: dict = {"order": d.order, "structure": structure_name(d)}
-    lines = [f"holonomy order {d.order}: {structure_name(d)}"]
+    lines = [f"holonomy order {d.order}: {doc['structure']}"]
     if args.primitivity:
         doc["primitive"] = is_primitive(d)
         lines.append(f"primitive: {'yes' if doc['primitive'] else 'no'}")

@@ -4,19 +4,21 @@ A group lives here as: the lattice Z^k (implicit), a finite holonomy
 of integer matrices with coset-representative translations in
 [0,1)^k, kept as integer shifts over one common denominator, and the
 Cayley graph of the holonomy generators with the integral cocycle on
-its edges.  The multiplication table, the inverses and the element
-orders are read off that graph on first use.  Inputs that do not close
-to such a structure are rejected with a specific error.
+its edges.  That graph is also the holonomy as a `FiniteGroup`, which
+reads its spanning tree, words and element orders off it on first use.
+Inputs that do not close to such a structure are rejected with a
+specific error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cached_property
 from math import lcm
 from operator import add, mul
 
+from .finite import FiniteGroup, computed_once
 from .linalg import (
     IntMatrix,
     determinant,
@@ -47,24 +49,6 @@ class NotInGroup(CrystalError):
 
 
 RatVec = tuple[Fraction, ...]
-
-
-def computed_once(func):
-    """Store `func(obj)` on `obj` itself, like `cached_property` does for
-    a method: the value is computed on first call and dies with the
-    object.  A stored None counts as computed."""
-    slot = f"_computed_{func.__name__}"
-
-    @wraps(func)
-    def wrapper(obj):
-        memo = obj.__dict__
-        if slot in memo:
-            return memo[slot]
-        # threads racing on a first call may each compute; setdefault
-        # hands all of them the value stored first
-        return memo.setdefault(slot, func(obj))
-
-    return wrapper
 
 
 @dataclass(frozen=True)
@@ -159,8 +143,8 @@ class TorsionWitness:
 class CrystalGroup:
     """The generators' Cayley graph: `edges[s][j]` is the element s h and
     `edge_cocycle[s][j]` the lattice vector c with g_s g_h = c + g_sh, for
-    h the j-th of `holonomy_generator_indices()`.  `mult`, `inverse` and
-    `orders` are read off that graph on first use."""
+    h the j-th of `holonomy_generator_indices()`.  `holonomy` is the
+    finite group on that graph."""
 
     name: str
     dim: int
@@ -179,33 +163,10 @@ class CrystalGroup:
         """The common denominator q of the representative translations."""
         return self.elements[0].denominator
 
-    @property
-    def mult(self) -> tuple[tuple[int, ...], ...]:
-        """The n x n multiplication table: mult[s][t] is the element st."""
-        return _multiplication_table(self)[0]
-
-    @property
-    def inverse(self) -> tuple[int, ...]:
-        return _multiplication_table(self)[1]
-
     @cached_property
-    def orders(self) -> tuple[int, ...]:
-        """Each element's order: the powers of s step along s's word."""
-        orders = [1]
-        for s in range(1, self.holonomy_order):
-            power, order = s, 1
-            while power != 0:
-                power = self.times(power, s)
-                order += 1
-            orders.append(order)
-        return tuple(orders)
-
-    def times(self, x: int, s: int) -> int:
-        """The element x s, by following the edges of s's word from x."""
-        edges = self.edges
-        for pos in _words(self)[s]:
-            x = edges[x][pos]
-        return x
+    def holonomy(self) -> FiniteGroup:
+        """The holonomy as a finite group, on the same Cayley graph."""
+        return FiniteGroup(self.edges)
 
     @cached_property
     def _matrix_index(self) -> dict[IntMatrix, int]:
@@ -218,44 +179,6 @@ class CrystalGroup:
     def holonomy_generator_indices(self) -> tuple[int, ...]:
         """Distinct non-identity generator images, in first-seen order."""
         return tuple(idx for idx in dict.fromkeys(self.generator_images) if idx != 0)
-
-
-@computed_once
-def spanning_tree(group: CrystalGroup) -> tuple[tuple[int, int], ...]:
-    """(s, j) for each element t: t = s h_j on the edge that first reaches
-    t in a breadth-first walk of the Cayley graph from the identity, which
-    is its own (0, -1).  `build_group` numbers the elements in that walk's
-    order, so s < t."""
-    tree: list[tuple[int, int] | None] = [(0, -1)] + [None] * (group.holonomy_order - 1)
-    for s, row in enumerate(group.edges):
-        for pos, t in enumerate(row):
-            if tree[t] is None:
-                tree[t] = (s, pos)
-    return tuple(tree)
-
-
-@computed_once
-def _words(group: CrystalGroup) -> tuple[tuple[int, ...], ...]:
-    """Each element as a word in the holonomy generators' positions, read
-    along the spanning tree."""
-    words = [()]
-    for s, pos in spanning_tree(group)[1:]:
-        words.append(words[s] + (pos,))
-    return tuple(words)
-
-
-@computed_once
-def _multiplication_table(group: CrystalGroup):
-    """The n x n multiplication table and the inverses: t = s h_j on its
-    tree edge, so x t = (x s) h_j, one edge per entry."""
-    edges, tree = group.edges, spanning_tree(group)[1:]
-    rows = []
-    for x in range(group.holonomy_order):
-        row = [x]
-        for s, pos in tree:
-            row.append(edges[row[s]][pos])
-        rows.append(tuple(row))
-    return tuple(rows), tuple(row.index(0) for row in rows)
 
 
 def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) -> CrystalGroup:
@@ -398,16 +321,16 @@ def torsion_witness(group: CrystalGroup) -> TorsionWitness | None:
     (I, N_s t_s), a lattice translation.  The coset of s holds torsion iff
     N_s lam = -N_s t_s has an integer solution.
     """
-    orders, elements, q = group.orders, group.elements, group.denominator
+    holonomy, elements, q = group.holonomy, group.elements, group.denominator
     seen = {0}
     for elem in elements:
         s = elem.index
-        p = orders[s]
+        p = holonomy.orders[s]
         if s in seen or any(p % d == 0 for d in range(2, p)):
             continue
         powers = [0, s]
         while len(powers) < p:
-            powers.append(group.times(powers[-1], s))
+            powers.append(holonomy.times(powers[-1], s))
         seen.update(powers)
         rows = zip(*(elements[x].matrix.entries for x in powers))
         norm = IntMatrix([[sum(col) for col in zip(*r)] for r in rows], cols=group.dim)

@@ -1,20 +1,23 @@
 """Finite-group machinery for holonomy groups.
 
-Works on explicit multiplication tables at desk scale: subgroup
-enumeration, Sylow subgroups, normal complements, the Hiller-Sah
-primitivity test (from element orders and the commutator subgroup), and
-recognition of iterated coprime semidirect products of cyclic groups
-(from element orders).  The subgroup lattice is brute force on purpose;
-the order budget keeps it honest.
+A finite group is the Cayley graph of a generating set.  Element orders
+and G/G' (one Smith form of the spanning-tree presentation) are read
+off that graph, and they decide Hiller-Sah primitivity and recognize
+iterated coprime semidirect products of cyclic groups.  Only subgroup
+enumeration, Sylow subgroups and normal complements read the n x n
+table; they are brute force on purpose, and the order budget keeps
+them honest.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from functools import cached_property, wraps
+from math import gcd, prod
+from operator import sub
 
-from .crystal import CrystalGroup, computed_once
+from .linalg import IntMatrix, smith_normal_form
 
 
 DEFAULT_ORDER_BUDGET = 64
@@ -24,29 +27,125 @@ class OrderBudgetExceeded(Exception):
     """Group order past the configured brute-force budget."""
 
 
-@dataclass(frozen=True)
+def computed_once(func):
+    """Store `func(obj)` on `obj` itself, like `cached_property` does for
+    a method: the value is computed on first call and dies with the
+    object.  A stored None counts as computed."""
+    slot = f"_computed_{func.__name__}"
+
+    @wraps(func)
+    def wrapper(obj):
+        memo = obj.__dict__
+        if slot in memo:
+            return memo[slot]
+        # threads racing on a first call may each compute; setdefault
+        # hands all of them the value stored first
+        return memo.setdefault(slot, func(obj))
+
+    return wrapper
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """A finite group as a multiplication table that is a group law:
-    verified by `finite_group`, or read off the Cayley graph of a
-    crystallographic group's holonomy.
+    """A finite group as the Cayley graph of a generating set:
+    `edges[x][j]` is x g_j, and element 0 is the identity.  Everything
+    else is read off the graph on first use."""
 
-    Element 0 is the identity.
-    """
-
-    table: tuple[tuple[int, ...], ...]
-    orders: tuple[int, ...]
-    inverses: tuple[int, ...]
+    edges: tuple[tuple[int, ...], ...]
 
     @property
     def order(self) -> int:
-        return len(self.table)
+        return len(self.edges)
+
+    @cached_property
+    def spanning_tree(self) -> tuple[tuple[int, int, int], ...]:
+        """(s, j, t) for each element t but the identity: t = s g_j on the
+        edge that first reaches t in a breadth-first walk from the
+        identity.  In walk order, so s comes before t."""
+        tree, walk, reached = [], [0], {0}
+        for s in walk:  # grows as we go
+            for j, t in enumerate(self.edges[s]):
+                if t not in reached:
+                    reached.add(t)
+                    walk.append(t)
+                    tree.append((s, j, t))
+        return tuple(tree)
+
+    @cached_property
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        """Each element as a word in the generators' positions, read
+        along the spanning tree."""
+        words = [()] * self.order
+        for s, j, t in self.spanning_tree:
+            words[t] = words[s] + (j,)
+        return tuple(words)
+
+    def times(self, x: int, s: int) -> int:
+        """The element x s, by following the edges of s's word from x."""
+        edges = self.edges
+        for j in self.words[s]:
+            x = edges[x][j]
+        return x
+
+    @cached_property
+    def _powers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Each element's order and inverse, its last power before the
+        identity: the powers of s step along s's word."""
+        cycles = []
+        for s in range(self.order):
+            last, power, order = 0, s, 1
+            while power:
+                last, power, order = power, self.times(power, s), order + 1
+            cycles.append((order, last))
+        return tuple(zip(*cycles))
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        return self._powers[0]
+
+    @property
+    def inverses(self) -> tuple[int, ...]:
+        return self._powers[1]
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        """The n x n multiplication table: t = s g_j on its tree edge, so
+        x t = (x s) g_j, one edge per entry."""
+        edges, tree = self.edges, self.spanning_tree
+        rows = []
+        for x in range(self.order):
+            row = [x] * self.order
+            for s, j, t in tree:
+                row[t] = edges[row[s]][j]
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    @cached_property
+    def abelian_quotient(self) -> tuple[int, ...]:
+        """The invariant factors of G/G', each dividing the next.
+
+        The edges (s, j) present G on its generators by w_s g_j = w_{s g_j},
+        w_s the word of s (Reidemeister-Schreier), so with x_s the
+        generator counts of w_s, G/G' is Z^|gens| modulo the
+        x_s + e_j - x_{s g_j}; the tree edges give zero.  One Smith form."""
+        gens = range(len(self.edges[0]))
+        counts = [tuple(map(word.count, gens)) for word in self.words]
+        columns = []
+        for xs, row in zip(counts, self.edges):
+            for j, t in enumerate(row):
+                col = list(map(sub, xs, counts[t]))
+                col[j] += 1
+                columns.append(tuple(col))
+        # tree edges give zero relations; zero and repeated ones change nothing
+        unique = [col for col in dict.fromkeys(columns) if any(col)]
+        rel = IntMatrix._trusted(tuple(zip(*unique)), len(unique))
+        return tuple(d for d in smith_normal_form(rel).divisors if d >= 2)
 
     def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.table[i][j] == self.table[j][i] for i in range(n) for j in range(n))
+        return prod(self.abelian_quotient) == self.order
 
     def is_cyclic(self) -> bool:
-        return any(o == self.order for o in self.orders)
+        return self.order in self.orders
 
 
 @dataclass(frozen=True)
@@ -72,7 +171,9 @@ class CoprimeTree:
 
 
 def finite_group(table) -> FiniteGroup:
-    """Wrap and verify a multiplication table as a group law."""
+    """Verify a multiplication table as a group law, and return its
+    Cayley graph on the generating set that Light's test checks: its
+    table is the verified one."""
     table = tuple(tuple(row) for row in table)
     n = len(table)
     if any(len(row) != n for row in table):
@@ -82,15 +183,11 @@ def finite_group(table) -> FiniteGroup:
     # a two-sided identity is unique
     if n == 0 or any(table[0][x] != x or table[x][0] != x for x in range(n)):
         raise ValueError("identity must be element 0")
-    inverses = []
     for i in range(n):
-        inv = next((j for j in range(n) if table[i][j] == 0 and table[j][i] == 0), None)
-        if inv is None:
+        if not any(table[i][j] == 0 and table[j][i] == 0 for j in range(n)):
             raise ValueError(f"element {i} has no inverse")
-        inverses.append(inv)
     # Light's test: the a with (x.a).y = x.(a.y) for all x, y contain 0 and
-    # are closed under products, so a generating set suffices.  It runs
-    # before the order loop, whose powers need not return to 0 otherwise.
+    # are closed under products, so a generating set suffices.
     gens, reached = [], {0}
     for g in range(n):
         if g not in reached:
@@ -99,27 +196,19 @@ def finite_group(table) -> FiniteGroup:
     for g, x, y in itertools.product(gens, range(n), range(n)):
         if table[table[x][g]][y] != table[x][table[g][y]]:
             raise ValueError("table is not associative")
-    orders = []
-    for i in range(n):
-        power, order = i, 1
-        while power != 0:
-            power = table[power][i]
-            order += 1
-        orders.append(order)
-    return FiniteGroup(table=table, orders=tuple(orders), inverses=tuple(inverses))
+    return FiniteGroup(tuple(tuple(row[g] for g in gens) for row in table))
 
 
-def finite_group_from_holonomy(group: CrystalGroup) -> FiniteGroup:
-    """The holonomy as a finite group, on the n x n table read off the
-    Cayley graph of `build_group`'s closure: a group law already, so it
-    is not re-verified here."""
-    return FiniteGroup(table=group.mult, orders=group.orders, inverses=group.inverse)
+def finite_group_from_holonomy(group) -> FiniteGroup:
+    """A `CrystalGroup`'s holonomy as a finite group: the Cayley graph of
+    `build_group`'s closure, so nothing is built or re-verified."""
+    return group.holonomy
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("order must be positive")
-    return finite_group([[(i + j) % n for j in range(n)] for i in range(n)])
+    return FiniteGroup(tuple(((i + 1) % n,) for i in range(n)))
 
 
 def semidirect_cyclic(n: int, m: int, unit: int) -> FiniteGroup:
@@ -127,25 +216,23 @@ def semidirect_cyclic(n: int, m: int, unit: int) -> FiniteGroup:
     `unit` on Z/n; requires unit^m = 1 (mod n)."""
     if pow(unit, m, n) != 1 % n:
         raise ValueError(f"{unit}^{m} != 1 mod {n}: not an action of Z/{m}")
-    elems = [(a, b) for b in range(m) for a in range(n)]  # (0,0) first
-    index = {e: i for i, e in enumerate(elems)}
-
-    def mul(p, q):
-        (a1, b1), (a2, b2) = p, q
-        return ((a1 + a2 * pow(unit, b1, n)) % n, (b1 + b2) % m)
-
-    table = [[index[mul(p, q)] for q in elems] for p in elems]
-    return finite_group(table)
+    # (a, b) is element b n + a; (a, b)(1, 0) = (a + unit^b, b), (a, b)(0, 1) = (a, b + 1)
+    return FiniteGroup(tuple(
+        (b * n + (a + pow(unit, b, n)) % n, (b + 1) % m * n + a)
+        for b in range(m)
+        for a in range(n)
+    ))
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    elems = [(a, b) for a in range(g.order) for b in range(h.order)]
-    index = {e: i for i, e in enumerate(elems)}
-    table = [
-        [index[(g.table[a1][a2], h.table[b1][b2])] for (a2, b2) in elems]
-        for (a1, b1) in elems
-    ]
-    return finite_group(table)
+    """G x H on (a, b), element a |H| + b, generated by G's generators
+    and then H's."""
+    k = h.order
+    return FiniteGroup(tuple(
+        tuple(x * k + b for x in g.edges[a]) + tuple(a * k + y for y in h.edges[b])
+        for a in range(g.order)
+        for b in range(k)
+    ))
 
 
 def _closure(table, seed) -> frozenset[int]:
@@ -168,12 +255,8 @@ def _closure(table, seed) -> frozenset[int]:
 
 
 def _is_normal(group: FiniteGroup, elems: frozenset[int]) -> bool:
-    for g in range(group.order):
-        ginv = group.inverses[g]
-        for x in elems:
-            if group.table[group.table[g][x]][ginv] not in elems:
-                return False
-    return True
+    t = group.table  # gH = Hg for every g
+    return all({t[g][x] for x in elems} == {t[x][g] for x in elems} for g in range(group.order))
 
 
 def all_subgroups(
@@ -293,9 +376,7 @@ def is_primitive(group: FiniteGroup, budget: int = DEFAULT_ORDER_BUDGET) -> bool
         raise OrderBudgetExceeded(f"order {group.order} exceeds budget {budget}")
     if group.order == 1:
         return False  # the trivial group counts as cyclic
-    t, inv, n = group.table, group.inverses, group.order
-    commutators = {t[t[inv[a]][inv[b]]][t[a][b]] for a in range(n) for b in range(n)}
-    index = n // len(_closure(group.table, commutators))
+    index, n = prod(group.abelian_quotient), group.order
     return not any(
         p**a in group.orders and index % p**a == 0 for p, a in _prime_factors(n).items()
     )
@@ -330,7 +411,7 @@ def _coprime_tree(group: FiniteGroup, elems) -> CoprimeTree:
             continue
         normal = [x for x in elems if (n // m) % group.orders[x] == 0]
         members = set(normal)
-        if all(group.table[a][b] in members for a in normal for b in normal):
+        if all(group.times(a, b) in members for a in normal for b in normal):
             return CoprimeTree(normal_part=_coprime_tree(group, normal), complement_order=m)
     raise AssertionError("a group with cyclic Sylow subgroups splits (Hoelder)")
 
@@ -400,13 +481,7 @@ def abelian_invariant_factors(group: FiniteGroup) -> tuple[int, ...] | None:
     first); None when the group is not abelian."""
     if not group.is_abelian():
         return None
-    factors = []
-    current = group
-    while current.order > 1:
-        g = max(range(current.order), key=lambda i: current.orders[i])
-        factors.append(current.orders[g])
-        current, _ = quotient_group(current, _closure(current.table, {g}))
-    return tuple(factors)
+    return group.abelian_quotient[::-1]
 
 
 def structure_name(group: FiniteGroup) -> str:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
-from .crystal import CrystalGroup, computed_once, spanning_tree
+from .crystal import CrystalGroup
+from .finite import computed_once
 from .linalg import (
     IntMatrix,
     SmithForm,
@@ -77,11 +78,11 @@ def _tree_lifts(group: CrystalGroup) -> tuple[tuple[int, ...], ...]:
     first reaches sg."""
     k = group.dim
     pad = (0,) * len(group.holonomy_generator_indices())
-    lifts = [(0,) * (k + len(pad))]
-    for s, pos in spanning_tree(group)[1:]:  # s comes before the element it reaches
+    lifts = [(0,) * (k + len(pad))] * group.holonomy_order
+    for s, pos, t in group.holonomy.spanning_tree:  # s comes before t
         x = [a - b for a, b in zip(lifts[s], group.edge_cocycle[s][pos] + pad)]
         x[k + pos] += 1
-        lifts.append(tuple(x))
+        lifts[t] = tuple(x)
     return tuple(lifts)
 
 

@@ -273,7 +273,7 @@ def brute_force_torsion(group, box=4):
         for lam in itertools.product(range(-box, box + 1), repeat=group.dim):
             candidate = reconstruct_element(group, elem.index, lam)
             power = candidate
-            for _ in range(group.orders[elem.index] - 1):
+            for _ in range(group.holonomy.orders[elem.index] - 1):
                 power = power * candidate
             if power.is_identity():
                 return True

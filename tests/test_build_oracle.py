@@ -54,7 +54,7 @@ def full_cocycle(group):
     q = lcm(*(x.denominator for e in es for x in e.translation))
     shifts = [tuple(x.numerator * (q // x.denominator) for x in e.translation) for e in es]
     rows = []
-    for e, t_s, products in zip(es, shifts, group.mult):
+    for e, t_s, products in zip(es, shifts, group.holonomy.table):
         row = []
         for t, (t_t, st) in enumerate(zip(shifts, products)):
             defect = [a + b - c for a, b, c in zip(e.matrix.apply(t_t), t_s, shifts[st])]
@@ -241,11 +241,11 @@ def assert_same_group(old, new):
     for e in old.elements:
         mine = new.elements[perm[e.index]]
         assert (mine.matrix, mine.translation) == (e.matrix, e.translation)
-        assert new.orders[mine.index] == old.orders[e.index]
-        assert new.inverse[perm[e.index]] == perm[old.inverse[e.index]]
+        assert new.holonomy.orders[mine.index] == old.orders[e.index]
+        assert new.holonomy.inverses[perm[e.index]] == perm[old.inverse[e.index]]
     n = old.holonomy_order
     for i, j in itertools.product(range(n), repeat=2):
-        assert new.mult[perm[i]][perm[j]] == perm[old.mult[i][j]]
+        assert new.holonomy.table[perm[i]][perm[j]] == perm[old.mult[i][j]]
     assert new.generator_images == tuple(perm[x] for x in old.generator_images)
     # so the holonomy generators correspond too, in the same order
     for i in range(n):
@@ -413,12 +413,13 @@ def diagonal_z2_7():
 
 def check_group_axioms(g, samples):
     n = g.holonomy_order
+    mult, inverse = g.holonomy.table, g.holonomy.inverses
     assert g.elements[0].matrix.is_identity() and g.elements[0].translation == (F(0),) * g.dim
     assert len({e.matrix for e in g.elements}) == n
     for i in range(n):
-        assert g.mult[0][i] == i and g.mult[i][0] == i
-        assert g.mult[i][g.inverse[i]] == 0 and g.mult[g.inverse[i]][i] == 0
-        assert g.elements[i].matrix * g.elements[g.inverse[i]].matrix == g.elements[0].matrix
+        assert mult[0][i] == i and mult[i][0] == i
+        assert mult[i][inverse[i]] == 0 and mult[inverse[i]][i] == 0
+        assert g.elements[i].matrix * g.elements[inverse[i]].matrix == g.elements[0].matrix
     for gen, idx in zip(g.generators, g.generator_images):
         elem = g.elements[idx]
         assert elem.matrix == gen.matrix and elem.translation == vec_mod1(gen.translation)
@@ -427,8 +428,8 @@ def check_group_axioms(g, samples):
     rng = random.Random(n)
     for _ in range(samples):
         s, t, u = (rng.randrange(n) for _ in range(3))
-        st, tu = g.mult[s][t], g.mult[t][u]
-        assert g.mult[st][u] == g.mult[s][tu]
+        st, tu = mult[s][t], mult[t][u]
+        assert mult[st][u] == mult[s][tu]
         # tau(s,t) + tau(st,u) = A(s) tau(t,u) + tau(s,tu)
         left = vec_add(c[s][t], c[st][u])
         right = vec_add(g.elements[s].matrix.apply(c[t][u]), c[s][tu])
@@ -441,7 +442,7 @@ def check_group_axioms(g, samples):
 def test_s5_builds_a_group():
     g = s5_group()
     assert g.holonomy_order == 120
-    assert sorted(g.orders).count(5) == 24
+    assert sorted(g.holonomy.orders).count(5) == 24
     assert any(any(row) for row in itertools.chain.from_iterable(g.edge_cocycle))
     check_group_axioms(g, samples=400)
 
@@ -449,6 +450,6 @@ def test_s5_builds_a_group():
 def test_diagonal_z2_7_builds_a_group():
     g = diagonal_z2_7()
     assert g.holonomy_order == 128
-    assert all(order == 2 for order in g.orders[1:])
+    assert all(order == 2 for order in g.holonomy.orders[1:])
     assert any(any(row) for row in itertools.chain.from_iterable(g.edge_cocycle))
     check_group_axioms(g, samples=400)

@@ -208,7 +208,7 @@ def all_pairs_check_surjection(group, surj):
     for s in range(n):
         for t in range(n):
             tau = cocycle[s][t]
-            if phi[s] + phi[t] - phi[group.mult[s][t]] != sum(
+            if phi[s] + phi[t] - phi[group.holonomy.table[s][t]] != sum(
                 a * b for a, b in zip(f, tau)
             ):
                 raise AssertionError("lift values break the homomorphism property")
@@ -448,7 +448,7 @@ def _averaged_projection(group, f: tuple[int, ...], w: tuple[int, ...], d: int):
     p_rows = [[Fraction(0)] * k for _ in range(k)]
     for elem in group.elements:
         a = elem.matrix
-        ainv = group.elements[group.inverse[elem.index]].matrix
+        ainv = group.elements[group.holonomy.inverses[elem.index]].matrix
         # accumulate A(s^-1) E A(s)
         ea = [[sum(e_rows[i][l] * a[l, j] for l in range(k)) for j in range(k)] for i in range(k)]
         for i in range(k):
@@ -791,7 +791,7 @@ def test_kernel_validity_across_catalog():
         assert 0 in surviving
         for i in surviving:
             for j in surviving:
-                assert g.mult[i][j] in surviving, key
+                assert g.holonomy.table[i][j] in surviving, key
         assert len(surviving) % step.kernel_group.holonomy_order == 0, key
         assert g.holonomy_order % len(surviving) == 0, key
 

@@ -77,7 +77,7 @@ def verify_step(stage, step):
     cocycle = full_cocycle(stage)
     check(
         all(
-            phi[s] + phi[t] - phi[stage.mult[s][t]] == dot(f, cocycle[s][t])
+            phi[s] + phi[t] - phi[stage.holonomy.table[s][t]] == dot(f, cocycle[s][t])
             for s in range(n)
             for t in range(n)
         ),

@@ -55,7 +55,7 @@ def torus(k):
 def test_build_hw():
     g = hw_group()
     assert g.holonomy_order == 4
-    assert all(g.orders[e.index] == 2 for e in g.elements if e.index != 0)
+    assert all(g.holonomy.orders[e.index] == 2 for e in g.elements if e.index != 0)
     # defining relations x^2 y x^2 = y and y^2 x y^2 = x
     x, y = g.generators
     x2 = x * x
@@ -122,9 +122,9 @@ def test_cocycle_associativity():
         n = g.holonomy_order
         c = full_cocycle(g)
         for s, t, u in itertools.product(range(n), repeat=3):
-            left = tuple(a + b for a, b in zip(c[s][t], c[g.mult[s][t]][u]))
+            left = tuple(a + b for a, b in zip(c[s][t], c[g.holonomy.table[s][t]][u]))
             right = tuple(
-                a + b for a, b in zip(g.elements[s].matrix.apply(c[t][u]), c[s][g.mult[t][u]])
+                a + b for a, b in zip(g.elements[s].matrix.apply(c[t][u]), c[s][g.holonomy.table[t][u]])
             )
             assert left == right
 
@@ -132,11 +132,12 @@ def test_cocycle_associativity():
 def test_mult_table_is_group():
     g = hw_group()
     n = g.holonomy_order
+    mult, inverse = g.holonomy.table, g.holonomy.inverses
     for i in range(n):
-        assert g.mult[0][i] == i and g.mult[i][0] == i
-        assert g.mult[i][g.inverse[i]] == 0
+        assert mult[0][i] == i and mult[i][0] == i
+        assert mult[i][inverse[i]] == 0
     for i, j, k in itertools.product(range(n), repeat=3):
-        assert g.mult[g.mult[i][j]][k] == g.mult[i][g.mult[j][k]]
+        assert mult[mult[i][j]][k] == mult[i][mult[j][k]]
 
 
 # ---------------------------------------------------------------- affine ops
@@ -224,7 +225,7 @@ def brute_force_torsion(group, box=4):
         for lam in itertools.product(range(-box, box + 1), repeat=group.dim):
             a = reconstruct_element(group, elem.index, lam)
             power = a
-            for _ in range(group.orders[elem.index] - 1):
+            for _ in range(group.holonomy.orders[elem.index] - 1):
                 power = power * a
             if power.is_identity():
                 return True
@@ -278,7 +279,7 @@ def test_torsion_agrees_with_brute_force():
     assert [is_torsion_free(g) for g in groups[-2:]] == [False, True]
     w = torsion_witness(quarter)
     s = quarter.generator_images[0]
-    assert w.order == 2 and w.element.index == quarter.mult[s][s]
+    assert w.order == 2 and w.element.index == quarter.holonomy.table[s][s]
     assert_witness_is_torsion(quarter, w)
 
 
@@ -295,7 +296,7 @@ def per_element_torsion_witness(group):
     for elem in group.elements:
         if elem.index == 0:
             continue
-        m = group.orders[elem.index]
+        m = group.holonomy.orders[elem.index]
         acc = IntMatrix.identity(group.dim)
         norm = IntMatrix.zeros(group.dim, group.dim)
         for _ in range(m):
@@ -319,7 +320,7 @@ def is_prime(n):
 def assert_witness_is_torsion(group, w):
     """`w` names an element of prime order whose lift, shifted by the
     correction, has that order in the group."""
-    assert is_prime(w.order) and group.orders[w.element.index] == w.order
+    assert is_prime(w.order) and group.holonomy.orders[w.element.index] == w.order
     a = reconstruct_element(group, w.element.index, w.correction)
     power = a
     for _ in range(w.order - 1):

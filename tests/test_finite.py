@@ -77,9 +77,10 @@ def test_trivial_and_cyclic():
 
 
 def test_from_holonomy_equals_the_verified_table():
-    """`finite_group_from_holonomy` trusts the table `build_group` made;
-    `finite_group` verifies it and must give the same group, on the
-    catalog and on the draws of the acceptance rank-duality test."""
+    """`finite_group_from_holonomy` trusts the Cayley graph `build_group`
+    made; `finite_group` verifies the table read off it and must give the
+    same table, orders and inverses, on the catalog and on the draws of
+    the acceptance rank-duality test."""
     groups = [catalog_get(key).group for key in catalog_list()]
     rng = random.Random(2024)
     while len(groups) < len(catalog_list()) + 100:
@@ -93,7 +94,41 @@ def test_from_holonomy_equals_the_verified_table():
         except ClosureBudgetExceeded:
             continue
     for g in groups:
-        assert finite_group_from_holonomy(g) == finite_group(g.mult), g.name
+        trusted = finite_group_from_holonomy(g)
+        verified = finite_group(trusted.table)
+        assert verified.table == trusted.table, g.name
+        assert verified.orders == trusted.orders, g.name
+        assert verified.inverses == trusted.inverses, g.name
+
+
+def law_table(elems, mul):
+    index = {e: i for i, e in enumerate(elems)}
+    return tuple(tuple(index[mul(p, q)] for q in elems) for p in elems)
+
+
+def test_constructors_give_the_tables_of_their_group_laws():
+    """`cyclic_group`, `semidirect_cyclic` and `direct_product` build their
+    Cayley graphs directly; the tables read off them are the laws'
+    tables, which `finite_group` verifies."""
+    groups = []
+    for n in range(1, 13):
+        table = law_table(range(n), lambda a, b: (a + b) % n)
+        groups.append((cyclic_group(n), table))
+    for n, m in itertools.product(range(1, 9), range(1, 7)):
+        for unit in range(n):
+            if pow(unit, m, n) == 1 % n:
+                elems = [(a, b) for b in range(m) for a in range(n)]
+                table = law_table(
+                    elems, lambda p, q: ((p[0] + q[0] * pow(unit, p[1], n)) % n, (p[1] + q[1]) % m)
+                )
+                groups.append((semidirect_cyclic(n, m, unit), table))
+    factors = [cyclic_group(1), cyclic_group(4), s3(), klein_four(), semidirect_cyclic(5, 4, 2)]
+    for g, h in itertools.product(factors, repeat=2):
+        elems = [(a, b) for a in range(g.order) for b in range(h.order)]
+        table = law_table(elems, lambda p, q: (g.table[p[0]][q[0]], h.table[p[1]][q[1]]))
+        groups.append((direct_product(g, h), table))
+    for d, table in groups:
+        assert d.table == table == finite_group(table).table
 
 
 def test_bad_tables_rejected():

@@ -16,12 +16,12 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 
 import pytest
 
-import bieberbach.crystal as crystal
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.cli import main
 from bieberbach.crystal import (
@@ -31,7 +31,7 @@ from bieberbach.crystal import (
     HolonomyNotFaithful,
     build_group,
 )
-from bieberbach.finite import finite_group_from_holonomy
+from bieberbach.finite import FiniteGroup, finite_group_from_holonomy
 from bieberbach.groupfile import document_to_group, group_to_document
 from bieberbach.linalg import IntMatrix
 from test_build_oracle import diagonal_z2_7, random_rotation_generator, s5_group
@@ -147,9 +147,9 @@ def assert_same_fields(old: MatrixGroup, new):
     gens = new.holonomy_generator_indices()
     assert new.edges == tuple(tuple(row[g] for g in gens) for row in old.mult)
     assert new.edge_cocycle == old.edge_cocycle
-    assert new.orders == old.orders
-    assert new.mult == old.mult
-    assert new.inverse == old.inverse
+    assert new.holonomy.orders == old.orders
+    assert new.holonomy.table == old.mult
+    assert new.holonomy.inverses == old.inverse
 
 
 def assert_builds_alike(dim, gens, closure_budget=10_000, name=""):
@@ -287,13 +287,15 @@ def signed_permutations_4():
 def count_tables(monkeypatch) -> list:
     """Counts the n x n tables built, one entry per group object."""
     built = []
-    build_table = crystal._multiplication_table.__wrapped__
+    build_table = FiniteGroup.table.func
 
     def counting_build(group):
         built.append(group)
         return build_table(group)
 
-    monkeypatch.setattr(crystal, "_multiplication_table", crystal.computed_once(counting_build))
+    table = cached_property(counting_build)
+    table.__set_name__(FiniteGroup, "table")
+    monkeypatch.setattr(FiniteGroup, "table", table)
     return built
 
 
@@ -310,10 +312,10 @@ def table_free_inputs():
 
 
 def test_group_commands_build_no_multiplication_table(monkeypatch, tmp_path, capsys):
-    """`h1`, `center`, `fixed-torus`, `orbits`, `connective` and
-    `connective --certificate` read the Cayley graph, its spanning tree
-    and the orders walked along it; only the finite layer asks for the
-    n x n table, as `holonomy` does here."""
+    """Every command, the finite layer's `validate`, `analyze`,
+    `decompose` and `holonomy --primitivity --coprime-class` included,
+    reads the Cayley graph, its spanning tree, the orders walked along it
+    and G/G' off one Smith form; none builds the n x n table."""
     built = count_tables(monkeypatch)
     inputs = table_free_inputs()
     for pos, (doc, char) in enumerate(inputs):
@@ -326,25 +328,29 @@ def test_group_commands_build_no_multiplication_table(monkeypatch, tmp_path, cap
             ["fixed-torus"],
             ["orbits", "--char", char],
             ["connective"],
-            ["connective", "--certificate", "--format", "json"],
+            ["connective", "--certificate"],
+            ["validate"],
+            ["analyze"],
+            ["decompose"],
+            ["holonomy", "--primitivity", "--coprime-class"],
         ):
-            assert main([argv[0], str(path), *argv[1:]]) in (0, 2), (doc["name"], argv)
+            for fmt in ("text", "json"):
+                code = main([argv[0], str(path), *argv[1:], "--format", fmt])
+                assert code in (0, 2), (doc["name"], argv, fmt)
     capsys.readouterr()
     assert len(inputs) > 300 and not built
-
-    assert main(["holonomy", str(tmp_path / "0.json")]) == 0
-    capsys.readouterr()
-    assert len(built) == 1
 
 
 def test_tables_are_built_once_on_demand(monkeypatch):
     built = count_tables(monkeypatch)
     group = signed_permutations_4()
-    assert group.orders.count(1) == 1 and not built
     finite = finite_group_from_holonomy(group)
-    assert group.mult is finite.table and group.inverse is finite.inverses
+    assert finite is group.holonomy and finite.edges is group.edges
+    assert finite.orders.count(1) == 1 and not built
+    table = finite.table
     assert len(built) == 1
     n = group.holonomy_order
     for s, t in itertools.product(range(0, n, 7), range(0, n, 11)):
-        assert group.mult[s][t] == group.times(s, t)
-    assert len(built) == 1
+        assert finite.table[s][t] == finite.times(s, t)
+        assert table[s][finite.inverses[s]] == 0
+    assert finite.table is table and len(built) == 1

@@ -101,7 +101,7 @@ def full_element_relation_matrix(g):
             col = [-x for x in cocycle[s][t]] + [0] * n
             col[k + s] += 1
             col[k + t] += 1
-            col[k + g.mult[s][t]] -= 1
+            col[k + g.holonomy.table[s][t]] -= 1
             columns.append(col)
     return IntMatrix.from_columns(columns, rows=k + n)
 
@@ -134,7 +134,7 @@ def cayley_graph_relation_matrix(group):
             col = [-x for x in cocycle[s][g]] + [0] * n
             col[k + s] += 1
             col[k + g] += 1
-            col[k + group.mult[s][g]] -= 1
+            col[k + group.holonomy.table[s][g]] -= 1
             columns.append(col)
 
     # duplicate and zero relations do not change the quotient
@@ -305,7 +305,8 @@ def test_presentation_kills_full_element_relations_on_nonabelian_holonomy():
         except CrystalError:
             continue
         n = g.holonomy_order
-        abelian = all(g.mult[i][j] == g.mult[j][i] for i in range(n) for j in range(n))
+        mult = g.holonomy.table
+        abelian = all(mult[i][j] == mult[j][i] for i in range(n) for j in range(n))
         if not abelian and any(any(tau) for row in full_cocycle(g) for tau in row):
             groups.append(g)
     for g in groups:

@@ -95,7 +95,7 @@ def test_stabilizers_are_subgroups():
         assert 0 in stab
         for i in stab:
             for j in stab:
-                assert g.mult[i][j] in stab
+                assert g.holonomy.table[i][j] in stab
 
 
 def test_stabilizer_classes_torus():

@@ -1,37 +1,45 @@
 """H1 on the spanning-tree presentation, primitivity from Tate's
-criterion and the cocycle kept on the Cayley-graph edges, against the
-whole-group computations they replaced: the Cayley-graph relations on
-k + n variables, Sylow subgroups and normal complements looked up in the
-subgroup lattice, and the cocycle on every pair of elements.  The
-corpora are the catalog, the rank-duality draws, the seed-1 and seed-2
-perfbench `analyze` and `connective` corpora, and small finite groups."""
+criterion, G/G' from the holonomy's Cayley graph and the cocycle kept on
+the Cayley-graph edges, against the whole-group computations they
+replaced: the Cayley-graph relations on k + n variables, Sylow subgroups
+and normal complements looked up in the subgroup lattice, the closure of
+all n^2 commutators and quotient tables, and the cocycle on every pair of
+elements.  The corpora are the catalog, the rank-duality draws, the
+seed-1 and seed-2 perfbench `analyze` and `connective` corpora, and small
+finite groups."""
 
 from functools import cache
+from math import prod
 
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.finite import (
+    abelian_invariant_factors,
     cyclic_group,
     direct_product,
     finite_group_from_holonomy,
     in_coprime_class,
     is_primitive,
+    quotient_group,
     semidirect_cyclic,
+    structure_name,
     subgroup_as_group,
     sylow_subgroup,
 )
 from bieberbach.groupfile import document_to_group
 from bieberbach.invariants import abelianization, relation_matrix
-from bieberbach.linalg import smith_normal_form
-from test_build_oracle import assert_edge_cocycle_is_full
+from bieberbach.linalg import IntMatrix, smith_normal_form
+from test_build_oracle import assert_edge_cocycle_is_full, diagonal_z2_7, s5_group
 from test_calabi import perfbench_corpus
 from test_crystal import rank_duality_draws
 from test_finite import (
+    all_products_closure,
     coprime_class_corpus,
     lattice_in_coprime_class,
     lattice_is_primitive,
     prime_factors,
     split_corpus,
 )
+from test_group_core import signed_permutations_4
 from test_invariants import assert_presentation_kills, cayley_graph_relation_matrix
 
 
@@ -131,3 +139,83 @@ def test_coprime_class_matches_the_subgroup_lattice_on_cyclic_extensions():
         assert tree == lattice_in_coprime_class(d), d.order
         split += tree is not None and tree.normal_part is not None
     assert len(groups) >= 500 and split >= 60
+
+
+# ------------------------------------------------ G/G' off the Cayley graph
+
+def larger_holonomies():
+    """S5, diagonal (Z/2)^7 and the dim-4 signed permutations: holonomy
+    orders 120, 128 and 384, past the order budget."""
+    return (s5_group(), diagonal_z2_7(), signed_permutations_4())
+
+
+def commutator_closure_index(d):
+    """|G/G'| as `is_primitive` computed it before G/G' came off the
+    Cayley graph: the closure of all n^2 commutators."""
+    t, inv, n = d.table, d.inverses, d.order
+    commutators = {t[t[inv[a]][inv[b]]][t[a][b]] for a in range(n) for b in range(n)}
+    return n // len(all_products_closure(d, commutators))
+
+
+def quotient_loop_factors(d):
+    """`abelian_invariant_factors` before the Smith form: None after an
+    n^2 commutativity scan; else split off the cyclic subgroup of an
+    element of largest order and repeat on the verified quotient table."""
+    n = d.order
+    if any(d.table[i][j] != d.table[j][i] for i in range(n) for j in range(n)):
+        return None
+    factors = []
+    while d.order > 1:
+        g = max(range(d.order), key=lambda i: d.orders[i])
+        factors.append(d.orders[g])
+        d, _ = quotient_group(d, all_products_closure(d, {g}))
+    return tuple(factors)
+
+
+def tate_is_primitive(d, index):
+    """Tate's criterion on |G/G'| = index, as `is_primitive` reads it."""
+    if d.order == 1:
+        return False
+    sylow_orders = []
+    for p in prime_factors(d.order):
+        q = p
+        while d.order % (q * p) == 0:
+            q *= p
+        sylow_orders.append(q)
+    return not any(q in d.orders and index % q == 0 for q in sylow_orders)
+
+
+def test_abelian_quotient_matches_the_commutator_closure_and_the_quotient_loop():
+    groups = [finite_group_from_holonomy(g) for g in crystal_corpus() + larger_holonomies()]
+    groups += small_finite_groups()
+    assert len(groups) == 547 + 3
+    abelian = primitive = 0
+    for d in groups:
+        index = commutator_closure_index(d)
+        factors = quotient_loop_factors(d)
+        assert prod(d.abelian_quotient) == index, d.order
+        assert d.is_abelian() == (factors is not None) == (index == d.order), d.order
+        assert abelian_invariant_factors(d) == factors, d.order
+        if d.order == 1:
+            name = "trivial"
+        elif factors is None:
+            name = f"nonabelian of order {d.order}"
+        else:
+            name = " + ".join(f"Z/{q}" for q in factors)
+        assert structure_name(d) == name
+        assert is_primitive(d, budget=d.order) == tate_is_primitive(d, index), d.order
+        abelian += factors is not None
+        primitive += tate_is_primitive(d, index)
+    # both sides of each answer are covered (473 abelian, 198 primitive)
+    assert 400 <= abelian <= len(groups) - 50 and 150 <= primitive <= len(groups) - 150
+
+
+def test_holonomy_abelian_quotient_is_h1_modulo_the_lattice():
+    """Gamma / (Gamma' Z^k) is G/G': its relations are the y-rows of the
+    H1 relation matrix, with the lattice variables e dropped."""
+    for g in crystal_corpus() + larger_holonomies():
+        rel = relation_matrix(g)
+        y_rows = IntMatrix(rel.entries[g.dim :], cols=rel.cols)
+        divisors = smith_normal_form(y_rows).divisors
+        assert sum(1 for q in divisors if q) == y_rows.rows, g.name  # finite
+        assert g.holonomy.abelian_quotient == tuple(q for q in divisors if q >= 2), g.name
