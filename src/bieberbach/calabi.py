@@ -19,7 +19,7 @@ from operator import mul
 from .crystal import AffineGen, CrystalGroup, build_group, is_torsion_free
 from .groupfile import group_to_document
 from .invariants import dual_action_smith
-from .linalg import IntMatrix, gcd_all, invert_unimodular, smith_normal_form
+from .linalg import IntMatrix, gcd_all, row_smith_basis
 
 
 class NotTorsionFree(Exception):
@@ -115,10 +115,11 @@ def _check_surjection(group: CrystalGroup, surj: SurjectionToZ) -> None:
         raise AssertionError("values are not coprime; the map is not onto Z")
     if surj.lattice_index != gcd_all(f):
         raise AssertionError("lattice_index is not the gcd of the lattice map")
-    fm = IntMatrix([f], cols=group.dim)
+    f = IntMatrix([f], cols=group.dim).row(0)  # integers, one per coordinate
     gens = group.holonomy_generator_indices()
-    if any(fm * group.elements[g].matrix != fm for g in gens):
-        raise AssertionError("lattice map is not holonomy invariant")
+    for g in gens:
+        if tuple(sum(map(mul, f, col)) for col in zip(*group.elements[g].matrix)) != f:
+            raise AssertionError("lattice map is not holonomy invariant")
     edges_hold = phi[0] == 0 and all(
         phi[s] + phi[g] - phi[t] == sum(a * b for a, b in zip(f, tau))
         for s, (row, taus) in enumerate(zip(group.edges, group.edge_cocycle))
@@ -138,20 +139,22 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
     it is 0.  So each corrected translation x = t_s + lam lies in ker(f).
     The columns of the Smith transform V of [f] after the first are a
     basis of ker(f), so x has kernel coordinates (V^-1 x)[1:], and A
-    restricts to (V^-1 A V)[1:, 1:], all in integers.  The correction
-    lam is a multiple of the first column of V, so it moves only
-    coordinate 0 and the kernel coordinates are (V^-1 t_s)[1:].
+    restricts to (V^-1 A V)[1:, 1:], all in integers.  V and V^-1 come
+    from one elimination on the row (`row_smith_basis`), with no Hermite
+    form for the inverse, and only the kernel rows V^-1[1:] are applied.
+    The correction lam is a multiple of the first column of V, so it
+    moves only coordinate 0 and the kernel coordinates are (V^-1 t_s)[1:].
     """
     _check_surjection(group, surj)
     k = group.dim
     f = surj.lattice_map
     d = surj.lattice_index
-    # U f V = (d, 0, ..., 0): the first column of V, times the unit U,
+    # u f V = (d, 0, ..., 0): the first column of V, times the unit u,
     # solves f.w = d, and the other columns are a basis of ker(f)
-    snf = smith_normal_form(IntMatrix([f], cols=k))
-    w = tuple(snf.U[0, 0] * x for x in snf.V.column(0))
-    basis = [snf.V.column(j) for j in range(1, k)]
-    v_inv = invert_unimodular(snf.V)
+    v, v_inv, u = row_smith_basis(f)
+    w, *basis = v.transpose().entries
+    w = tuple(u * x for x in w)
+    kernel_rows = v_inv.entries[1:]  # the kernel coordinates
 
     kernel_holonomy = tuple(
         i for i in range(group.holonomy_order) if surj.lift_values[i] % d == 0
@@ -165,12 +168,20 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
     gens = []
     for idx in kernel_holonomy[1:]:  # kernel_holonomy[0] is the identity
         elem = group.elements[idx]
-        in_basis = v_inv * elem.matrix * snf.V  # A in the basis of the columns of V
-        # f A = f, so A keeps ker(f): row 0 of in_basis is (a, 0, ..., 0),
-        # and a det(restricted) = det(A) = +-1 makes the block unimodular
-        restricted = IntMatrix._trusted(tuple(row[1:] for row in in_basis.entries[1:]), k - 1)
-        shift = v_inv.apply(elem.shift)[1:]  # q times the kernel coordinates
-        gens.append(AffineGen._trusted(restricted, tuple(Fraction(x, q) for x in shift)))
+        cols = tuple(zip(*elem.matrix.entries))
+        # f A = f, so A keeps ker(f): the block V^-1[1:] A V[:, 1:] of A in
+        # the basis of the columns of V is A on ker(f), and
+        # a det(restricted) = det(A) = +-1 makes it unimodular
+        restricted = tuple(
+            tuple(sum(map(mul, row_a, b)) for b in basis)
+            for row_a in (tuple(sum(map(mul, r, c)) for c in cols) for r in kernel_rows)
+        )
+        shift = (sum(map(mul, r, elem.shift)) for r in kernel_rows)  # q times the coordinates
+        gens.append(
+            AffineGen._trusted(
+                IntMatrix._trusted(restricted, k - 1), tuple(Fraction(x, q) for x in shift)
+            )
+        )
 
     kernel_group = build_group(k - 1, gens, name=_kernel_name(group.name))
     return CalabiStep(

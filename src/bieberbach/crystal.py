@@ -210,10 +210,10 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
     q = lcm(*(x.denominator for g in gens for x in g.translation))
     orbit = [tuple(int(r == c) for c in range(dim)) for r in range(dim)]
     orbit_index = {row: r for r, row in enumerate(orbit)}
-    actions = [  # each generator's columns, its translation times q, and
+    actions = [  # each generator's rows, its translation times q, and
         # its images and dots on the orbit rows reached so far
         (
-            tuple(zip(*g.matrix.entries)),
+            g.matrix.entries,
             tuple(x.numerator * (q // x.denominator) % q for x in g.translation),
             {},
             {},
@@ -221,12 +221,19 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
         for g in gens
     ]
 
-    def extend(cols, u, image, dot, key):
-        """A generator's images and dots on the rows of `key` it has not met."""
+    def extend(rows, u, image, dot, key):
+        """A generator's images and dots on the rows of `key` it has not
+        met.  The image of an orbit row x e_j is x times row j."""
         for o in key:
             if o not in image:
                 row = orbit[o]
-                new = tuple(sum(map(mul, row, col)) for col in cols)
+                terms = [(x, rows[j]) for j, x in enumerate(row) if x]
+                if len(terms) == 1:
+                    x, new = terms[0]
+                    if x != 1:
+                        new = tuple(x * y for y in new)
+                else:
+                    new = tuple(map(sum, zip(*([x * y for y in r] for x, r in terms))))
                 image[o] = orbit_index.setdefault(new, len(orbit))
                 if image[o] == len(orbit):
                     orbit.append(new)
@@ -239,11 +246,11 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
     defects: list[list[tuple[int, ...]]] = []  # defects[i][g]: the cocycle of that edge
     for i, (key, t) in enumerate(zip(keys, shifts)):  # both lists grow as we go
         row, defect_row = [], []
-        for pos, (cols, u, image, dot) in enumerate(actions):
+        for pos, (rows, u, image, dot) in enumerate(actions):
             try:
                 mat = tuple(map(image.__getitem__, key))
             except KeyError:
-                extend(cols, u, image, dot, key)
+                extend(rows, u, image, dot, key)
                 mat = tuple(map(image.__getitem__, key))
             total = list(map(add, map(dot.__getitem__, key), t))
             shift = tuple(map(q.__rmod__, total))

@@ -410,10 +410,34 @@ def _coprime_tree(group: FiniteGroup, elems) -> CoprimeTree:
         if n % m or gcd(m, n // m) != 1 or m not in orders:
             continue
         normal = [x for x in elems if (n // m) % group.orders[x] == 0]
-        members = set(normal)
-        if all(group.times(a, b) in members for a in normal for b in normal):
+        if _is_subgroup(group, normal):
             return CoprimeTree(normal_part=_coprime_tree(group, normal), complement_order=m)
     raise AssertionError("a group with cyclic Sylow subgroups splits (Hoelder)")
+
+
+def _is_subgroup(group: FiniteGroup, elems) -> bool:
+    """Whether `elems` is closed under products, so a subgroup when not
+    empty, by closing it breadth first from a greedy generating set drawn
+    from it: each element not yet reached joins the generators, the
+    elements reached before it are multiplied by it and each later one
+    by every generator, O(|S| |gens|) products in all.  False as soon as
+    a product leaves S; else the closure holds all of S and is S."""
+    members = set(elems)
+    reached, seen, gens = [0], {0}, []
+    for g in elems:
+        if g in seen:
+            continue
+        gens.append(g)
+        old = len(reached)
+        for pos, x in enumerate(reached):  # grows as we go
+            for s in gens[-1:] if pos < old else gens:
+                y = group.times(x, s)
+                if y not in members:
+                    return False
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+    return True
 
 
 @dataclass(frozen=True)

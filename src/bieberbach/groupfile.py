@@ -48,8 +48,9 @@ def parse_rational(value) -> Fraction:
         text = value.strip()
         if not _RATIONAL.fullmatch(text):
             raise GroupFileError(f"not an exact rational: {value!r}")
+        numerator, _, denominator = text.partition("/")
         try:
-            return Fraction(text)
+            return Fraction(int(numerator), int(denominator or 1))
         except ZeroDivisionError as exc:
             raise GroupFileError(f"not an exact rational: {value!r}") from exc
     raise GroupFileError(f"not a rational: {value!r}")

@@ -281,6 +281,39 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     )
 
 
+def row_smith_basis(f) -> tuple[IntMatrix, IntMatrix, int]:
+    """V, V^-1 and the unit u of `smith_normal_form` on the one-row
+    matrix [f], from one elimination: u [f] V = (d, 0, ..., 0).
+
+    The steps are the Smith form's on one row: Euclid on the row, each
+    round pivoting on the first entry of least nonzero |x|, and u = -1
+    when the pivot ends negative.  V is kept as its columns.  Each
+    column step col_j -= q col_0 is row_0 += q row_j on V^-1, and each
+    swap of columns 0 and j swaps rows 0 and j of V^-1."""
+    a = list(f)
+    k = len(a)
+    v = [[int(i == j) for j in range(k)] for i in range(k)]  # the columns of V
+    v_inv = [row[:] for row in v]  # the rows of V^-1
+    while any(a[1:]):  # the first round makes the Smith form's pivot swap
+        j = min((j for j in range(k) if a[j]), key=lambda j: abs(a[j]))
+        if j:
+            a[0], a[j] = a[j], a[0]
+            v[0], v[j] = v[j], v[0]
+            v_inv[0], v_inv[j] = v_inv[j], v_inv[0]
+        p = a[0]
+        for j in range(1, k):
+            if a[j]:
+                q = a[j] // p
+                a[j] -= q * p
+                v[j] = [x - q * y for x, y in zip(v[j], v[0])]
+                v_inv[0] = [x + q * y for x, y in zip(v_inv[0], v_inv[j])]
+    return (
+        IntMatrix._trusted(tuple(zip(*v)), k),
+        IntMatrix._trusted(tuple(map(tuple, v_inv)), k),
+        -1 if a and a[0] < 0 else 1,
+    )
+
+
 def hermite_normal_form(m: IntMatrix) -> HermiteForm:
     """Canonical row Hermite form: positive pivots, entries above each
     pivot reduced into [0, pivot), zero rows at the bottom."""

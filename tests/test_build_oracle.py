@@ -453,3 +453,85 @@ def test_diagonal_z2_7_builds_a_group():
     assert all(order == 2 for order in g.holonomy.orders[1:])
     assert any(any(row) for row in itertools.chain.from_iterable(g.edge_cocycle))
     check_group_axioms(g, samples=400)
+
+
+# ---------------------------------------------------------------- dense holonomy
+#
+# Signed permutations have one-term orbit rows, which the closure copies
+# from a generator's rows.  Their conjugates by a unitriangular P with an
+# entry 2 have orbit rows with several nonzero entries and coefficients
+# beyond +-1, which the closure sums.
+
+P = IntMatrix([[1, 2, 0], [0, 1, 1], [0, 0, 1]])
+P_INV = IntMatrix([[1, -2, 2], [0, 1, -1], [0, 0, 1]])
+ROTATION_6 = IntMatrix([[0, -1, 0], [1, 1, 0], [0, 0, 1]])  # the dim3_c6 holonomy
+
+
+def conjugated(gens):
+    """The generators moved by x -> P x: (A, a) becomes (P A P^-1, P a)."""
+    return [AffineGen(P * g.matrix * P_INV, P.apply(g.translation)) for g in gens]
+
+
+def signed_permutations_3():
+    """The dim-3 signed permutations (order 48) as generators (A, A c - c):
+    the split group seen from the origin -c, so that its translations are
+    halves, not zero."""
+    c = (F(1, 2), F(0), F(1, 2))
+    gens = []
+    for images, sign in (((2, 0, 1), 1), ((1, 0, 2), 1), ((0, 1, 2), -1)):
+        rows = permutation_matrix(images)
+        rows[0] = [sign * x for x in rows[0]]
+        mat = IntMatrix(rows)
+        gens.append(AffineGen(mat, vec_sub(mat.apply(c), c)))
+    return gens
+
+
+def dense_holonomy_inputs():
+    """Conjugates by P of the dim-3 signed permutations, of the dim3_c6
+    holonomy with a half screw, and of the Hantzsche-Wendt group."""
+    hw = [
+        AffineGen.of([[1, 0, 0], [0, -1, 0], [0, 0, -1]], (F(1, 2), F(1, 2), 0)),
+        AffineGen.of([[-1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, F(1, 2), F(1, 2))),
+    ]
+    c6 = [AffineGen(ROTATION_6, (F(0), F(0), F(1, 2)))]
+    return [conjugated(gens) for gens in (signed_permutations_3(), c6, hw)]
+
+
+def test_dense_holonomy_conjugates_match_fraction_build():
+    orders = []
+    for gens in dense_holonomy_inputs():
+        g = assert_builds_agree(3, gens, closure_budget=64)
+        assert g is not None
+        rows = {row for e in g.elements for row in e.matrix}
+        assert any(sum(x != 0 for x in row) > 1 for row in rows)
+        assert any(abs(x) > 1 for row in rows for x in row)
+        assert any(x.denominator == 2 for e in g.elements for x in e.translation)
+        orders.append(g.holonomy_order)
+    assert orders == [48, 6, 4]
+
+
+def rejections(gens, closure_budget):
+    """(type, message) of the rejection by each build, the oracle's first."""
+    caught = []
+    for build in (fraction_build_group, build_group):
+        with pytest.raises(CrystalError) as exc:
+            build(3, gens, closure_budget=closure_budget)
+        caught.append((type(exc.value), str(exc.value)))
+    return caught
+
+
+def test_dense_holonomy_rejections_match_fraction_build():
+    # the rotation's cube, again as a generator with a half translation:
+    # the closure reaches the rotation's fourth power as element 4 (the
+    # rotation times the cube) and again as the cube times the rotation,
+    # with other translations
+    rotation = AffineGen(ROTATION_6, (F(0),) * 3)
+    half_turn = AffineGen(ROTATION_6 * ROTATION_6 * ROTATION_6, (F(1, 2), F(0), F(0)))
+    (oracle, _), (kind, message) = rejections(conjugated([rotation, half_turn]), 64)
+    assert oracle is kind is HolonomyNotFaithful
+    assert message == (
+        "element 4 and element 2 times generator 0 share a holonomy matrix; "
+        "the lattice is not maximal abelian"
+    )
+    oracle, mine = rejections(conjugated(signed_permutations_3()), 20)
+    assert oracle == mine == (ClosureBudgetExceeded, "holonomy closure exceeded 20 elements")

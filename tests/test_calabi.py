@@ -28,7 +28,9 @@ from bieberbach.linalg import (
     gcd_all,
     hermite_normal_form,
     integer_kernel,
+    invert_unimodular,
     rational_solve,
+    row_smith_basis,
     smith_normal_form,
     solve_integer_linear,
     vec_add,
@@ -679,6 +681,56 @@ def test_kernel_matches_fraction_oracle_on_random_diagonal_and_screw_groups():
     assert {g.holonomy_order for g in groups} >= {2, 3, 4, 6, 8}
     stages = sum(assert_chain_matches_fraction_oracle(g) for g in groups)
     assert stages >= 2 * len(groups)
+
+
+# ---------------------------------------------------------------- the peel's basis
+
+def assert_row_basis_matches_smith_form(f):
+    """`row_smith_basis` gives the V and U of `smith_normal_form` on the
+    one-row matrix [f], and the Hermite inverse of that V."""
+    snf = smith_normal_form(IntMatrix([f], cols=len(f)))
+    v, v_inv, u = row_smith_basis(f)
+    assert v == snf.V, f
+    assert v_inv == invert_unimodular(snf.V), f
+    assert u == snf.U[0, 0], f
+
+
+def test_row_basis_matches_smith_form_on_every_chain_stage():
+    """Every stage of the catalog chains and of the seed-1 and seed-2
+    chains of all three benchmark workloads."""
+    groups = [catalog_get(key).group for key in catalog_list()]
+    for workload in ("analyze", "lattice", "connective"):
+        for seed in (1, 2):
+            groups += [document_to_group(doc) for doc in perfbench_corpus(workload, seed)]
+    stages = 0
+    for group in groups:
+        for _, surj in chain_stages(group):
+            assert_row_basis_matches_smith_form(surj.lattice_map)
+            stages += 1
+    assert stages >= 1000
+
+
+def test_row_basis_matches_smith_form_on_random_rows():
+    """Rows of length 1..7 with zeros, negatives, ties in |entry| and a
+    common factor, so every branch of the elimination runs."""
+    rng = random.Random(15)
+    entries = (0, 0, 1, -1, 2, -2, 3, -3, 4, 6, -9, 10, 35)
+    seen = set()
+    for _ in range(10_000):
+        k = rng.randint(1, 7)
+        scale = rng.choice((1, 1, 2, 3, -6))
+        f = [scale * rng.choice(entries) for _ in range(k)]
+        if rng.random() < 0.1:
+            f[rng.randrange(k)] = rng.randint(-10**9, 10**9)
+        assert_row_basis_matches_smith_form(f)
+        nonzero = [abs(x) for x in f if x]
+        seen.add(("zero", 0 in f))
+        seen.add(("negative", min(f) < 0))
+        seen.add(("tie", len(nonzero) > len(set(nonzero))))
+        seen.add(("non-primitive", gcd_all(f) > 1))
+        seen.add(("sign", row_smith_basis(f)[2]))
+    assert seen == {(name, flag) for name in ("zero", "negative", "tie", "non-primitive")
+                    for flag in (False, True)} | {("sign", 1), ("sign", -1)}
 
 
 # ---------------------------------------------------------------- decomposition

@@ -14,6 +14,7 @@ import pytest
 import bieberbach.crystal as crystal
 import bieberbach.finite as finite
 import bieberbach.invariants as invariants
+import bieberbach.linalg as linalg
 from bieberbach.catalog import catalog_get
 from bieberbach.catalog import catalog_list
 from bieberbach.cli import AnalysisReport, main
@@ -21,7 +22,7 @@ from bieberbach.crystal import AffineGen, build_group, torsion_witness
 from bieberbach.finite import all_subgroups, finite_group_from_holonomy
 from bieberbach.groupfile import group_to_document
 from bieberbach.linalg import IntMatrix
-from test_calabi import seeded_chain_groups
+from test_calabi import perfbench_corpus, seeded_chain_groups
 
 
 def fresh_catalog_group(key):
@@ -129,6 +130,41 @@ def test_connectivity_commands_build_no_relation_matrix(monkeypatch, tmp_path, c
     capsys.readouterr()
     assert not relations.seen
 
+
+
+def count_calls_everywhere(monkeypatch, func) -> list[tuple]:
+    """Replace `func` in every `bieberbach` module that holds it by a
+    wrapper that records the arguments of each call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bieberbach" or name.startswith("bieberbach."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def test_the_calabi_peel_runs_no_hermite_form_and_no_one_row_smith_form(
+    monkeypatch, tmp_path, capsys
+):
+    """Each peel's basis and its inverse come from one elimination on the
+    row f (`row_smith_basis`): over the seed-1 `connective` corpus, no
+    Hermite form runs and no Smith form is taken of a one-row matrix."""
+    hermite = count_calls_everywhere(monkeypatch, linalg.hermite_normal_form)
+    smith = count_calls_everywhere(monkeypatch, linalg.smith_normal_form)
+    for pos, doc in enumerate(perfbench_corpus("connective", 1)):
+        path = tmp_path / f"{pos}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["connective", str(path), "--certificate", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert smith  # each stage's surjection takes one Smith form
+    assert not hermite
+    assert all(m.rows != 1 for m, *_ in smith)
 
 def dual_action_matrix(group):
     """The stacked A(g)^T - I over the holonomy generators."""

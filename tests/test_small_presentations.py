@@ -13,6 +13,7 @@ from math import prod
 
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.finite import (
+    _is_subgroup,
     abelian_invariant_factors,
     cyclic_group,
     direct_product,
@@ -139,6 +140,39 @@ def test_coprime_class_matches_the_subgroup_lattice_on_cyclic_extensions():
         assert tree == lattice_in_coprime_class(d), d.order
         split += tree is not None and tree.normal_part is not None
     assert len(groups) >= 500 and split >= 60
+
+
+
+def all_products_is_subgroup(d, elems):
+    """`_coprime_tree`'s subgroup test before the closure from a greedy
+    generating set: all |S|^2 products stay in S."""
+    members = set(elems)
+    return all(d.times(a, b) in members for a in elems for b in elems)
+
+
+def test_subgroup_closure_matches_all_products_on_the_coprime_candidates():
+    """`_coprime_tree` tests, at every level, the elements of order
+    dividing some e | n; each such set, and that set less its last
+    element, on the 547-group corpus."""
+    groups = [finite_group_from_holonomy(g) for g in crystal_corpus()] + small_finite_groups()
+    assert len(groups) == 547
+    outcomes = {True: 0, False: 0}
+    for d in groups:
+        n = d.order
+        for e in (e for e in range(1, n + 1) if n % e == 0):
+            candidate = [x for x in range(n) if e % d.orders[x] == 0]
+            for elems in (candidate, candidate[:-1]):
+                verdict = all_products_is_subgroup(d, elems)
+                assert _is_subgroup(d, elems) == verdict, (n, e)
+                outcomes[verdict] += 1
+    assert min(outcomes.values()) >= 1000
+
+
+def test_coprime_class_of_agl_1_61_past_the_order_budget():
+    """AGL(1, 61) = Z/61 x| Z/60, of order 3660: its normal Hall subgroups
+    are tested by closure, not by all |S|^2 products."""
+    tree = in_coprime_class(semidirect_cyclic(61, 60, 2), budget=4000)
+    assert tree is not None and tree.orders() == (61, 5, 4, 3)
 
 
 # ------------------------------------------------ G/G' off the Cayley graph
