@@ -37,6 +37,7 @@ from .invariants import (
     AbelianInvariants,
     FixedLattice,
     FixedTorusSubgroup,
+    TooManyFixedPoints,
     abelianization,
     fixed_lattice,
     fixed_torus,
@@ -54,7 +55,6 @@ from .finite import (
     FiniteGroup,
     Subgroup,
     CoprimeTree,
-    OrderBudgetExceeded,
     finite_group,
     finite_group_from_holonomy,
     all_subgroups,

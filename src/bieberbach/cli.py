@@ -25,7 +25,6 @@ from .catalog import UnknownKey, catalog_get, catalog_list
 from .crystal import CrystalError, CrystalGroup, is_torsion_free
 from .finite import (
     CoprimeTree,
-    OrderBudgetExceeded,
     in_coprime_class,
     is_primitive,
     structure_name,
@@ -476,9 +475,7 @@ def main(argv=None) -> int:
     except UnknownKey as exc:
         print(f"error: unknown catalog key {exc.args[0]!r}", file=sys.stderr)
         return 2
-    except (
-        GroupFileError, CrystalError, NotTorsionFree, OrderBudgetExceeded, ValueError
-    ) as exc:
+    except (GroupFileError, CrystalError, NotTorsionFree, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

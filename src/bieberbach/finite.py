@@ -1,12 +1,13 @@
 """Finite-group machinery for holonomy groups.
 
-A finite group is the Cayley graph of a generating set.  Element orders
-and G/G' (one Smith form of the spanning-tree presentation) are read
-off that graph, and they decide Hiller-Sah primitivity and recognize
-iterated coprime semidirect products of cyclic groups.  Only subgroup
+A finite group is the Cayley graph of a generating set.  Its spanning
+tree presents it (Reidemeister-Schreier): `tree_relations` writes that
+presentation once, for G/G' here and, with the lattice cocycle on the
+edges, for the crystallographic group's H1.  Element orders and G/G'
+decide Hiller-Sah primitivity and recognize iterated coprime
+semidirect products of cyclic groups, at any order.  Only subgroup
 enumeration, Sylow subgroups and normal complements read the n x n
-table; they are brute force on purpose, and the order budget keeps
-them honest.
+table; they are brute force on purpose, and no command calls them.
 """
 
 from __future__ import annotations
@@ -18,13 +19,6 @@ from math import gcd, prod
 from operator import sub
 
 from .linalg import IntMatrix, smith_normal_form
-
-
-DEFAULT_ORDER_BUDGET = 64
-
-
-class OrderBudgetExceeded(Exception):
-    """Group order past the configured brute-force budget."""
 
 
 def computed_once(func):
@@ -120,25 +114,45 @@ class FiniteGroup:
             rows.append(tuple(row))
         return tuple(rows)
 
-    @cached_property
-    def abelian_quotient(self) -> tuple[int, ...]:
-        """The invariant factors of G/G', each dividing the next.
+    def tree_lifts(self, labels, k: int) -> tuple[tuple[int, ...], ...]:
+        """Each element's lift x_t over k label coordinates, then one
+        coordinate e_j per generator g_j, along the spanning tree: x_e = 0
+        and x_t = x_s + e_j - labels[s][j] on the edge t = s g_j that first
+        reaches t.  `labels[s][j]` is a k-tuple on the edge (s, j)."""
+        pad = (0,) * len(self.edges[0])
+        lifts = [(0,) * (k + len(pad))] * self.order
+        for s, j, t in self.spanning_tree:  # s comes before t
+            x = list(map(sub, lifts[s], labels[s][j] + pad))
+            x[k + j] += 1
+            lifts[t] = tuple(x)
+        return tuple(lifts)
 
-        The edges (s, j) present G on its generators by w_s g_j = w_{s g_j},
-        w_s the word of s (Reidemeister-Schreier), so with x_s the
-        generator counts of w_s, G/G' is Z^|gens| modulo the
-        x_s + e_j - x_{s g_j}; the tree edges give zero.  One Smith form."""
-        gens = range(len(self.edges[0]))
-        counts = [tuple(map(word.count, gens)) for word in self.words]
-        columns = []
-        for xs, row in zip(counts, self.edges):
+    def tree_relations(self, labels, k: int, head=()) -> IntMatrix:
+        """The spanning-tree presentation, one relation per column on
+        k + |gens| rows: the columns `head`, then for each edge (s, j), in
+        edge order, x_s + e_j - labels[s][j] - x_{s g_j} with x the
+        `tree_lifts`.  The edges present G on its generators by
+        w_s g_j = w_{s g_j}, w_s the word of s (Reidemeister-Schreier);
+        labels carry what each edge adds besides."""
+        lifts = self.tree_lifts(labels, k)
+        pad = (0,) * len(self.edges[0])
+        columns = list(head)
+        for xs, row, marks in zip(lifts, self.edges, labels):
             for j, t in enumerate(row):
-                col = list(map(sub, xs, counts[t]))
-                col[j] += 1
+                col = [a - b - c for a, b, c in zip(xs, lifts[t], marks[j] + pad)]
+                col[k + j] += 1
                 columns.append(tuple(col))
         # tree edges give zero relations; zero and repeated ones change nothing
         unique = [col for col in dict.fromkeys(columns) if any(col)]
-        rel = IntMatrix._trusted(tuple(zip(*unique)), len(unique))
+        data = tuple(zip(*unique)) if unique else ((),) * (k + len(pad))
+        return IntMatrix._trusted(data, len(unique))
+
+    @cached_property
+    def abelian_quotient(self) -> tuple[int, ...]:
+        """The invariant factors of G/G', each dividing the next: Z^|gens|
+        modulo the unlabelled `tree_relations`, one Smith form."""
+        unlabelled = (((),) * len(self.edges[0]),) * self.order
+        rel = self.tree_relations(unlabelled, 0)
         return tuple(d for d in smith_normal_form(rel).divisors if d >= 2)
 
     def is_abelian(self) -> bool:
@@ -259,20 +273,11 @@ def _is_normal(group: FiniteGroup, elems: frozenset[int]) -> bool:
     return all({t[g][x] for x in elems} == {t[x][g] for x in elems} for g in range(group.order))
 
 
-def all_subgroups(
-    group: FiniteGroup, budget: int = DEFAULT_ORDER_BUDGET
-) -> tuple[Subgroup, ...]:
-    """Every subgroup, as joins of cyclic subgroups closed under pairwise
-    join.  Deterministic order: by (order, sorted elements).  The budget
-    is checked on every call; the lattice is enumerated once per group
-    object."""
-    if group.order > budget:
-        raise OrderBudgetExceeded(f"order {group.order} exceeds budget {budget}")
-    return _subgroup_lattice(group)
-
-
 @computed_once
-def _subgroup_lattice(group: FiniteGroup) -> tuple[Subgroup, ...]:
+def all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
+    """Every subgroup, as joins of cyclic subgroups closed under pairwise
+    join.  Deterministic order: by (order, sorted elements).  Enumerated
+    once per group object."""
     found: set[frozenset[int]] = set()
     fresh = {frozenset({0})} | {_closure(group.table, {g}) for g in range(group.order)}
     # Round r joins two subgroups new in round r - 1 (round 0: the cyclic
@@ -304,28 +309,24 @@ def _prime_factors(n: int) -> dict[int, int]:
     return out
 
 
-def sylow_subgroup(
-    group: FiniteGroup, p: int, budget: int = DEFAULT_ORDER_BUDGET
-) -> Subgroup:
+def sylow_subgroup(group: FiniteGroup, p: int) -> Subgroup:
     """One Sylow p-subgroup (maximal p-power order)."""
     factors = _prime_factors(group.order)
     if p not in factors:
         raise ValueError(f"{p} does not divide the group order {group.order}")
     target = p ** factors[p]
-    for sub in all_subgroups(group, budget=budget):
+    for sub in all_subgroups(group):
         if sub.order == target:
             return sub
     raise AssertionError("Sylow subgroup not found; subgroup enumeration is broken")
 
 
-def has_normal_complement(
-    group: FiniteGroup, part: Subgroup, budget: int = DEFAULT_ORDER_BUDGET
-) -> tuple[bool, Subgroup | None]:
+def has_normal_complement(group: FiniteGroup, part: Subgroup) -> tuple[bool, Subgroup | None]:
     """Is there a normal K with K * part = group and trivial intersection?"""
     want = group.order // part.order
     if want * part.order != group.order:
         raise ValueError("subgroup order does not divide the group order")
-    for sub in all_subgroups(group, budget=budget):
+    for sub in all_subgroups(group):
         if sub.is_normal and sub.order == want and sub.elements & part.elements == {0}:
             return True, sub
     return False, None
@@ -363,7 +364,7 @@ def quotient_group(
     return finite_group(table), tuple(coset_of)
 
 
-def is_primitive(group: FiniteGroup, budget: int = DEFAULT_ORDER_BUDGET) -> bool:
+def is_primitive(group: FiniteGroup) -> bool:
     """Hiller-Sah primitivity: no cyclic Sylow subgroup has a normal
     complement.
 
@@ -372,8 +373,6 @@ def is_primitive(group: FiniteGroup, budget: int = DEFAULT_ORDER_BUDGET) -> bool
     P cap G' = 1; conversely that gives a normal p-complement by Tate's
     theorem (Tate, "Nilpotent quotient groups", Topology 1964).  As PG'/G'
     is a Sylow subgroup of G/G', P cap G' = 1 iff p^a divides |G/G'|."""
-    if group.order > budget:
-        raise OrderBudgetExceeded(f"order {group.order} exceeds budget {budget}")
     if group.order == 1:
         return False  # the trivial group counts as cyclic
     index, n = prod(group.abelian_quotient), group.order
@@ -382,16 +381,12 @@ def is_primitive(group: FiniteGroup, budget: int = DEFAULT_ORDER_BUDGET) -> bool
     )
 
 
-def in_coprime_class(
-    group: FiniteGroup, budget: int = DEFAULT_ORDER_BUDGET
-) -> CoprimeTree | None:
+def in_coprime_class(group: FiniteGroup) -> CoprimeTree | None:
     """Recognize iterated semidirect products of cyclic groups with
     pairwise coprime orders; cyclic groups themselves are leaves.  These
     are the groups whose Sylow subgroups are all cyclic (Hoelder,
     Burnside, Zassenhaus)."""
     n = group.order
-    if n > budget:
-        raise OrderBudgetExceeded(f"order {n} exceeds budget {budget}")
     if any(p**a not in group.orders for p, a in _prime_factors(n).items()):
         return None
     return _coprime_tree(group, range(n))
@@ -457,7 +452,6 @@ def coprime_split_properties(
     group: FiniteGroup,
     normal_part: Subgroup,
     complement: Subgroup,
-    budget: int = DEFAULT_ORDER_BUDGET,
 ) -> CoprimeSplitReport:
     """For a coprime internal semidirect product group = K x| C, verify
     on every normal subgroup M that (a) the quotient decomposes as
@@ -474,7 +468,7 @@ def coprime_split_properties(
         raise ValueError("parts intersect nontrivially")
 
     checks = []
-    for sub in all_subgroups(group, budget=budget):
+    for sub in all_subgroups(group):
         if not sub.is_normal:
             continue
         quot, proj = quotient_group(group, sub.elements)

@@ -60,7 +60,7 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def document_to_group(doc, closure_budget: int = 10_000) -> CrystalGroup:
+def document_to_group(doc) -> CrystalGroup:
     if not isinstance(doc, dict):
         raise GroupFileError("group document must be a JSON object")
     name = doc.get("name", "")
@@ -101,7 +101,7 @@ def document_to_group(doc, closure_budget: int = 10_000) -> CrystalGroup:
             gens.append(AffineGen.of(matrix, shift) if dim else AffineGen.identity(0))
         except ValueError as exc:
             raise GroupFileError(f"generator {pos}: {exc}") from exc
-    return build_group(dim, gens, name=name, closure_budget=closure_budget)
+    return build_group(dim, gens, name=name)
 
 
 def group_to_document(group: CrystalGroup) -> dict:
@@ -118,11 +118,11 @@ def group_to_document(group: CrystalGroup) -> dict:
     }
 
 
-def load_group(path, closure_budget: int = 10_000) -> CrystalGroup:
+def load_group(path) -> CrystalGroup:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, RecursionError) as exc:
             # a RecursionError means the document nests too deeply to parse
             raise GroupFileError(f"invalid JSON: {exc}") from exc
-    return document_to_group(doc, closure_budget=closure_budget)
+    return document_to_group(doc)

@@ -26,6 +26,13 @@ from .linalg import (
 )
 
 
+MAX_FIXED_POINTS = 4096  # a finite fixed torus is listed point by point: bound the list
+
+
+class TooManyFixedPoints(ValueError):
+    """A finite fixed torus with more points than MAX_FIXED_POINTS."""
+
+
 @dataclass(frozen=True)
 class AbelianInvariants:
     """A finitely generated abelian group: Z^rank + sum of Z/d_i, with
@@ -56,7 +63,8 @@ class FixedLattice:
 class FixedTorusSubgroup:
     """Fixed subgroup of the dual torus: a torus of dimension `rank`
     times a finite group with the given cyclic component orders.  When
-    the rank is 0 the full (finite) fixed-point list is enumerated."""
+    the rank is 0 the full (finite) fixed-point list is enumerated, up to
+    MAX_FIXED_POINTS points."""
 
     rank: int
     component_orders: tuple[int, ...]
@@ -71,21 +79,6 @@ def _action_matrices(group: CrystalGroup) -> list[IntMatrix]:
     return [group.elements[i].matrix for i in group.holonomy_generator_indices()]
 
 
-def _tree_lifts(group: CrystalGroup) -> tuple[tuple[int, ...], ...]:
-    """Each lift variable x_s over (e_1..e_k, then y_g per holonomy
-    generator g), along the spanning tree of the generators' Cayley
-    graph: x_e = 0 and x_{sg} = x_s + y_g - tau(s,g).e on the edge that
-    first reaches sg."""
-    k = group.dim
-    pad = (0,) * len(group.holonomy_generator_indices())
-    lifts = [(0,) * (k + len(pad))] * group.holonomy_order
-    for s, pos, t in group.holonomy.spanning_tree:  # s comes before t
-        x = [a - b for a, b in zip(lifts[s], group.edge_cocycle[s][pos] + pad)]
-        x[k + pos] += 1
-        lifts[t] = tuple(x)
-    return tuple(lifts)
-
-
 def relation_matrix(group: CrystalGroup) -> IntMatrix:
     """Relations of the abelianized group, one relation per column, on
     the variables e_1..e_k (lattice basis), then y_g per holonomy
@@ -96,26 +89,18 @@ def relation_matrix(group: CrystalGroup) -> IntMatrix:
     tau(s,g).e = 0 on the edges (s, g) of the generators' Cayley graph:
     the cocycle identity, read modulo (A(s) - I) e = 0, gives r(s,tu) =
     r(s,t) + r(st,u) - r(t,u), so with r(s,e) = x_e every r(s, t) follows.
-    The tree edges of `_tree_lifts` solve for the x_s (Reidemeister-
-    Schreier), leaving r(s, g) on the other edges: k + |gens| rows.
+    The spanning tree solves for the x_s (Reidemeister-Schreier), leaving
+    the holonomy's `tree_relations` labelled by the edge cocycle, after
+    the A(g) - I columns: k + |gens| rows.
     """
     k = group.dim
-    gens = group.holonomy_generator_indices()
-    lifts = _tree_lifts(group)
-    pad = (0,) * len(gens)
-    columns = [
+    pad = (0,) * len(group.holonomy_generator_indices())
+    action = [
         tuple(row[j] - (i == j) for i, row in enumerate(mat)) + pad
         for mat in _action_matrices(group)
         for j in range(k)
     ]
-    for xs, row, taus in zip(lifts, group.edges, group.edge_cocycle):
-        for pos, t in enumerate(row):
-            col = [a - b - c for a, b, c in zip(xs, lifts[t], taus[pos] + pad)]
-            col[k + pos] += 1
-            columns.append(tuple(col))
-    # tree edges give zero relations; zero and repeated ones change nothing
-    unique = [col for col in dict.fromkeys(columns) if any(col)]
-    return IntMatrix.from_columns(unique, rows=k + len(gens))
+    return group.holonomy.tree_relations(group.edge_cocycle, k, head=action)
 
 
 @computed_once
@@ -156,7 +141,9 @@ def fixed_torus(group: CrystalGroup) -> FixedTorusSubgroup:
     s.  Substituting through the Smith form of the stacked matrices
     turns that congruence into independent 1-dimensional conditions:
     zero divisors contribute torus directions, divisors >= 2 contribute
-    finite cyclic components.
+    finite cyclic components.  A finite fixed subgroup of more than
+    MAX_FIXED_POINTS points raises TooManyFixedPoints before any is
+    listed.
     """
     k = group.dim
     snf = dual_action_smith(group)
@@ -167,6 +154,11 @@ def fixed_torus(group: CrystalGroup) -> FixedTorusSubgroup:
 
     points = None
     if rank == 0:
+        count = prod(divisors)
+        if count > MAX_FIXED_POINTS:
+            raise TooManyFixedPoints(
+                f"the fixed torus has {count} points, more than the limit {MAX_FIXED_POINTS}"
+            )
         q = lcm(*divisors)  # the points V (c_i / d_i) mod 1, times q
         ranges = [range(0, q, q // d) for d in divisors]
         pts = sorted(tuple(x % q for x in snf.V.apply(c)) for c in itertools.product(*ranges))

@@ -8,9 +8,9 @@ import pytest
 import bieberbach.cli as cli
 import bieberbach.groupfile as groupfile
 from bieberbach.cli import format_abelian, main
-from bieberbach.finite import OrderBudgetExceeded
 from test_build_oracle import permutation_matrix
 from test_computed_once import count_lattice_enumerations
+from test_group_core import count_tables
 
 
 @pytest.fixture
@@ -332,21 +332,6 @@ def test_validation_error_class_named(tmp_path, capsys):
     assert "HolonomyNotFaithful" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["holonomy", "--primitivity"], ["analyze"], ["analyze", "--format", "json"]],
-)
-def test_order_budget_exceeded_is_an_input_error(hw_file, capsys, monkeypatch, argv):
-    def over_budget(group, budget=64):
-        raise OrderBudgetExceeded(f"order 96 exceeds budget {budget}")
-
-    monkeypatch.setattr(cli, "is_primitive", over_budget)
-    assert main(argv[:1] + [hw_file] + argv[1:]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: OrderBudgetExceeded: order 96 exceeds budget 64\n"
-
-
 def test_unknown_catalog_key(capsys):
     assert main(["catalog", "show", "nope"]) == 2
     assert "unknown catalog key" in capsys.readouterr().err
@@ -370,6 +355,33 @@ def test_torsion_input_connective_errors(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "torsion-free: no" in out
     assert "connective: n/a" in out
+
+
+@pytest.mark.parametrize("argv", [["fixed-torus", "--format", "json"], ["analyze"]])
+def test_a_fixed_torus_of_2_to_the_20_points_is_an_input_error(tmp_path, capsys, argv):
+    """-I in dimension 20 fixes 2^20 points of the dual torus: they are
+    counted, not listed (listing 2^18 took 25 s and 60 MB of JSON)."""
+    k = 20
+    minus_one = [[-int(i == j) for j in range(k)] for i in range(k)]
+    path = tmp_path / "minus_one.json"
+    path.write_text(
+        json.dumps(
+            {
+                "name": "minus_one",
+                "dimension": k,
+                "generators": [{"matrix": minus_one, "translation": ["0"] * k}],
+            }
+        )
+    )
+    start = time.perf_counter()
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    elapsed = time.perf_counter() - start
+    assert capsys.readouterr() == (
+        "",
+        "error: TooManyFixedPoints: the fixed torus has 1048576 points,"
+        " more than the limit 4096\n",
+    )
+    assert elapsed < 2.0
 
 
 # ---------------------------------------------------------------- round trips
@@ -411,24 +423,53 @@ def test_h1_of_the_order_384_signed_permutations(tmp_path, capsys):
     assert elapsed < 10.0
 
 
+def signed_permutations_document(n, minus_one=False):
+    """B_n, the dim-n signed permutations (holonomy order 2^n n!), with
+    zero translations; with `minus_one`, B_n x {+-1}: -1 on one more
+    coordinate."""
+    def padded(rows, corner):
+        return [row + [0] for row in rows] + [[0] * n + [corner]]
+
+    cycle = permutation_matrix([(i + 1) % n for i in range(n)])
+    swap = permutation_matrix([1, 0, *range(2, n)])
+    flip = [[-1 if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
+    mats = [cycle, swap, flip]
+    if minus_one:
+        mats = [padded(m, 1) for m in mats] + [padded(permutation_matrix(range(n)), -1)]
+    dim = len(mats[0])
+    return {
+        "name": f"signed_permutations_{n}" + "_times_minus_one" * minus_one,
+        "dimension": dim,
+        "generators": [{"matrix": m, "translation": ["0"] * dim} for m in mats],
+    }
+
+
+def symmetric_document(n):
+    """S_n permuting the coordinates of Z^n (holonomy order n!)."""
+    cycle = permutation_matrix([(i + 1) % n for i in range(n)])
+    mats = [cycle, permutation_matrix([1, 0, *range(2, n)])]
+    return {
+        "name": f"symmetric_{n}",
+        "dimension": n,
+        "generators": [{"matrix": m, "translation": ["0"] * n} for m in mats],
+    }
+
+
+def large_holonomy_documents():
+    """B4, B5, S7 and B5 x {+-1}: holonomy orders 384, 3840, 5040, 7680."""
+    return {
+        "b4": signed_permutations_document(4),
+        "b5": signed_permutations_document(5),
+        "s7": symmetric_document(7),
+        "b5x2": signed_permutations_document(5, minus_one=True),
+    }
+
+
 def signed_permutations_5_times_minus_one(tmp_path):
     """B5 x {+-1}: the dim-5 signed permutations, and -1 on a sixth
     coordinate (holonomy order 7680), with integral translations."""
-    def padded(rows, corner):
-        return [row + [0] for row in rows] + [[0] * 5 + [corner]]
-
-    cycle = permutation_matrix((1, 2, 3, 4, 0))
-    swap = permutation_matrix((1, 0, 2, 3, 4))
-    flip = [[-1 if i == j == 0 else int(i == j) for j in range(5)] for i in range(5)]
-    one = permutation_matrix(range(5))
-    mats = [padded(m, 1) for m in (cycle, swap, flip)] + [padded(one, -1)]
-    doc = {
-        "name": "signed_permutations_5_times_minus_one",
-        "dimension": 6,
-        "generators": [{"matrix": m, "translation": ["0"] * 6} for m in mats],
-    }
     path = tmp_path / "b5x2.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(signed_permutations_document(5, minus_one=True)))
     return path
 
 
@@ -456,31 +497,71 @@ def test_connective_rejects_the_torsion_of_the_order_7680_group(tmp_path, capsys
     assert elapsed < 10.0
 
 
+ANALYZE_7680 = """\
+group: signed_permutations_5_times_minus_one (dim 6)
+holonomy: order 7680, nonabelian of order 7680
+valid: yes
+torsion-free: no
+H1: Z/2 + Z/2 + Z/2 + Z/2 + Z/2 (rank 0)
+center rank: 0
+fixed torus: rank 0, components 2 x 2, 4 points
+  point: (0, 0, 0, 0, 0, 0)
+  point: (0, 0, 0, 0, 0, 1/2)
+  point: (1/2, 1/2, 1/2, 1/2, 1/2, 0)
+  point: (1/2, 1/2, 1/2, 1/2, 1/2, 1/2)
+characters: 32
+connective: n/a (group has torsion)
+holonomy primitive: yes
+holonomy coprime class: no
+"""
+
+
 @pytest.mark.parametrize(
-    "argv, code, out, err",
+    "argv, out",
     [
-        (["holonomy"], 0, "holonomy order 7680: nonabelian of order 7680\n", ""),
-        (["analyze"], 2, "", "error: OrderBudgetExceeded: order 7680 exceeds budget 64\n"),
+        (["holonomy"], "holonomy order 7680: nonabelian of order 7680\n"),
+        (["analyze"], ANALYZE_7680),
         (
             ["holonomy", "--primitivity"],
-            2,
-            "",
-            "error: OrderBudgetExceeded: order 7680 exceeds budget 64\n",
+            "holonomy order 7680: nonabelian of order 7680\nprimitive: yes\n",
         ),
     ],
     ids=["holonomy", "analyze", "holonomy-primitivity"],
 )
 def test_the_finite_layer_of_the_order_7680_group_builds_no_table(
-    tmp_path, capsys, argv, code, out, err
+    tmp_path, capsys, monkeypatch, argv, out
 ):
-    """The structure name and the order budget read the Cayley graph and
-    one Smith form: with the n x n table these took 5.4-8.5 s (2 CPUs,
+    """The structure name, primitivity and the coprime class read the
+    Cayley graph, element orders and one Smith form, at any order: with
+    the n x n table the structure name took 5.4-8.5 s (2 CPUs,
     CPython 3.11)."""
+    built = count_tables(monkeypatch)
     path = signed_permutations_5_times_minus_one(tmp_path)
     start = time.perf_counter()
-    assert main([argv[0], str(path), *argv[1:]]) == code
+    assert main([argv[0], str(path), *argv[1:]]) == 0
     elapsed = time.perf_counter() - start
-    assert capsys.readouterr() == (out, err)
+    assert capsys.readouterr() == (out, "")
+    assert elapsed < 3.0
+    assert not built
+
+
+@pytest.mark.parametrize("key", ["b4", "b5", "s7", "b5x2"])
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["holonomy", "--primitivity", "--coprime-class"]],
+    ids=["analyze", "holonomy"],
+)
+def test_primitivity_and_coprime_class_of_large_holonomies(tmp_path, capsys, key, argv):
+    """Holonomy orders 384 to 7680 are answered, not refused: each group is
+    primitive and not in the coprime class."""
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps(large_holonomy_documents()[key]))
+    start = time.perf_counter()
+    assert main([argv[0], str(path), *argv[1:]]) == 0
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    prefix = "holonomy " if argv[0] == "analyze" else ""
+    assert f"\n{prefix}primitive: yes\n{prefix}coprime class: no\n" in out and err == ""
     assert elapsed < 3.0
 
 

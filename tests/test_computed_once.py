@@ -56,13 +56,13 @@ def count_lattice_enumerations(monkeypatch) -> CallCounter:
     """Counts real subgroup-lattice enumerations, not reads of a lattice
     already computed for the same group object."""
     lattices = CallCounter()
-    enumerate_lattice = finite._subgroup_lattice.__wrapped__
+    enumerate_lattice = finite.all_subgroups.__wrapped__
 
     def counting_enumeration(group):
         lattices.hit(group)
         return enumerate_lattice(group)
 
-    monkeypatch.setattr(finite, "_subgroup_lattice", crystal.computed_once(counting_enumeration))
+    monkeypatch.setattr(finite, "all_subgroups", crystal.computed_once(counting_enumeration))
     return lattices
 
 

@@ -9,7 +9,6 @@ from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.crystal import AffineGen, ClosureBudgetExceeded, build_group
 from bieberbach.finite import (
     CoprimeTree,
-    OrderBudgetExceeded,
     all_subgroups,
     abelian_invariant_factors,
     coprime_split_properties,
@@ -222,17 +221,6 @@ def test_subgroup_lattice_matches_all_joins_oracle():
         assert {s.elements for s in all_subgroups(g)} == all_joins_lattice(g)
 
 
-def test_subgroup_budget():
-    g = cyclic_group(6)
-    assert len(all_subgroups(g)) == 4
-    with pytest.raises(OrderBudgetExceeded):
-        all_subgroups(g, budget=4)  # checked even once the lattice is known
-    with pytest.raises(OrderBudgetExceeded):
-        is_primitive(cyclic_group(6), budget=4)
-    with pytest.raises(OrderBudgetExceeded):
-        in_coprime_class(cyclic_group(6), budget=4)
-
-
 # ---------------------------------------------------------------- sylow
 
 def test_sylow_s3():
@@ -330,29 +318,25 @@ def primitive_via_quotients(g):
     return True
 
 
-def lattice_is_primitive(group, budget=64):
+def lattice_is_primitive(group):
     """`is_primitive` before Tate's criterion: each Sylow subgroup and a
     normal complement are looked up in the subgroup lattice."""
-    if group.order > budget:
-        raise OrderBudgetExceeded(f"order {group.order} exceeds budget {budget}")
     if group.order == 1:
         return False  # the trivial group counts as cyclic
     for p in prime_factors(group.order):
-        syl = sylow_subgroup(group, p, budget=budget)
+        syl = sylow_subgroup(group, p)
         syl_group = subgroup_as_group(group, syl.elements)
-        if syl_group.is_cyclic() and has_normal_complement(group, syl, budget=budget)[0]:
+        if syl_group.is_cyclic() and has_normal_complement(group, syl)[0]:
             return False
     return True
 
 
-def lattice_in_coprime_class(group, budget=64):
+def lattice_in_coprime_class(group):
     """`in_coprime_class` before the cyclic-Sylow test: every group
     that is not cyclic searches the subgroup lattice."""
-    if group.order > budget:
-        raise OrderBudgetExceeded(f"order {group.order} exceeds budget {budget}")
     if group.is_cyclic():
         return CoprimeTree(normal_part=None, complement_order=group.order)
-    subs = all_subgroups(group, budget=budget)
+    subs = all_subgroups(group)
     for comp in subs:
         m = comp.order
         if m == 1 or m == group.order:
@@ -370,9 +354,7 @@ def lattice_in_coprime_class(group, budget=64):
                 continue
             if normal.elements & comp.elements != {0}:
                 continue
-            sub_tree = lattice_in_coprime_class(
-                subgroup_as_group(group, normal.elements), budget=budget
-            )
+            sub_tree = lattice_in_coprime_class(subgroup_as_group(group, normal.elements))
             if sub_tree is not None:
                 return CoprimeTree(normal_part=sub_tree, complement_order=m)
     return None

@@ -7,7 +7,8 @@ import pytest
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.crystal import AffineGen, CrystalError, build_group
 from bieberbach.invariants import (
-    _tree_lifts,
+    MAX_FIXED_POINTS,
+    TooManyFixedPoints,
     abelianization,
     character_count,
     fixed_lattice,
@@ -234,7 +235,7 @@ def presentation_map(g):
     nnz = sum(1 for d in snf.divisors if d != 0)
     keep = [i for i, d in enumerate(snf.divisors) if d >= 2] + list(range(nnz, nvars))
     rows = [snf.U.row(i) for i in keep]
-    lifts = _tree_lifts(g)
+    lifts = g.holonomy.tree_lifts(g.edge_cocycle, g.dim)
     pres = [u[: g.dim] + tuple(sum(a * b for a, b in zip(u, x)) for x in lifts) for u in rows]
     return IntMatrix(pres, cols=g.dim + g.holonomy_order)
 
@@ -373,6 +374,19 @@ def test_fixed_torus_klein():
     ft = fixed_torus(klein_bottle())
     assert ft.rank == 1
     assert ft.component_orders == (2,)
+
+
+def test_fixed_torus_lists_at_most_max_fixed_points():
+    """-I on Z^k fixes the 2^k half-lattice points of the dual torus."""
+    def minus_one(k):
+        rows = [[-int(i == j) for j in range(k)] for i in range(k)]
+        return build_group(k, [AffineGen.of(rows, (0,) * k)])
+
+    assert 2**12 == MAX_FIXED_POINTS
+    ft = fixed_torus(minus_one(12))
+    assert ft.component_orders == (2,) * 12 and len(set(ft.points)) == 2**12
+    with pytest.raises(TooManyFixedPoints, match="has 8192 points, more than the limit 4096"):
+        fixed_torus(minus_one(13))
 
 
 def test_fixed_torus_points_satisfy_congruence():

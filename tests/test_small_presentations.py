@@ -10,6 +10,7 @@ finite groups."""
 
 from functools import cache
 from math import prod
+from operator import sub
 
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.finite import (
@@ -31,6 +32,7 @@ from bieberbach.invariants import abelianization, relation_matrix
 from bieberbach.linalg import IntMatrix, smith_normal_form
 from test_build_oracle import assert_edge_cocycle_is_full, diagonal_z2_7, s5_group
 from test_calabi import perfbench_corpus
+from test_cli import large_holonomy_documents
 from test_crystal import rank_duality_draws
 from test_finite import (
     all_products_closure,
@@ -171,7 +173,7 @@ def test_subgroup_closure_matches_all_products_on_the_coprime_candidates():
 def test_coprime_class_of_agl_1_61_past_the_order_budget():
     """AGL(1, 61) = Z/61 x| Z/60, of order 3660: its normal Hall subgroups
     are tested by closure, not by all |S|^2 products."""
-    tree = in_coprime_class(semidirect_cyclic(61, 60, 2), budget=4000)
+    tree = in_coprime_class(semidirect_cyclic(61, 60, 2))
     assert tree is not None and tree.orders() == (61, 5, 4, 3)
 
 
@@ -179,7 +181,7 @@ def test_coprime_class_of_agl_1_61_past_the_order_budget():
 
 def larger_holonomies():
     """S5, diagonal (Z/2)^7 and the dim-4 signed permutations: holonomy
-    orders 120, 128 and 384, past the order budget."""
+    orders 120, 128 and 384."""
     return (s5_group(), diagonal_z2_7(), signed_permutations_4())
 
 
@@ -237,7 +239,7 @@ def test_abelian_quotient_matches_the_commutator_closure_and_the_quotient_loop()
         else:
             name = " + ".join(f"Z/{q}" for q in factors)
         assert structure_name(d) == name
-        assert is_primitive(d, budget=d.order) == tate_is_primitive(d, index), d.order
+        assert is_primitive(d) == tate_is_primitive(d, index), d.order
         abelian += factors is not None
         primitive += tate_is_primitive(d, index)
     # both sides of each answer are covered (473 abelian, 198 primitive)
@@ -253,3 +255,142 @@ def test_holonomy_abelian_quotient_is_h1_modulo_the_lattice():
         divisors = smith_normal_form(y_rows).divisors
         assert sum(1 for q in divisors if q) == y_rows.rows, g.name  # finite
         assert g.holonomy.abelian_quotient == tuple(q for q in divisors if q >= 2), g.name
+
+
+# ------------------------------------- one spanning-tree presentation
+
+
+@cache
+def large_holonomy_groups():
+    """B4, B5, S7 and B5 x {+-1}: holonomy orders 384 to 7680."""
+    return tuple(document_to_group(doc) for doc in large_holonomy_documents().values())
+
+
+def edge_loop_tree_lifts(g):
+    """The lift variables x_s over (e_1..e_k, then y_g per holonomy
+    generator) as `relation_matrix` computed them before the holonomy
+    presented itself: x_e = 0 and x_{sg} = x_s + y_g - tau(s,g).e on the
+    spanning tree."""
+    k = g.dim
+    pad = (0,) * len(g.holonomy_generator_indices())
+    lifts = [(0,) * (k + len(pad))] * g.holonomy_order
+    for s, pos, t in g.holonomy.spanning_tree:
+        x = [a - b for a, b in zip(lifts[s], g.edge_cocycle[s][pos] + pad)]
+        x[k + pos] += 1
+        lifts[t] = tuple(x)
+    return tuple(lifts)
+
+
+def edge_loop_relation_matrix(g):
+    """`relation_matrix` before the holonomy presented itself: the
+    A(g) - I columns, then one relation per edge on `edge_loop_tree_lifts`,
+    deduplicated and validated entry by entry."""
+    k = g.dim
+    gens = g.holonomy_generator_indices()
+    lifts = edge_loop_tree_lifts(g)
+    pad = (0,) * len(gens)
+    columns = [
+        tuple(row[j] - (i == j) for i, row in enumerate(g.elements[idx].matrix)) + pad
+        for idx in gens
+        for j in range(k)
+    ]
+    for xs, row, taus in zip(lifts, g.edges, g.edge_cocycle):
+        for pos, t in enumerate(row):
+            col = [a - b - c for a, b, c in zip(xs, lifts[t], taus[pos] + pad)]
+            col[k + pos] += 1
+            columns.append(tuple(col))
+    unique = [col for col in dict.fromkeys(columns) if any(col)]
+    return IntMatrix.from_columns(unique, rows=k + len(gens))
+
+
+def word_count_abelian_quotient(d):
+    """G/G' as `abelian_quotient` read it before the holonomy presented
+    itself: the generator counts x_s of each element's word, and the
+    relation x_s + e_j - x_{s g_j} of each edge."""
+    gens = range(len(d.edges[0]))
+    counts = [tuple(map(word.count, gens)) for word in d.words]
+    columns = []
+    for xs, row in zip(counts, d.edges):
+        for j, t in enumerate(row):
+            col = list(map(sub, xs, counts[t]))
+            col[j] += 1
+            columns.append(tuple(col))
+    unique = [col for col in dict.fromkeys(columns) if any(col)]
+    rel = IntMatrix.from_columns(unique, rows=len(gens))
+    return tuple(q for q in smith_normal_form(rel).divisors if q >= 2)
+
+
+def test_tree_relations_match_the_edge_loop_and_the_word_counts():
+    """H1's relation matrix is the edge loop's, column for column in the
+    same order, and G/G' the word counts', on the catalog, the perfbench
+    corpora and holonomy orders up to 7680; the torus keeps its k rows
+    with no column."""
+    groups = crystal_corpus() + larger_holonomies() + large_holonomy_groups()
+    for g in groups:
+        new, old = relation_matrix(g), edge_loop_relation_matrix(g)
+        assert (new.rows, new.cols, new.entries) == (old.rows, old.cols, old.entries), g.name
+        lifts = g.holonomy.tree_lifts(g.edge_cocycle, g.dim)
+        assert lifts == edge_loop_tree_lifts(g), g.name
+        assert g.holonomy.abelian_quotient == word_count_abelian_quotient(g.holonomy), g.name
+    torus = relation_matrix(catalog_get("torus_3").group)
+    assert (torus.rows, torus.cols) == (3, 0)
+
+
+# ------------------------------------------------- primitivity past order 64
+
+
+def generated(d, gens):
+    """The subgroup generated by `gens`: everything reached from the
+    identity by right multiplication with them."""
+    out, frontier = {0}, [0]
+    while frontier:
+        new = []
+        for x in frontier:
+            for s in gens:
+                y = d.times(x, s)
+                if y not in out:
+                    out.add(y)
+                    new.append(y)
+        frontier = new
+    return out
+
+
+def p_prime_elements_form_a_subgroup(d, p):
+    """Whether the elements of order prime to p are closed under
+    products: add them as generators one at a time, and stop as soon as
+    what they generate leaves them."""
+    elems = {x for x in range(d.order) if d.orders[x] % p}
+    gens, reached = [], {0}
+    for x in sorted(elems):
+        if x not in reached:
+            gens.append(x)
+            reached = generated(d, gens)
+            if not reached <= elems:
+                return False
+    return True
+
+
+def p_complement_is_primitive(d):
+    """Hiller-Sah primitivity with no G/G': G has a normal p-complement
+    iff its elements of order prime to p form a subgroup, so d is
+    primitive iff that fails for every p whose Sylow subgroup is cyclic."""
+    if d.order == 1:
+        return False
+    sylow_orders = {}
+    for p in prime_factors(d.order):
+        sylow_orders[p] = p
+        while d.order % (sylow_orders[p] * p) == 0:
+            sylow_orders[p] *= p
+    return not any(
+        q in d.orders and p_prime_elements_form_a_subgroup(d, p) for p, q in sylow_orders.items()
+    )
+
+
+def test_primitivity_matches_the_p_prime_elements_past_order_64():
+    groups = [finite_group_from_holonomy(g) for g in crystal_corpus()] + small_finite_groups()
+    assert len(groups) == 547
+    groups += [g.holonomy for g in large_holonomy_groups()] + [semidirect_cyclic(61, 60, 2)]
+    verdicts = [is_primitive(d) for d in groups]
+    assert verdicts == [p_complement_is_primitive(d) for d in groups]
+    assert verdicts[-5:] == [True, True, True, True, False]
+    assert 150 <= sum(verdicts) <= len(groups) - 150
