@@ -24,7 +24,7 @@ from .linalg import (
     determinant,
     frac_vector,
     invert_unimodular,
-    solve_integer_linear,
+    solve_mod_p,
     vec_add,
     vec_sub,
 )
@@ -316,6 +316,23 @@ def reconstruct_element(group: CrystalGroup, index: int, lam) -> AffineGen:
     return AffineGen(elem.matrix, vec_add(elem.translation, frac_vector(lam)))
 
 
+def norm_solution(norm: IntMatrix, b, p: int) -> tuple[int, ...] | None:
+    """An integer lam with N lam = b, or None when there is none, for N
+    the norm I + A + ... + A^(p-1) of a matrix A of prime order p and b an
+    integer vector in N Q^k, from one elimination of [N | b] over F_p.
+
+    L = ker(A - I) cap Z^k is saturated, N acts on L as p, and N Z^k and b
+    lie in L, since (A - I) N = A^p - I = 0.  So pL = N L lies in N Z^k,
+    and an x with N x = b (mod p) leaves b - N x in L cap pZ^k = pL: then
+    lam = x + (b - N x)/p has N lam = N x + (b - N x) = b.  With no such
+    x there is no integer solution either.
+    """
+    x = solve_mod_p(norm, b, p)
+    if x is None:
+        return None
+    return tuple(xi + (bi - yi) // p for xi, bi, yi in zip(x, b, norm.apply(x)))
+
+
 @computed_once
 def torsion_witness(group: CrystalGroup) -> TorsionWitness | None:
     """Find a nontrivial finite-order element, or None when the group
@@ -326,7 +343,10 @@ def torsion_witness(group: CrystalGroup) -> TorsionWitness | None:
     per cyclic subgroup of prime order.  With N_s the sum of the matrices
     of <s> and g_s = (A, t_s), g_s^p = (A^p, (A^(p-1) + ... + I) t_s) =
     (I, N_s t_s), a lattice translation.  The coset of s holds torsion iff
-    N_s lam = -N_s t_s has an integer solution.
+    N_s lam = -N_s t_s has an integer solution, and `norm_solution` decides
+    that by one elimination over F_p: N_s acts as p on the saturated
+    lattice ker(A - I) cap Z^k, which holds N_s Z^k, so a solution mod p
+    lifts to an exact one.
     """
     holonomy, elements, q = group.holonomy, group.elements, group.denominator
     seen = {0}
@@ -340,11 +360,11 @@ def torsion_witness(group: CrystalGroup) -> TorsionWitness | None:
             powers.append(holonomy.times(powers[-1], s))
         seen.update(powers)
         rows = zip(*(elements[x].matrix.entries for x in powers))
-        norm = IntMatrix([[sum(col) for col in zip(*r)] for r in rows], cols=group.dim)
+        norm = IntMatrix._trusted(tuple(tuple(map(sum, zip(*r))) for r in rows), group.dim)
         minus_v = [-y // q for y in norm.apply(elem.shift)]  # N_s t_s is integral
-        sol = solve_integer_linear(norm, minus_v)
-        if sol is not None:
-            return TorsionWitness(element=elem, correction=sol[0], order=p)
+        lam = norm_solution(norm, minus_v, p)
+        if lam is not None:
+            return TorsionWitness(element=elem, correction=lam, order=p)
     return None
 
 

@@ -18,7 +18,7 @@ from functools import cached_property, wraps
 from math import gcd, prod
 from operator import sub
 
-from .linalg import IntMatrix, smith_normal_form
+from .linalg import IntMatrix, smith_divisors
 
 
 def computed_once(func):
@@ -153,7 +153,7 @@ class FiniteGroup:
         modulo the unlabelled `tree_relations`, one Smith form."""
         unlabelled = (((),) * len(self.edges[0]),) * self.order
         rel = self.tree_relations(unlabelled, 0)
-        return tuple(d for d in smith_normal_form(rel).divisors if d >= 2)
+        return tuple(d for d in smith_divisors(rel) if d >= 2)
 
     def is_abelian(self) -> bool:
         return prod(self.abelian_quotient) == self.order

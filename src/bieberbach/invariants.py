@@ -19,10 +19,11 @@ from .crystal import CrystalGroup
 from .finite import computed_once
 from .linalg import (
     IntMatrix,
-    SmithForm,
+    SmithColumns,
     frac_vector,
     integer_kernel,
-    smith_normal_form,
+    smith_columns,
+    smith_divisors,
 )
 
 
@@ -108,7 +109,7 @@ def abelianization(group: CrystalGroup) -> AbelianInvariants:
     """First homology of the group, i.e. its abelianization, read off the
     Smith divisors of `relation_matrix`; computed once per group object."""
     rel = relation_matrix(group)
-    divisors = smith_normal_form(rel).divisors
+    divisors = smith_divisors(rel)
     rank = rel.rows - sum(1 for d in divisors if d != 0)
     return AbelianInvariants(rank, tuple(d for d in divisors if d >= 2))
 
@@ -125,13 +126,14 @@ def fixed_lattice(group: CrystalGroup) -> FixedLattice:
 
 
 @computed_once
-def dual_action_smith(group: CrystalGroup) -> SmithForm:
-    """Smith form of the stacked A(g)^T - I over the holonomy generators,
-    computed once per group object.  Its V columns past the nonzero
-    divisors are a basis of the holonomy-fixed dual lattice {f : f A = f}."""
+def dual_action_smith(group: CrystalGroup) -> SmithColumns:
+    """Divisors and V of the Smith form of the stacked A(g)^T - I over the
+    holonomy generators, computed once per group object.  Its V columns
+    past the nonzero divisors are a basis of the holonomy-fixed dual
+    lattice {f : f A = f}."""
     k = group.dim
     mats = [m.transpose() - IntMatrix.identity(k) for m in _action_matrices(group)]
-    return smith_normal_form(IntMatrix.vstack(mats) if mats else IntMatrix.zeros(0, k))
+    return smith_columns(IntMatrix.vstack(mats) if mats else IntMatrix.zeros(0, k))
 
 
 def fixed_torus(group: CrystalGroup) -> FixedTorusSubgroup:

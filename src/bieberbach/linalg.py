@@ -4,6 +4,14 @@ Everything here runs over arbitrary-precision Python ints and
 fractions.Fraction; no floats anywhere.  The workhorses are the Smith
 and Hermite normal forms, from which integer kernels, integer linear
 system solving and lattice membership all fall out.
+
+One Smith elimination serves three entry points, each carrying only
+the transforms its caller reads: `smith_divisors` carries none (H1 and
+G/G'), `smith_columns` carries V (integer kernels and the fixed dual
+lattice), and `smith_normal_form` carries U and V (`solve_integer_linear`
+and the tests).  The pivots never depend on what is carried, so the
+divisors and V agree bit for bit across the three.  `solve_mod_p` is
+one Gaussian elimination over F_p.
 """
 
 from __future__ import annotations
@@ -170,6 +178,15 @@ class SmithForm:
 
 
 @dataclass(frozen=True)
+class SmithColumns:
+    """The column transform V and the divisors of a Smith form U M V = D,
+    without U."""
+
+    V: IntMatrix
+    divisors: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class HermiteForm:
     """U * M = H with U unimodular and H the canonical row Hermite form."""
 
@@ -177,54 +194,27 @@ class HermiteForm:
     U: IntMatrix
 
 
-def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form over the integers.
+def _smith_eliminate(a: list[list[int]], r: int, c: int) -> tuple[int, ...]:
+    """Bring the top-left r x c block of `a` to Smith normal form in
+    place, and return its divisors: nonnegative, each dividing the next,
+    zeros trailing.
 
-    Divisors come out nonnegative, each dividing the next, zeros
-    trailing.  Pivoting picks the smallest nonzero entry of the working
-    submatrix, which keeps intermediate growth tame for the small
-    matrices this package deals in.
+    Row steps act on whole rows and column steps on every row, so
+    columns past c that start as the identity end as the row transform
+    U, and rows past r that start as the identity end as the column
+    transform V.  What is not carried costs nothing, and the pivots do
+    not depend on it.  Pivoting picks the smallest nonzero entry of the
+    working submatrix, which keeps intermediate growth tame for the
+    small matrices this package deals in.
     """
-    r, c = m.rows, m.cols
-    a = [list(row) for row in m]
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
-    v = [[int(i == j) for j in range(c)] for i in range(c)]
-
-    def row_sub(i, k, q):  # row_i -= q * row_k
-        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-
-    def row_add(i, k):
-        a[i] = [x + y for x, y in zip(a[i], a[k])]
-        u[i] = [x + y for x, y in zip(u[i], u[k])]
-
-    def row_swap(i, k):
-        a[i], a[k] = a[k], a[i]
-        u[i], u[k] = u[k], u[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def col_sub(j, k, q):  # col_j -= q * col_k
-        for row in a:
-            row[j] -= q * row[k]
-        for row in v:
-            row[j] -= q * row[k]
-
-    def col_swap(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-
     t = 0
     while t < min(r, c):
         piv = None
         best = None
         for i in range(t, r):
+            row = a[i]
             for j in range(t, c):
-                x = a[i][j]
+                x = row[j]
                 if x != 0 and (best is None or abs(x) < best):
                     best = abs(x)
                     piv = (i, j)
@@ -234,51 +224,81 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                 break
         if piv is None:
             break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
+        i, j = piv
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            for row in a:
+                row[t], row[j] = row[j], row[t]
         while True:
             # clear below the pivot (Euclid on the column)
             while any(a[i][t] for i in range(t + 1, r)):
                 imin = min(
                     (i for i in range(t, r) if a[i][t] != 0), key=lambda i: abs(a[i][t])
                 )
-                if imin != t:
-                    row_swap(t, imin)
+                a[t], a[imin] = a[imin], a[t]
+                top = a[t]
                 for i in range(t + 1, r):
                     if a[i][t]:
-                        row_sub(i, t, a[i][t] // a[t][t])
+                        q = a[i][t] // top[t]
+                        a[i] = [x - q * y for x, y in zip(a[i], top)]
             # clear right of the pivot (Euclid on the row)
-            while any(a[t][j] for j in range(t + 1, c)):
-                jmin = min(
-                    (j for j in range(t, c) if a[t][j] != 0), key=lambda j: abs(a[t][j])
-                )
+            top = a[t]
+            while any(top[j] for j in range(t + 1, c)):
+                jmin = min((j for j in range(t, c) if top[j] != 0), key=lambda j: abs(top[j]))
                 if jmin != t:
-                    col_swap(t, jmin)
+                    for row in a:
+                        row[t], row[jmin] = row[jmin], row[t]
                 for j in range(t + 1, c):
-                    if a[t][j]:
-                        col_sub(j, t, a[t][j] // a[t][t])
+                    if top[j]:
+                        q = top[j] // top[t]
+                        for row in a:
+                            row[j] -= q * row[t]
             if any(a[i][t] for i in range(t + 1, r)):
                 continue  # column swaps dirtied the pivot column
-            # force the pivot to divide the remaining submatrix
-            witness = None
-            for i in range(t + 1, r):
-                if any(x % a[t][t] for x in a[i][t + 1 :]):
-                    witness = i
-                    break
+            # force the pivot to divide the remaining submatrix (a unit does)
+            p = top[t]
+            if p in (1, -1):
+                break
+            witness = next(
+                (i for i in range(t + 1, r) if any(x % p for x in a[i][t + 1 : c])), None
+            )
             if witness is None:
                 break
-            row_add(t, witness)
+            a[t] = [x + y for x, y in zip(top, a[witness])]
         if a[t][t] < 0:
-            row_neg(t)
+            a[t] = [-x for x in a[t]]
         t += 1
+    return tuple(a[i][i] for i in range(min(r, c)))
 
-    divisors = tuple(a[i][i] for i in range(min(r, c)))
+
+def smith_normal_form(m: IntMatrix) -> SmithForm:
+    """Smith normal form over the integers, U M V = D with both transforms;
+    the divisors are nonnegative, each dividing the next, zeros trailing."""
+    r, c = m.rows, m.cols
+    a = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(m)]
+    a += [[int(i == j) for j in range(c)] for i in range(c)]
+    divisors = _smith_eliminate(a, r, c)
     return SmithForm(
-        U=IntMatrix._trusted(tuple(map(tuple, u)), r),
-        D=IntMatrix._trusted(tuple(map(tuple, a)), c),
-        V=IntMatrix._trusted(tuple(map(tuple, v)), c),
+        U=IntMatrix._trusted(tuple(tuple(row[c:]) for row in a[:r]), r),
+        D=IntMatrix._trusted(tuple(tuple(row[:c]) for row in a[:r]), c),
+        V=IntMatrix._trusted(tuple(map(tuple, a[r:])), c),
         divisors=divisors,
     )
+
+
+def smith_columns(m: IntMatrix) -> SmithColumns:
+    """The divisors and V of `smith_normal_form(m)`, from the same
+    elimination without the row transform U."""
+    a = [list(row) for row in m]
+    a += [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
+    divisors = _smith_eliminate(a, m.rows, m.cols)
+    return SmithColumns(IntMatrix._trusted(tuple(map(tuple, a[m.rows :])), m.cols), divisors)
+
+
+def smith_divisors(m: IntMatrix) -> tuple[int, ...]:
+    """The divisors of `smith_normal_form(m)`, from the same elimination
+    without either transform."""
+    return _smith_eliminate([list(row) for row in m], m.rows, m.cols)
 
 
 def row_smith_basis(f) -> tuple[IntMatrix, IntMatrix, int]:
@@ -373,7 +393,7 @@ def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
     The basis is saturated (it spans the full rational kernel), with
     cols - rank(M) vectors.
     """
-    snf = smith_normal_form(m)
+    snf = smith_columns(m)
     nnz = sum(1 for d in snf.divisors if d != 0)
     return [snf.V.column(j) for j in range(nnz, m.cols)]
 
@@ -404,6 +424,36 @@ def solve_integer_linear(m: IntMatrix, b) -> tuple[tuple[int, ...], list[tuple[i
     nnz = sum(1 for d in snf.divisors if d != 0)
     kernel = [snf.V.column(j) for j in range(nnz, m.cols)]
     return x0, kernel
+
+
+def solve_mod_p(m: IntMatrix, b, p: int) -> tuple[int, ...] | None:
+    """One solution x in [0, p)^cols of M x = b (mod p), for p prime,
+    with the free variables 0; None when there is none.  Gauss-Jordan
+    elimination of [M | b] over F_p."""
+    if len(b) != m.rows:
+        raise ValueError(f"rhs of dim {len(b)} against {m.shape()}")
+    rows = [[x % p for x in row] + [y % p] for row, y in zip(m, b)]
+    pivots = []
+    for col in range(m.cols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, m.rows) if rows[i][col]), None)
+        if piv is None:
+            continue
+        inv = pow(rows[piv][col], -1, p)
+        prow = [x * inv % p for x in rows[piv]]
+        rows[piv] = rows[rank]
+        rows[rank] = prow
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                f = row[col]
+                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+        pivots.append(col)
+    if any(row[-1] for row in rows[len(pivots) :]):
+        return None
+    x = [0] * m.cols
+    for row, col in zip(rows, pivots):
+        x[col] = row[-1]
+    return tuple(x)
 
 
 def rational_rank(m: IntMatrix) -> int:

@@ -3,11 +3,13 @@ lattice are computed once per group object and shared by every caller;
 the connectivity commands never build H1's relation matrix."""
 
 import gc
+import io
 import json
 import sys
 import threading
 import weakref
 from collections import Counter, defaultdict
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -23,6 +25,8 @@ from bieberbach.finite import all_subgroups, finite_group_from_holonomy
 from bieberbach.groupfile import group_to_document
 from bieberbach.linalg import IntMatrix
 from test_calabi import perfbench_corpus, seeded_chain_groups
+from test_corpus_outputs import DIGESTS, argv_for, corpus_items
+from test_linalg import assert_smith_forms_agree
 
 
 def fresh_catalog_group(key):
@@ -156,7 +160,7 @@ def test_the_calabi_peel_runs_no_hermite_form_and_no_one_row_smith_form(
     row f (`row_smith_basis`): over the seed-1 `connective` corpus, no
     Hermite form runs and no Smith form is taken of a one-row matrix."""
     hermite = count_calls_everywhere(monkeypatch, linalg.hermite_normal_form)
-    smith = count_calls_everywhere(monkeypatch, linalg.smith_normal_form)
+    smith = count_calls_everywhere(monkeypatch, linalg.smith_columns)
     for pos, doc in enumerate(perfbench_corpus("connective", 1)):
         path = tmp_path / f"{pos}.json"
         path.write_text(json.dumps(doc))
@@ -165,6 +169,50 @@ def test_the_calabi_peel_runs_no_hermite_form_and_no_one_row_smith_form(
     assert smith  # each stage's surjection takes one Smith form
     assert not hermite
     assert all(m.rows != 1 for m, *_ in smith)
+
+@pytest.fixture(scope="module")
+def seed1_smith_calls(tmp_path_factory):
+    """The arguments of every call to each Smith entry point and to
+    `solve_integer_linear` while the benchmark's seed-1 `analyze` (the
+    catalog included), `connective` and `lattice` ops run through
+    `cli.main`."""
+    tmp = tmp_path_factory.mktemp("seed1")
+    runs = [
+        (command, item, item.doc)
+        for command, (workload, _) in DIGESTS.items()
+        for item in corpus_items(workload)
+    ]
+    catalog = [group_to_document(fresh_catalog_group(key)) for key in catalog_list()]
+    runs += [("analyze --format json", None, doc) for doc in catalog]
+    funcs = (
+        linalg.smith_normal_form,
+        linalg.solve_integer_linear,
+        linalg.smith_columns,
+        linalg.smith_divisors,
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        calls = {func.__name__: count_calls_everywhere(mp, func) for func in funcs}
+        for pos, (command, item, doc) in enumerate(runs):
+            path = tmp / f"{pos}.json"
+            path.write_text(json.dumps(doc))
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                main(argv_for(command, item, path))
+    return calls
+
+
+def test_no_cli_command_builds_a_row_transform(seed1_smith_calls):
+    """H1 and G/G' take divisors only, kernels and the fixed dual lattice
+    take V only: no benchmark op builds the row transform U."""
+    assert not seed1_smith_calls["smith_normal_form"]
+    assert not seed1_smith_calls["solve_integer_linear"]
+    assert seed1_smith_calls["smith_columns"] and seed1_smith_calls["smith_divisors"]
+
+
+def test_seed1_smith_inputs_match_the_full_form(seed1_smith_calls):
+    calls = seed1_smith_calls["smith_columns"] + seed1_smith_calls["smith_divisors"]
+    for m in {m for m, in calls}:
+        assert_smith_forms_agree(m)
+
 
 def dual_action_matrix(group):
     """The stacked A(g)^T - I over the holonomy generators."""
@@ -181,13 +229,13 @@ def test_analysis_computes_the_dual_action_smith_form_once_per_group(monkeypatch
     """`fixed_torus` and every stage's surjection share one Smith form of
     the stacked A(g)^T - I per group object."""
     calls = []
-    real_smith = invariants.smith_normal_form
+    real_smith = invariants.smith_columns
 
     def counting_smith(matrix):
         calls.append(matrix)
         return real_smith(matrix)
 
-    monkeypatch.setattr(invariants, "smith_normal_form", counting_smith)
+    monkeypatch.setattr(invariants, "smith_columns", counting_smith)
     group = fresh_catalog_group(key)
     report = AnalysisReport.compute(group)
     report.to_document()
@@ -200,13 +248,13 @@ def test_analysis_computes_the_dual_action_smith_form_once_per_group(monkeypatch
 
 def test_torsion_free_verdict_is_computed_once(monkeypatch):
     calls = []
-    real_solve = crystal.solve_integer_linear
+    real_solve = crystal.norm_solution
 
     def counting_solve(*args):
         calls.append(args)
         return real_solve(*args)
 
-    monkeypatch.setattr(crystal, "solve_integer_linear", counting_solve)
+    monkeypatch.setattr(crystal, "norm_solution", counting_solve)
     group = fresh_catalog_group("hw")
     assert torsion_witness(group) is None
     assert calls

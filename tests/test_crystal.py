@@ -16,16 +16,18 @@ from bieberbach.crystal import (
     build_group,
     element_normal_form,
     is_torsion_free,
+    norm_solution,
     reconstruct_element,
     torsion_witness,
 )
+from bieberbach.groupfile import document_to_group
 from bieberbach.linalg import IntMatrix, solve_integer_linear
 from test_build_oracle import (
     full_cocycle,
     random_rotation_generator,
     random_signed_permutation,
 )
-from test_calabi import random_diagonal_group, random_screw_group
+from test_calabi import perfbench_corpus, random_diagonal_group, random_screw_group
 
 
 F = Fraction
@@ -425,6 +427,102 @@ def test_torsion_matches_the_per_element_oracle():
         assert verdicts.count(True) == torsion_free, family
 
 
+# ---------------------------------------------------------------- the mod-p solve
+
+def prime_order_norm_equations(group):
+    """(s, p, N_s, b) for one element s per cyclic subgroup of prime order
+    p: N_s is summed from matrix products, and b = -N_s t_s."""
+    ident = IntMatrix.identity(group.dim)
+    seen = set()
+    for elem in group.elements:
+        powers = [ident]
+        while len(powers) == 1 or powers[-1] != ident:
+            powers.append(powers[-1] * elem.matrix)
+        powers.pop()
+        key = frozenset(powers)
+        if not is_prime(len(powers)) or key in seen:
+            continue
+        seen.add(key)
+        norm = IntMatrix.zeros(group.dim, group.dim)
+        for m in powers:
+            norm = norm + m
+        rhs = norm.apply(elem.translation)
+        assert all(x.denominator == 1 for x in rhs)  # g_s^p is a lattice translation
+        yield elem, len(powers), norm, tuple(-int(x) for x in rhs)
+
+
+def assert_norm_solutions_match_the_smith_oracle(group) -> int:
+    """Per prime-order cyclic subgroup, the mod-p solve and the Smith
+    solve agree on whether N_s lam = b has an integer solution, and the
+    mod-p lam solves it exactly and names torsion.  Returns the number
+    of subgroups whose coset holds torsion."""
+    solvable = 0
+    for elem, p, norm, b in prime_order_norm_equations(group):
+        lam = norm_solution(norm, b, p)
+        assert (lam is None) == (solve_integer_linear(norm, b) is None), (group.name, p)
+        if lam is not None:
+            assert norm.apply(lam) == b
+            assert_witness_is_torsion(group, TorsionWitness(element=elem, correction=lam, order=p))
+            solvable += 1
+    return solvable
+
+
+def companion_of_phi7():
+    """The companion matrix of 1 + x + ... + x^6: order 7, no fixed vector."""
+    return [[int(i == j + 1) - (j == 5) for j in range(6)] for i in range(6)]
+
+
+def odd_prime_groups():
+    """Z/5 by the 5-cycle permutation matrix and Z/7 by the companion
+    matrix of Phi_7, each alone and beside one fixed coordinate, with
+    random shifts over q in {p, 2p}; draws that do not close to a
+    standard-form group are skipped."""
+    rng = random.Random(57)
+    groups = []
+    for mat, p in ((permutation_rows((1, 2, 3, 4, 0)), 5), (companion_of_phi7(), 7)):
+        for extra in (0, 1):
+            k = len(mat) + extra
+            rows = [row + [0] * extra for row in mat] + [[0] * len(mat) + [1]] * extra
+            for q in (p, 2 * p):
+                built = 0
+                while built < 6:
+                    shift = [F(rng.randrange(q), q) for _ in range(k)]
+                    try:
+                        groups.append(build_group(k, [AffineGen.of(rows, shift)], name=f"z{p}"))
+                    except HolonomyNotFaithful:
+                        continue
+                    built += 1
+    return groups
+
+
+def test_mod_p_norm_solution_matches_the_smith_solve():
+    """On the oracle corpus (the catalog included), the seed 1-3 `analyze`
+    and `connective` benchmark corpora, and odd primes."""
+    groups = [g for gs, _ in oracle_corpus().values() for g in gs]
+    for workload in ("analyze", "connective"):
+        for seed in (1, 2, 3):
+            groups += [document_to_group(doc) for doc in perfbench_corpus(workload, seed)]
+    for g in groups:
+        assert_norm_solutions_match_the_smith_oracle(g)
+    odd = odd_prime_groups()
+    torsion = [assert_norm_solutions_match_the_smith_oracle(g) for g in odd]
+    # no Z[Z/5] or Z[zeta_7] extension is torsion free; a fixed coordinate
+    # with a 1/p screw is
+    assert all(torsion[i] for i in range(12)) and all(torsion[i] for i in range(24, 36))
+    assert 0 < torsion[12:24].count(0) < 12 and 0 < torsion[36:].count(0) < 12
+
+
+def test_norm_solution_lifts_a_solution_mod_p():
+    """With A the 3-cycle, N is all ones: b = (3, 3, 3) is N (1, 1, 1), but
+    the mod-3 solve sees b = 0 and returns x = 0, so the lift (b - N x)/p
+    does all the work."""
+    three_cycle = IntMatrix(permutation_rows((1, 2, 0)))
+    norm = IntMatrix.identity(3) + three_cycle + three_cycle * three_cycle
+    lam = norm_solution(norm, (3, 3, 3), 3)
+    assert lam == (1, 1, 1) and norm.apply(lam) == (3, 3, 3)
+    assert norm_solution(norm, (1, 1, 1), 3) == (1, 0, 0)
+
+
 # ---------------------------------------------------------------- cost shape
 
 def prime_order_cyclic_subgroups(group):
@@ -460,7 +558,7 @@ def test_torsion_test_solves_once_per_prime_order_cyclic_subgroup(monkeypatch, m
     products = []
     solves = []
     real_mul = IntMatrix.__mul__
-    real_solve = crystal.solve_integer_linear
+    real_solve = crystal.norm_solution
 
     def counting_mul(a, b):
         products.append(1)
@@ -471,7 +569,7 @@ def test_torsion_test_solves_once_per_prime_order_cyclic_subgroup(monkeypatch, m
         return real_solve(*args)
 
     monkeypatch.setattr(IntMatrix, "__mul__", counting_mul)
-    monkeypatch.setattr(crystal, "solve_integer_linear", counting_solve)
+    monkeypatch.setattr(crystal, "norm_solution", counting_solve)
     witness = torsion_witness(group)
     monkeypatch.undo()
 

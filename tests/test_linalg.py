@@ -15,8 +15,11 @@ from bieberbach.linalg import (
     invert_unimodular,
     rational_rank,
     rational_solve,
+    smith_columns,
+    smith_divisors,
     smith_normal_form,
     solve_integer_linear,
+    solve_mod_p,
     vec_mod1,
 )
 
@@ -125,6 +128,30 @@ def test_snf_random_contract_and_rank():
         nnz = sum(1 for d in snf.divisors if d != 0)
         assert rational_rank(m) == nnz
         assert rational_rank(m) == gauss_rank(m.entries)
+
+
+def assert_smith_forms_agree(m: IntMatrix) -> None:
+    """`smith_divisors` and `smith_columns` run the elimination of
+    `smith_normal_form` with fewer transforms: the same divisors and V."""
+    snf = smith_normal_form(m)
+    columns = smith_columns(m)
+    assert smith_divisors(m) == snf.divisors
+    assert columns.divisors == snf.divisors
+    assert columns.V == snf.V and columns.V.cols == snf.V.cols
+
+
+def test_smith_divisors_and_columns_match_the_full_form_on_random_matrices():
+    rng = random.Random(17)
+    for _ in range(5000):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        entries = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        if rows and rng.random() < 0.3:
+            entries[rng.randrange(rows)] = [0] * cols
+        if cols and rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in entries:
+                row[j] = 0
+        assert_smith_forms_agree(IntMatrix(entries, cols=cols))
 
 
 def test_snf_against_minor_gcd_oracle():
@@ -285,6 +312,29 @@ def test_solve_agrees_with_box_search():
                 assert all(x == 0 for x in m.apply(vec))
 
 
+def test_solve_mod_p_agrees_with_brute_force():
+    rng = random.Random(8)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5, 7))
+        rows, cols = rng.randint(0, 3), rng.randint(0, 3)
+        m = random_matrix(rng, rows, cols, lo=-9, hi=9) if rows else IntMatrix.zeros(0, cols)
+        b = tuple(rng.randint(-9, 9) for _ in range(rows))
+        solutions = [
+            x
+            for x in itertools.product(range(p), repeat=cols)
+            if all((y - z) % p == 0 for y, z in zip(m.apply(x), b))
+        ]
+        x = solve_mod_p(m, b, p)
+        assert (x is None) == (not solutions)
+        if x is not None:
+            assert x in solutions
+
+
+def test_solve_mod_p_dimension_mismatch():
+    with pytest.raises(ValueError):
+        solve_mod_p(IntMatrix.identity(2), (1, 2, 3), 2)
+
+
 # ---------------------------------------------------------------- misc
 
 def test_rational_rank_examples():
@@ -440,6 +490,7 @@ def test_linalg_results_are_well_formed_int_matrices():
         snf = smith_normal_form(a)
         hnf = hermite_normal_form(a)
         results = [
+            smith_columns(a).V,
             a * c,
             a + b,
             a - b,
