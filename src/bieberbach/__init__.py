@@ -10,12 +10,8 @@ certificate either way.
 from .linalg import (
     IntMatrix,
     SmithForm,
-    HermiteForm,
     smith_normal_form,
-    hermite_normal_form,
     integer_kernel,
-    solve_integer_linear,
-    rational_rank,
     determinant,
 )
 from .crystal import (
@@ -26,10 +22,7 @@ from .crystal import (
     CrystalError,
     ClosureBudgetExceeded,
     HolonomyNotFaithful,
-    NotInGroup,
     build_group,
-    element_normal_form,
-    reconstruct_element,
     is_torsion_free,
     torsion_witness,
 )
@@ -48,24 +41,15 @@ from .orbits import (
     StabilizerRecord,
     character,
     orbit_data,
-    stabilizer_classes,
-    induced_dimension,
 )
 from .finite import (
     FiniteGroup,
     Subgroup,
     CoprimeTree,
-    finite_group,
     finite_group_from_holonomy,
     all_subgroups,
-    sylow_subgroup,
-    has_normal_complement,
     is_primitive,
     in_coprime_class,
-    coprime_split_properties,
-    cyclic_group,
-    semidirect_cyclic,
-    direct_product,
     structure_name,
 )
 from .groupfile import (
@@ -93,4 +77,19 @@ from .catalog import (
     catalog_get,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "IntMatrix", "SmithForm", "smith_normal_form", "integer_kernel", "determinant",
+    "AffineGen", "CrystalGroup", "HolonomyElement", "TorsionWitness", "CrystalError",
+    "ClosureBudgetExceeded", "HolonomyNotFaithful", "build_group", "is_torsion_free",
+    "torsion_witness",
+    "AbelianInvariants", "FixedLattice", "FixedTorusSubgroup", "TooManyFixedPoints",
+    "abelianization", "fixed_lattice", "fixed_torus", "character_count",
+    "Character", "StabilizerRecord", "character", "orbit_data",
+    "FiniteGroup", "Subgroup", "CoprimeTree", "finite_group_from_holonomy",
+    "all_subgroups", "is_primitive", "in_coprime_class", "structure_name",
+    "GroupFileError", "document_to_group", "group_to_document", "load_group",
+    "SurjectionToZ", "CalabiStep", "PolyZSeries", "ConnectivityReport",
+    "NotTorsionFree", "surjection_to_Z", "calabi_kernel", "is_connective",
+    "connectivity_document",
+    "CatalogEntry", "ExpectedInvariants", "UnknownKey", "catalog_list", "catalog_get",
+]

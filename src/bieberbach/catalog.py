@@ -9,13 +9,11 @@ finite-homology screw group and a connective one).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .crystal import AffineGen, CrystalError, CrystalGroup, build_group, is_torsion_free
-from .invariants import abelianization
+from .crystal import AffineGen, CrystalGroup, build_group
 from .linalg import IntMatrix
 
 
@@ -73,49 +71,9 @@ def _dim3_cyclic(name, rows, shift) -> CrystalGroup:
     return build_group(3, [AffineGen.of(rows, shift)], name=name)
 
 
-def search_connective_c2c2() -> tuple[AffineGen, AffineGen]:
-    """First (Z/2)^2 example with infinite first homology, by exhaustive
-    search over diagonal sign representations with half-integer
-    translations.
-
-    Enumeration order is lexicographic over (diagonal 1, diagonal 2,
-    translation 1, translation 2) with -1 < 1 and 0 < 1/2; the first
-    group that builds, is torsion free and has infinite first homology
-    wins.  The Hantzsche-Wendt representation itself never passes: its
-    fixed lattice is trivial for every choice of translations.
-    """
-    diagonals = list(itertools.product((-1, 1), repeat=3))
-    shifts = list(itertools.product((F(0), F(1, 2)), repeat=3))
-    identity = (1, 1, 1)
-    for d1 in diagonals:
-        if d1 == identity:
-            continue
-        m1 = [[d1[0], 0, 0], [0, d1[1], 0], [0, 0, d1[2]]]
-        for d2 in diagonals:
-            if d2 == identity or d2 == d1:
-                continue
-            m2 = [[d2[0], 0, 0], [0, d2[1], 0], [0, 0, d2[2]]]
-            for t1 in shifts:
-                for t2 in shifts:
-                    try:
-                        group = build_group(
-                            3, [AffineGen.of(m1, t1), AffineGen.of(m2, t2)]
-                        )
-                    except CrystalError:
-                        continue
-                    if group.holonomy_order != 4:
-                        continue
-                    if not is_torsion_free(group):
-                        continue
-                    if abelianization(group).rank == 0:
-                        continue
-                    return AffineGen.of(m1, t1), AffineGen.of(m2, t2)
-    raise AssertionError("no connective (Z/2)^2 representative found")
-
-
 def _dim3_c2c2_connective() -> CrystalGroup:
-    # frozen first hit of search_connective_c2c2(); the test suite
-    # re-runs the search and checks this is still the first hit
+    # frozen first hit of an exhaustive search over diagonal sign
+    # representations; the test suite re-runs it and checks the hit
     g1 = AffineGen.of([[-1, 0, 0], [0, -1, 0], [0, 0, 1]], (0, 0, F(1, 2)))
     g2 = AffineGen.of([[-1, 0, 0], [0, 1, 0], [0, 0, 1]], (0, F(1, 2), 0))
     return build_group(3, [g1, g2], name="dim3_c2c2_connective")

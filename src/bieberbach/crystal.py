@@ -19,15 +19,7 @@ from math import lcm
 from operator import add, mul
 
 from .finite import FiniteGroup, computed_once
-from .linalg import (
-    IntMatrix,
-    determinant,
-    frac_vector,
-    invert_unimodular,
-    solve_mod_p,
-    vec_add,
-    vec_sub,
-)
+from .linalg import IntMatrix, determinant, frac_vector, solve_mod_p, vec_add
 
 
 class CrystalError(Exception):
@@ -44,10 +36,6 @@ class HolonomyNotFaithful(CrystalError):
     maximal abelian in the generated group."""
 
 
-class NotInGroup(CrystalError):
-    """An affine element does not belong to the group."""
-
-
 RatVec = tuple[Fraction, ...]
 
 
@@ -56,8 +44,8 @@ class AffineGen:
     """Affine element (A, a): x -> A x + a with A integral and a rational.
 
     The constructor and `of` normalize the translation to `Fraction`s and
-    check the shapes and |det A| = 1; products, inverses and the Calabi
-    kernel's generators are made by `_trusted`, which does not."""
+    check the shapes and |det A| = 1; products and the Calabi kernel's
+    generators are made by `_trusted`, which does not."""
 
     matrix: IntMatrix
     translation: RatVec
@@ -70,7 +58,7 @@ class AffineGen:
     def _trusted(cls, matrix: IntMatrix, translation: RatVec) -> AffineGen:
         """An element on `matrix` and `translation`, unchecked: a square
         matrix with |det| = 1 and a tuple of `Fraction`s of its size, such
-        as products and inverses of checked elements make."""
+        as products of checked elements make."""
         g = object.__new__(cls)
         object.__setattr__(g, "matrix", matrix)
         object.__setattr__(g, "translation", translation)
@@ -94,10 +82,6 @@ class AffineGen:
             self.matrix * other.matrix,
             vec_add(self.matrix.apply(other.translation), self.translation),
         )
-
-    def invert(self) -> AffineGen:
-        inv = invert_unimodular(self.matrix)
-        return AffineGen._trusted(inv, tuple(-x for x in inv.apply(self.translation)))
 
     def is_identity(self) -> bool:
         return self.matrix.is_identity() and all(x == 0 for x in self.translation)
@@ -167,14 +151,6 @@ class CrystalGroup:
     def holonomy(self) -> FiniteGroup:
         """The holonomy as a finite group, on the same Cayley graph."""
         return FiniteGroup(self.edges)
-
-    @cached_property
-    def _matrix_index(self) -> dict[IntMatrix, int]:
-        return {e.matrix: e.index for e in self.elements}
-
-    def element_for_matrix(self, matrix: IntMatrix) -> HolonomyElement | None:
-        idx = self._matrix_index.get(matrix)
-        return None if idx is None else self.elements[idx]
 
     def holonomy_generator_indices(self) -> tuple[int, ...]:
         """Distinct non-identity generator images, in first-seen order."""
@@ -293,27 +269,6 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
         edge_cocycle=tuple(tuple(row[pos] for pos in positions) for row in defects),
         generator_images=tuple(right[0]),
     )
-
-
-def element_normal_form(g: AffineGen, group: CrystalGroup) -> tuple[HolonomyElement, tuple[int, ...]]:
-    """Coset decomposition g = (lattice shift) * (stored representative).
-
-    Returns (holonomy element s, integer vector lam) with
-    g = AffineGen(A(s), a_s + lam).
-    """
-    elem = group.element_for_matrix(g.matrix)
-    if elem is None:
-        raise NotInGroup("matrix is not in the holonomy")
-    lam = vec_sub(g.translation, elem.translation)
-    if any(x.denominator != 1 for x in lam):
-        raise NotInGroup("translation is not congruent to the coset representative mod Z^k")
-    return elem, tuple(int(x) for x in lam)
-
-
-def reconstruct_element(group: CrystalGroup, index: int, lam) -> AffineGen:
-    """Inverse of element_normal_form."""
-    elem = group.elements[index]
-    return AffineGen(elem.matrix, vec_add(elem.translation, frac_vector(lam)))
 
 
 def norm_solution(norm: IntMatrix, b, p: int) -> tuple[int, ...] | None:

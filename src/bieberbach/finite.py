@@ -5,9 +5,9 @@ tree presents it (Reidemeister-Schreier): `tree_relations` writes that
 presentation once, for G/G' here and, with the lattice cocycle on the
 edges, for the crystallographic group's H1.  Element orders and G/G'
 decide Hiller-Sah primitivity and recognize iterated coprime
-semidirect products of cyclic groups, at any order.  Only subgroup
-enumeration, Sylow subgroups and normal complements read the n x n
-table; they are brute force on purpose, and no command calls them.
+semidirect products of cyclic groups, at any order.  Only the subgroup
+lattice `all_subgroups` reads the n x n table; it is brute force on
+purpose, and no command calls it (the benchmark's probe times it).
 """
 
 from __future__ import annotations
@@ -184,69 +184,10 @@ class CoprimeTree:
         return self.normal_part.orders() + (self.complement_order,)
 
 
-def finite_group(table) -> FiniteGroup:
-    """Verify a multiplication table as a group law, and return its
-    Cayley graph on the generating set that Light's test checks: its
-    table is the verified one."""
-    table = tuple(tuple(row) for row in table)
-    n = len(table)
-    if any(len(row) != n for row in table):
-        raise ValueError("table is not square")
-    if any(not (0 <= x < n) for row in table for x in row):
-        raise ValueError("table entries out of range")
-    # a two-sided identity is unique
-    if n == 0 or any(table[0][x] != x or table[x][0] != x for x in range(n)):
-        raise ValueError("identity must be element 0")
-    for i in range(n):
-        if not any(table[i][j] == 0 and table[j][i] == 0 for j in range(n)):
-            raise ValueError(f"element {i} has no inverse")
-    # Light's test: the a with (x.a).y = x.(a.y) for all x, y contain 0 and
-    # are closed under products, so a generating set suffices.
-    gens, reached = [], {0}
-    for g in range(n):
-        if g not in reached:
-            gens.append(g)
-            reached = _closure(table, gens)
-    for g, x, y in itertools.product(gens, range(n), range(n)):
-        if table[table[x][g]][y] != table[x][table[g][y]]:
-            raise ValueError("table is not associative")
-    return FiniteGroup(tuple(tuple(row[g] for g in gens) for row in table))
-
-
 def finite_group_from_holonomy(group) -> FiniteGroup:
     """A `CrystalGroup`'s holonomy as a finite group: the Cayley graph of
     `build_group`'s closure, so nothing is built or re-verified."""
     return group.holonomy
-
-
-def cyclic_group(n: int) -> FiniteGroup:
-    if n < 1:
-        raise ValueError("order must be positive")
-    return FiniteGroup(tuple(((i + 1) % n,) for i in range(n)))
-
-
-def semidirect_cyclic(n: int, m: int, unit: int) -> FiniteGroup:
-    """Z/n x| Z/m where the generator of Z/m acts by multiplication by
-    `unit` on Z/n; requires unit^m = 1 (mod n)."""
-    if pow(unit, m, n) != 1 % n:
-        raise ValueError(f"{unit}^{m} != 1 mod {n}: not an action of Z/{m}")
-    # (a, b) is element b n + a; (a, b)(1, 0) = (a + unit^b, b), (a, b)(0, 1) = (a, b + 1)
-    return FiniteGroup(tuple(
-        (b * n + (a + pow(unit, b, n)) % n, (b + 1) % m * n + a)
-        for b in range(m)
-        for a in range(n)
-    ))
-
-
-def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """G x H on (a, b), element a |H| + b, generated by G's generators
-    and then H's."""
-    k = h.order
-    return FiniteGroup(tuple(
-        tuple(x * k + b for x in g.edges[a]) + tuple(a * k + y for y in h.edges[b])
-        for a in range(g.order)
-        for b in range(k)
-    ))
 
 
 def _closure(table, seed) -> frozenset[int]:
@@ -307,61 +248,6 @@ def _prime_factors(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def sylow_subgroup(group: FiniteGroup, p: int) -> Subgroup:
-    """One Sylow p-subgroup (maximal p-power order)."""
-    factors = _prime_factors(group.order)
-    if p not in factors:
-        raise ValueError(f"{p} does not divide the group order {group.order}")
-    target = p ** factors[p]
-    for sub in all_subgroups(group):
-        if sub.order == target:
-            return sub
-    raise AssertionError("Sylow subgroup not found; subgroup enumeration is broken")
-
-
-def has_normal_complement(group: FiniteGroup, part: Subgroup) -> tuple[bool, Subgroup | None]:
-    """Is there a normal K with K * part = group and trivial intersection?"""
-    want = group.order // part.order
-    if want * part.order != group.order:
-        raise ValueError("subgroup order does not divide the group order")
-    for sub in all_subgroups(group):
-        if sub.is_normal and sub.order == want and sub.elements & part.elements == {0}:
-            return True, sub
-    return False, None
-
-
-def subgroup_as_group(group: FiniteGroup, elems: frozenset[int]) -> FiniteGroup:
-    """The subgroup on its own table (element 0 stays the identity)."""
-    ordered = [0] + sorted(e for e in elems if e != 0)
-    index = {e: i for i, e in enumerate(ordered)}
-    table = [[index[group.table[a][b]] for b in ordered] for a in ordered]
-    return finite_group(table)
-
-
-def quotient_group(
-    group: FiniteGroup, normal: frozenset[int]
-) -> tuple[FiniteGroup, tuple[int, ...]]:
-    """Quotient by a normal subgroup; returns (quotient, projection map
-    element index -> coset index)."""
-    if not _is_normal(group, normal):
-        raise ValueError("quotient by a non-normal subgroup")
-    coset_of = [-1] * group.order
-    reps = []
-    for g in range(group.order):
-        if coset_of[g] != -1:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for x in normal:
-            coset_of[group.table[g][x]] = idx
-    # identity coset must be index 0: rep 0 is the identity element
-    table = [
-        [coset_of[group.table[reps[a]][reps[b]]] for b in range(len(reps))]
-        for a in range(len(reps))
-    ]
-    return finite_group(table), tuple(coset_of)
 
 
 def is_primitive(group: FiniteGroup) -> bool:
@@ -433,65 +319,6 @@ def _is_subgroup(group: FiniteGroup, elems) -> bool:
                     seen.add(y)
                     reached.append(y)
     return True
-
-
-@dataclass(frozen=True)
-class SplitCheck:
-    normal_subgroup: tuple[int, ...]
-    quotient_decomposes: bool
-    subgroup_decomposes: bool
-
-
-@dataclass(frozen=True)
-class CoprimeSplitReport:
-    ok: bool
-    checks: tuple[SplitCheck, ...]
-
-
-def coprime_split_properties(
-    group: FiniteGroup,
-    normal_part: Subgroup,
-    complement: Subgroup,
-) -> CoprimeSplitReport:
-    """For a coprime internal semidirect product group = K x| C, verify
-    on every normal subgroup M that (a) the quotient decomposes as
-    image(K) x| image(C) with trivial intersection and (b) M equals
-    (M cap K) * (M cap C)."""
-    K, C = normal_part, complement
-    if not K.is_normal:
-        raise ValueError("normal_part is not normal")
-    if K.order * C.order != group.order:
-        raise ValueError("orders do not multiply to the group order")
-    if gcd(K.order, C.order) != 1:
-        raise ValueError("orders are not coprime")
-    if K.elements & C.elements != {0}:
-        raise ValueError("parts intersect nontrivially")
-
-    checks = []
-    for sub in all_subgroups(group):
-        if not sub.is_normal:
-            continue
-        quot, proj = quotient_group(group, sub.elements)
-        pk = {proj[x] for x in K.elements}
-        pc = {proj[y] for y in C.elements}
-        quotient_ok = (
-            pk & pc == {0}
-            and len(pk) * len(pc) == quot.order
-            and _is_normal(quot, frozenset(pk))
-        )
-        mk = sub.elements & K.elements
-        mc = sub.elements & C.elements
-        products = {group.table[x][y] for x in mk for y in mc}
-        subgroup_ok = products == sub.elements
-        checks.append(
-            SplitCheck(
-                normal_subgroup=tuple(sorted(sub.elements)),
-                quotient_decomposes=quotient_ok,
-                subgroup_decomposes=subgroup_ok,
-            )
-        )
-    ok = all(c.quotient_decomposes and c.subgroup_decomposes for c in checks)
-    return CoprimeSplitReport(ok=ok, checks=tuple(checks))
 
 
 def abelian_invariant_factors(group: FiniteGroup) -> tuple[int, ...] | None:

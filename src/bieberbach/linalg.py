@@ -1,17 +1,19 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here runs over arbitrary-precision Python ints and
-fractions.Fraction; no floats anywhere.  The workhorses are the Smith
-and Hermite normal forms, from which integer kernels, integer linear
-system solving and lattice membership all fall out.
+Everything here runs over arbitrary-precision Python ints (and
+fractions.Fraction for rational vectors); no floats anywhere.  The
+workhorse is the Smith normal form, from which integer kernels, the
+fixed dual lattice and first homology all fall out.
 
 One Smith elimination serves three entry points, each carrying only
 the transforms its caller reads: `smith_divisors` carries none (H1 and
 G/G'), `smith_columns` carries V (integer kernels and the fixed dual
-lattice), and `smith_normal_form` carries U and V (`solve_integer_linear`
-and the tests).  The pivots never depend on what is carried, so the
-divisors and V agree bit for bit across the three.  `solve_mod_p` is
-one Gaussian elimination over F_p.
+lattice), and `smith_normal_form` carries U and V (the benchmark's
+probe and the tests).  The pivots never depend on what is carried, so
+the divisors and V agree bit for bit across the three.
+`row_smith_basis` gives V and its inverse for one row (the Calabi
+peel), and `solve_mod_p` is one Gaussian elimination over F_p (the
+torsion test).
 """
 
 from __future__ import annotations
@@ -186,14 +188,6 @@ class SmithColumns:
     divisors: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class HermiteForm:
-    """U * M = H with U unimodular and H the canonical row Hermite form."""
-
-    H: IntMatrix
-    U: IntMatrix
-
-
 def _smith_eliminate(a: list[list[int]], r: int, c: int) -> tuple[int, ...]:
     """Bring the top-left r x c block of `a` to Smith normal form in
     place, and return its divisors: nonnegative, each dividing the next,
@@ -334,59 +328,6 @@ def row_smith_basis(f) -> tuple[IntMatrix, IntMatrix, int]:
     )
 
 
-def hermite_normal_form(m: IntMatrix) -> HermiteForm:
-    """Canonical row Hermite form: positive pivots, entries above each
-    pivot reduced into [0, pivot), zero rows at the bottom."""
-    r, c = m.rows, m.cols
-    h = [list(row) for row in m]
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
-
-    def row_sub(i, k, q):
-        h[i] = [x - q * y for x, y in zip(h[i], h[k])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-
-    def row_swap(i, k):
-        h[i], h[k] = h[k], h[i]
-        u[i], u[k] = u[k], u[i]
-
-    def row_neg(i):
-        h[i] = [-x for x in h[i]]
-        u[i] = [-x for x in u[i]]
-
-    p = 0
-    for col in range(c):
-        if p >= r:
-            break
-        while True:
-            below = [i for i in range(p, r) if h[i][col] != 0]
-            if not below:
-                break
-            imin = min(below, key=lambda i: abs(h[i][col]))
-            if imin != p:
-                row_swap(p, imin)
-            done = True
-            for i in range(p + 1, r):
-                if h[i][col]:
-                    row_sub(i, p, h[i][col] // h[p][col])
-                    if h[i][col]:
-                        done = False
-            if done:
-                break
-        if p < r and h[p][col] != 0:
-            if h[p][col] < 0:
-                row_neg(p)
-            for i in range(p):
-                q = h[i][col] // h[p][col]
-                if q:
-                    row_sub(i, p, q)
-            p += 1
-
-    return HermiteForm(
-        H=IntMatrix._trusted(tuple(map(tuple, h)), c),
-        U=IntMatrix._trusted(tuple(map(tuple, u)), r),
-    )
-
-
 def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
     """Z-basis of {x in Z^cols : M x = 0}.
 
@@ -396,34 +337,6 @@ def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
     snf = smith_columns(m)
     nnz = sum(1 for d in snf.divisors if d != 0)
     return [snf.V.column(j) for j in range(nnz, m.cols)]
-
-
-def solve_integer_linear(m: IntMatrix, b) -> tuple[tuple[int, ...], list[tuple[int, ...]]] | None:
-    """Solve M x = b over the integers.
-
-    Returns (particular solution, kernel basis), or None when the
-    system has no integer solution.
-    """
-    if len(b) != m.rows:
-        raise ValueError(f"rhs of dim {len(b)} against {m.shape()}")
-    snf = smith_normal_form(m)
-    ub = snf.U.apply(tuple(_as_int(x) for x in b))
-    y = [0] * m.cols
-    for i in range(m.rows):
-        d = snf.divisors[i] if i < len(snf.divisors) else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            q, rem = divmod(ub[i], d)
-            if rem:
-                return None
-            if i < m.cols:
-                y[i] = q
-    x0 = snf.V.apply(tuple(y))
-    nnz = sum(1 for d in snf.divisors if d != 0)
-    kernel = [snf.V.column(j) for j in range(nnz, m.cols)]
-    return x0, kernel
 
 
 def solve_mod_p(m: IntMatrix, b, p: int) -> tuple[int, ...] | None:
@@ -456,30 +369,6 @@ def solve_mod_p(m: IntMatrix, b, p: int) -> tuple[int, ...] | None:
     return tuple(x)
 
 
-def rational_rank(m: IntMatrix) -> int:
-    """Rank over Q, by fraction-exact Gaussian elimination.
-
-    Deliberately independent of the Smith form so the two can
-    cross-check each other.
-    """
-    rows = [[Fraction(x) for x in row] for row in m]
-    rank = 0
-    for col in range(m.cols):
-        piv = next((i for i in range(rank, m.rows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        for i in range(rank + 1, m.rows):
-            if rows[i][col]:
-                f = rows[i][col] / prow[col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
-        rank += 1
-        if rank == m.rows:
-            break
-    return rank
-
-
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if m.rows != m.cols:
@@ -507,56 +396,6 @@ def determinant(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def rational_solve(rows, rhs) -> tuple[Fraction, ...] | None:
-    """One exact solution of (rows) x = rhs over Q, free variables
-    pinned to 0; None when inconsistent.  `rows` may be an IntMatrix or
-    any nested sequence of ints/Fractions."""
-    mat = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
-    nrows = len(mat)
-    ncols = (len(mat[0]) - 1) if mat else (len(list(rows[0])) if nrows else 0)
-    if nrows == 0:
-        return tuple()
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        prow = mat[rank]
-        inv = 1 / prow[col]
-        mat[rank] = [x * inv for x in prow]
-        for i in range(nrows):
-            if i != rank and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, nrows):
-        if mat[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = mat[i][ncols]
-    return tuple(x)
-
-
-def invert_unimodular(m: IntMatrix) -> IntMatrix:
-    """Inverse of a matrix in GL_n(Z), in integers only; raises
-    ValueError if det is not +-1.
-
-    The row Hermite form of a unimodular matrix is the identity: its
-    pivots are positive units, so every entry above them reduces to 0.
-    Then U M = I, and the transform U is the inverse.  Any other Hermite
-    form means det M is not +-1 (a singular M leaves a zero row)."""
-    if m.rows != m.cols:
-        raise ValueError("inverse of a non-square matrix")
-    hnf = hermite_normal_form(m)
-    if not hnf.H.is_identity():
-        raise ValueError("matrix is not unimodular (det is not +-1)")
-    return hnf.U
-
-
 def gcd_all(values) -> int:
     g = 0
     for x in values:
@@ -570,10 +409,6 @@ def frac_vector(entries) -> tuple[Fraction, ...]:
 
 def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def vec_mod1(vec) -> tuple[Fraction, ...]:

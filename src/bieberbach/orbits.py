@@ -7,7 +7,6 @@ they carry every finite-order phenomenon and keep the arithmetic exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -69,23 +68,3 @@ def orbit_data(chi, group: CrystalGroup) -> StabilizerRecord:
     )
     assert record.index * len(record.stabilizer) == group.holonomy_order
     return record
-
-
-def stabilizer_classes(group: CrystalGroup, q: int) -> set[frozenset[int]]:
-    """Distinct stabilizer subgroups over all characters with entries in
-    {0, 1/q, ..., (q-1)/q}."""
-    if q < 1:
-        raise ValueError("denominator bound must be >= 1")
-    act = _dual_action(group)
-    return {
-        frozenset(i for i, image in enumerate(act(c, q)) if image == c)
-        for c in itertools.product(range(q), repeat=group.dim)
-    }
-
-
-def induced_dimension(record: StabilizerRecord, sigma_dim: int) -> int:
-    """Dimension of the representation induced from a sigma of the given
-    dimension on the stabilizer: orbit length times sigma_dim."""
-    if sigma_dim < 1:
-        raise ValueError("sigma_dim must be >= 1")
-    return record.index * sigma_dim

@@ -13,34 +13,20 @@ from math import gcd
 
 from bieberbach.calabi import is_connective
 from bieberbach.catalog import catalog_get, catalog_list
-from bieberbach.crystal import (
-    AffineGen,
-    build_group,
-    is_torsion_free,
-    reconstruct_element,
-)
-from bieberbach.finite import (
-    all_subgroups,
-    coprime_split_properties,
-    cyclic_group,
-    finite_group_from_holonomy,
-    is_primitive,
-    semidirect_cyclic,
-)
+from bieberbach.crystal import AffineGen, build_group, is_torsion_free
+from bieberbach.finite import all_subgroups, finite_group_from_holonomy, is_primitive
 from bieberbach.invariants import (
     abelianization,
     character_count,
     fixed_lattice,
     fixed_torus,
 )
-from bieberbach.linalg import (
-    IntMatrix,
-    determinant,
-    integer_kernel,
-    rational_solve,
-    smith_normal_form,
+from bieberbach.linalg import IntMatrix, integer_kernel, smith_normal_form
+from bieberbach.orbits import orbit_data
+from oracles import (
+    brute_force_torsion, coprime_split_properties, cyclic_group, fraction_stabilizer_classes,
+    minor_gcd_divisors, random_signed_permutation, rational_solve, semidirect_cyclic
 )
-from bieberbach.orbits import orbit_data, stabilizer_classes
 
 
 F = Fraction
@@ -155,15 +141,6 @@ def test_equivalence_suite():
 
 # ------------------------------------------------------------------ 4
 
-def random_signed_permutation(rng, dim) -> IntMatrix:
-    perm = list(range(dim))
-    rng.shuffle(perm)
-    rows = [[0] * dim for _ in range(dim)]
-    for i, p in enumerate(perm):
-        rows[i][p] = rng.choice((1, -1))
-    return IntMatrix(rows)
-
-
 def test_rank_duality_randomized():
     failures = []
     start = time.monotonic()
@@ -258,45 +235,13 @@ def test_orbit_stabilizer_suite():
             if rec.index * len(rec.stabilizer) != n:
                 failures.append(f"{key}: orbit-stabilizer identity fails at {chi}")
     hw = catalog_get("hw").group
-    classes = stabilizer_classes(hw, 2)
+    classes = fraction_stabilizer_classes(hw, 2)
     if classes != {frozenset(range(hw.holonomy_order))}:
         failures.append(f"hw stabilizer classes at denominator 2: {classes}")
     report("orbit-stabilizer suite", failures)
 
 
 # ------------------------------------------------------------------ 7
-
-def brute_force_torsion(group, box=4):
-    for elem in group.elements:
-        if elem.index == 0:
-            continue
-        for lam in itertools.product(range(-box, box + 1), repeat=group.dim):
-            candidate = reconstruct_element(group, elem.index, lam)
-            power = candidate
-            for _ in range(group.holonomy.orders[elem.index] - 1):
-                power = power * candidate
-            if power.is_identity():
-                return True
-    return False
-
-
-def minor_gcd_divisors(m: IntMatrix):
-    n = min(m.rows, m.cols)
-    prev = 1
-    out = []
-    for size in range(1, n + 1):
-        g = 0
-        for ris in itertools.combinations(range(m.rows), size):
-            for cis in itertools.combinations(range(m.cols), size):
-                sub = IntMatrix([[m[i, j] for j in cis] for i in ris])
-                g = gcd(g, abs(determinant(sub)))
-        if g == 0:
-            out.extend([0] * (n - size + 1))
-            break
-        out.append(g // prev)
-        prev = g
-    return tuple(out)
-
 
 def test_oracle_equivalence():
     failures = []

@@ -32,9 +32,9 @@ from bieberbach.crystal import (
     RatVec,
     build_group,
     computed_once,
-    reconstruct_element,
 )
-from bieberbach.linalg import IntMatrix, vec_add, vec_mod1, vec_sub
+from bieberbach.linalg import IntMatrix, vec_add, vec_mod1
+from oracles import random_signed_permutation, reconstruct_element, vec_sub
 
 
 F = Fraction
@@ -217,18 +217,10 @@ def fraction_build_group(
     )
 
 
-def random_signed_permutation(rng, dim):
-    perm = list(range(dim))
-    rng.shuffle(perm)
-    rows = [[0] * dim for _ in range(dim)]
-    for i, p in enumerate(perm):
-        rows[i][p] = rng.choice((1, -1))
-    return IntMatrix(rows)
-
-
 def relabelling(old, new):
     """Index map from `old`'s elements to `new`'s, matched by matrix."""
-    perm = [new.element_for_matrix(e.matrix).index for e in old.elements]
+    index = {e.matrix: e.index for e in new.elements}
+    perm = [index[e.matrix] for e in old.elements]
     assert sorted(perm) == list(range(new.holonomy_order))
     return perm
 

@@ -23,42 +23,17 @@ from bieberbach.finite import finite_group_from_holonomy, in_coprime_class
 from bieberbach.groupfile import document_to_group
 from bieberbach.invariants import abelianization, dual_action_smith, fixed_lattice, fixed_torus
 from bieberbach.linalg import (
-    IntMatrix,
-    frac_vector,
-    gcd_all,
-    hermite_normal_form,
-    integer_kernel,
-    invert_unimodular,
-    rational_solve,
-    row_smith_basis,
-    smith_normal_form,
-    solve_integer_linear,
-    vec_add,
+    IntMatrix, frac_vector, gcd_all, integer_kernel, row_smith_basis, smith_normal_form, vec_add
+)
+from oracles import (
+    hermite_normal_form, hw_group, invert_unimodular, klein_bottle, rational_solve,
+    solve_integer_linear, torus
 )
 from test_build_oracle import full_cocycle
 from test_invariants import presentation_map, signed_permutation_group
 
 
 F = Fraction
-
-
-def hw_group():
-    x = AffineGen.of([[1, 0, 0], [0, -1, 0], [0, 0, -1]], (F(1, 2), F(1, 2), 0))
-    y = AffineGen.of([[-1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, F(1, 2), F(1, 2)))
-    return build_group(3, [x, y], name="hw")
-
-
-def klein_bottle():
-    g = AffineGen.of([[1, 0], [0, -1]], (F(1, 2), 0))
-    return build_group(2, [g], name="klein_bottle")
-
-
-def torus(k):
-    gens = [
-        AffineGen(IntMatrix.identity(k), tuple(F(int(i == j)) for j in range(k)))
-        for i in range(k)
-    ]
-    return build_group(k, gens, name=f"torus_{k}")
 
 
 def c4_screw():
@@ -687,10 +662,13 @@ def test_kernel_matches_fraction_oracle_on_random_diagonal_and_screw_groups():
 
 def assert_row_basis_matches_smith_form(f):
     """`row_smith_basis` gives the V and U of `smith_normal_form` on the
-    one-row matrix [f], and the Hermite inverse of that V."""
+    one-row matrix [f], and an inverse of that V: V V^-1 = V^-1 V = I, and
+    it is the Hermite inverse."""
     snf = smith_normal_form(IntMatrix([f], cols=len(f)))
     v, v_inv, u = row_smith_basis(f)
     assert v == snf.V, f
+    identity = IntMatrix.identity(len(f))
+    assert v * v_inv == identity and v_inv * v == identity, f
     assert v_inv == invert_unimodular(snf.V), f
     assert u == snf.U[0, 0], f
 

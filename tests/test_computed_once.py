@@ -24,6 +24,7 @@ from bieberbach.crystal import AffineGen, build_group, torsion_witness
 from bieberbach.finite import all_subgroups, finite_group_from_holonomy
 from bieberbach.groupfile import group_to_document
 from bieberbach.linalg import IntMatrix
+from oracles import semidirect_cyclic
 from test_calabi import perfbench_corpus, seeded_chain_groups
 from test_corpus_outputs import DIGESTS, argv_for, corpus_items
 from test_linalg import assert_smith_forms_agree
@@ -108,7 +109,7 @@ def test_coprime_class_enumerates_no_lattice(monkeypatch):
     """A holonomy that is not cyclic but has only cyclic Sylow subgroups
     (S3) reads its tree off element orders, without the lattice."""
     lattices = count_lattice_enumerations(monkeypatch)
-    s3 = finite.semidirect_cyclic(3, 2, 2)
+    s3 = semidirect_cyclic(3, 2, 2)
     assert finite.in_coprime_class(s3).orders() == (3, 2)
     assert not lattices.seen
 
@@ -158,8 +159,8 @@ def test_the_calabi_peel_runs_no_hermite_form_and_no_one_row_smith_form(
 ):
     """Each peel's basis and its inverse come from one elimination on the
     row f (`row_smith_basis`): over the seed-1 `connective` corpus, no
-    Hermite form runs and no Smith form is taken of a one-row matrix."""
-    hermite = count_calls_everywhere(monkeypatch, linalg.hermite_normal_form)
+    Smith form is taken of a one-row matrix.  No Hermite form can run: the
+    library holds none (`test_surface.py`)."""
     smith = count_calls_everywhere(monkeypatch, linalg.smith_columns)
     for pos, doc in enumerate(perfbench_corpus("connective", 1)):
         path = tmp_path / f"{pos}.json"
@@ -167,15 +168,13 @@ def test_the_calabi_peel_runs_no_hermite_form_and_no_one_row_smith_form(
         assert main(["connective", str(path), "--certificate", "--format", "json"]) == 0
     capsys.readouterr()
     assert smith  # each stage's surjection takes one Smith form
-    assert not hermite
     assert all(m.rows != 1 for m, *_ in smith)
 
 @pytest.fixture(scope="module")
 def seed1_smith_calls(tmp_path_factory):
-    """The arguments of every call to each Smith entry point and to
-    `solve_integer_linear` while the benchmark's seed-1 `analyze` (the
-    catalog included), `connective` and `lattice` ops run through
-    `cli.main`."""
+    """The arguments of every call to each Smith entry point while the
+    benchmark's seed-1 `analyze` (the catalog included), `connective` and
+    `lattice` ops run through `cli.main`."""
     tmp = tmp_path_factory.mktemp("seed1")
     runs = [
         (command, item, item.doc)
@@ -184,12 +183,7 @@ def seed1_smith_calls(tmp_path_factory):
     ]
     catalog = [group_to_document(fresh_catalog_group(key)) for key in catalog_list()]
     runs += [("analyze --format json", None, doc) for doc in catalog]
-    funcs = (
-        linalg.smith_normal_form,
-        linalg.solve_integer_linear,
-        linalg.smith_columns,
-        linalg.smith_divisors,
-    )
+    funcs = (linalg.smith_normal_form, linalg.smith_columns, linalg.smith_divisors)
     with pytest.MonkeyPatch.context() as mp:
         calls = {func.__name__: count_calls_everywhere(mp, func) for func in funcs}
         for pos, (command, item, doc) in enumerate(runs):
@@ -202,9 +196,10 @@ def seed1_smith_calls(tmp_path_factory):
 
 def test_no_cli_command_builds_a_row_transform(seed1_smith_calls):
     """H1 and G/G' take divisors only, kernels and the fixed dual lattice
-    take V only: no benchmark op builds the row transform U."""
+    take V only: no benchmark op builds the row transform U.  The Smith
+    solve, which builds U, is a test oracle outside the library
+    (`test_surface.py`)."""
     assert not seed1_smith_calls["smith_normal_form"]
-    assert not seed1_smith_calls["solve_integer_linear"]
     assert seed1_smith_calls["smith_columns"] and seed1_smith_calls["smith_divisors"]
 
 

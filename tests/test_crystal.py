@@ -7,49 +7,20 @@ import pytest
 import bieberbach.crystal as crystal
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.crystal import (
-    AffineGen,
-    ClosureBudgetExceeded,
-    CrystalError,
-    HolonomyNotFaithful,
-    NotInGroup,
-    TorsionWitness,
-    build_group,
-    element_normal_form,
-    is_torsion_free,
-    norm_solution,
-    reconstruct_element,
-    torsion_witness,
+    AffineGen, ClosureBudgetExceeded, CrystalError, HolonomyNotFaithful, TorsionWitness,
+    build_group, is_torsion_free, norm_solution, torsion_witness
 )
 from bieberbach.groupfile import document_to_group
-from bieberbach.linalg import IntMatrix, solve_integer_linear
-from test_build_oracle import (
-    full_cocycle,
-    random_rotation_generator,
-    random_signed_permutation,
+from bieberbach.linalg import IntMatrix
+from oracles import (
+    NotInGroup, brute_force_torsion, element_normal_form, hw_group, klein_bottle,
+    random_signed_permutation, reconstruct_element, solve_integer_linear, torus
 )
+from test_build_oracle import full_cocycle, random_rotation_generator
 from test_calabi import perfbench_corpus, random_diagonal_group, random_screw_group
 
 
 F = Fraction
-
-
-def hw_group():
-    x = AffineGen.of([[1, 0, 0], [0, -1, 0], [0, 0, -1]], (F(1, 2), F(1, 2), 0))
-    y = AffineGen.of([[-1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, F(1, 2), F(1, 2)))
-    return build_group(3, [x, y], name="hw")
-
-
-def klein_bottle():
-    g = AffineGen.of([[1, 0], [0, -1]], (F(1, 2), 0))
-    return build_group(2, [g], name="klein_bottle")
-
-
-def torus(k):
-    gens = [
-        AffineGen(IntMatrix.identity(k), tuple(F(int(i == j)) for j in range(k)))
-        for i in range(k)
-    ]
-    return build_group(k, gens, name=f"torus_{k}")
 
 
 # ---------------------------------------------------------------- build
@@ -144,17 +115,6 @@ def test_mult_table_is_group():
 
 # ---------------------------------------------------------------- affine ops
 
-def test_multiply_invert_roundtrip():
-    rng = random.Random(7)
-    g = hw_group()
-    for _ in range(20):
-        elem = g.elements[rng.randrange(g.holonomy_order)]
-        lam = tuple(rng.randint(-3, 3) for _ in range(3))
-        a = reconstruct_element(g, elem.index, lam)
-        assert (a * a.invert()).is_identity()
-        assert (a.invert() * a).is_identity()
-
-
 def test_klein_square_is_translation():
     g = klein_bottle().generators[0]
     sq = g * g
@@ -217,21 +177,6 @@ def test_normal_form_roundtrip_random():
 R90 = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
 R120 = [[0, -1, 0], [1, -1, 0], [0, 0, 1]]
 R60 = [[0, -1, 0], [1, 1, 0], [0, 0, 1]]
-
-
-def brute_force_torsion(group, box=4):
-    """Oracle: enumerate lattice corrections in a box and take powers."""
-    for elem in group.elements:
-        if elem.index == 0:
-            continue
-        for lam in itertools.product(range(-box, box + 1), repeat=group.dim):
-            a = reconstruct_element(group, elem.index, lam)
-            power = a
-            for _ in range(group.holonomy.orders[elem.index] - 1):
-                power = power * a
-            if power.is_identity():
-                return True
-    return False
 
 
 def test_hw_torsion_free():

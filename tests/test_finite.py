@@ -8,34 +8,18 @@ import pytest
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.crystal import AffineGen, ClosureBudgetExceeded, build_group
 from bieberbach.finite import (
-    CoprimeTree,
-    all_subgroups,
-    abelian_invariant_factors,
-    coprime_split_properties,
-    cyclic_group,
-    direct_product,
-    finite_group,
-    finite_group_from_holonomy,
-    has_normal_complement,
-    in_coprime_class,
-    is_primitive,
-    quotient_group,
-    semidirect_cyclic,
-    structure_name,
-    subgroup_as_group,
-    sylow_subgroup,
+    CoprimeTree, all_subgroups, abelian_invariant_factors, finite_group_from_holonomy,
+    in_coprime_class, is_primitive, structure_name
 )
-from test_build_oracle import random_signed_permutation
+from oracles import (
+    coprime_split_properties, cyclic_group, direct_product, finite_group, has_normal_complement,
+    hw_group, quotient_group, random_signed_permutation, semidirect_cyclic, subgroup_as_group,
+    sylow_subgroup
+)
 from test_invariants import signed_permutation_group
 
 
 F = Fraction
-
-
-def hw_group():
-    x = AffineGen.of([[1, 0, 0], [0, -1, 0], [0, 0, -1]], (F(1, 2), F(1, 2), 0))
-    y = AffineGen.of([[-1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, F(1, 2), F(1, 2)))
-    return build_group(3, [x, y], name="hw")
 
 
 def s3():

@@ -15,39 +15,12 @@ from bieberbach.invariants import (
     fixed_torus,
     relation_matrix,
 )
-from bieberbach.linalg import (
-    IntMatrix,
-    hermite_normal_form,
-    integer_kernel,
-    smith_normal_form,
-)
-from test_build_oracle import (
-    full_cocycle,
-    random_rotation_generator,
-    random_signed_permutation,
-)
+from bieberbach.linalg import IntMatrix, integer_kernel, smith_normal_form
+from oracles import hermite_normal_form, hw_group, klein_bottle, random_signed_permutation, torus
+from test_build_oracle import full_cocycle, random_rotation_generator
 
 
 F = Fraction
-
-
-def hw_group():
-    x = AffineGen.of([[1, 0, 0], [0, -1, 0], [0, 0, -1]], (F(1, 2), F(1, 2), 0))
-    y = AffineGen.of([[-1, 0, 0], [0, 1, 0], [0, 0, -1]], (0, F(1, 2), F(1, 2)))
-    return build_group(3, [x, y], name="hw")
-
-
-def klein_bottle():
-    g = AffineGen.of([[1, 0], [0, -1]], (F(1, 2), 0))
-    return build_group(2, [g], name="klein_bottle")
-
-
-def torus(k):
-    gens = [
-        AffineGen(IntMatrix.identity(k), tuple(F(int(i == j)) for j in range(k)))
-        for i in range(k)
-    ]
-    return build_group(k, gens, name=f"torus_{k}")
 
 
 def signed_permutation_group(rng, dim, order_bound=48):

@@ -1,51 +1,20 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
-from bieberbach.crystal import AffineGen
 from bieberbach.linalg import (
-    IntMatrix,
-    determinant,
-    gcd_all,
-    hermite_normal_form,
-    integer_kernel,
-    invert_unimodular,
-    rational_rank,
-    rational_solve,
-    smith_columns,
-    smith_divisors,
-    smith_normal_form,
-    solve_integer_linear,
-    solve_mod_p,
-    vec_mod1,
+    IntMatrix, determinant, gcd_all, integer_kernel, smith_columns, smith_divisors,
+    smith_normal_form, solve_mod_p, vec_mod1
+)
+from oracles import (
+    hermite_normal_form, invert_unimodular, minor_gcd_divisors, rational_solve,
+    solve_integer_linear
 )
 
 
 # ---------------------------------------------------------------- oracles
-
-def minor_gcd_divisors(m: IntMatrix) -> tuple[int, ...]:
-    """Elementary divisors via the gcd-of-minors formula: the product
-    d_1 * ... * d_i equals the gcd of all i x i minors."""
-    rows, cols = m.rows, m.cols
-    n = min(rows, cols)
-    prev = 1
-    out = []
-    for size in range(1, n + 1):
-        g = 0
-        for ris in itertools.combinations(range(rows), size):
-            for cis in itertools.combinations(range(cols), size):
-                sub = IntMatrix([[m[i, j] for j in cis] for i in ris])
-                g = gcd(g, abs(determinant(sub)))
-        if g == 0:
-            out.extend([0] * (n - size + 1))
-            break
-        out.append(g // prev)
-        prev = g
-    return tuple(out)
-
 
 def gauss_rank(rows_of_ints) -> int:
     rows = [[Fraction(x) for x in row] for row in rows_of_ints]
@@ -126,8 +95,7 @@ def test_snf_random_contract_and_rank():
         m = random_matrix(rng, rows, cols)
         snf = check_snf_contract(m)
         nnz = sum(1 for d in snf.divisors if d != 0)
-        assert rational_rank(m) == nnz
-        assert rational_rank(m) == gauss_rank(m.entries)
+        assert gauss_rank(m.entries) == nnz
 
 
 def assert_smith_forms_agree(m: IntMatrix) -> None:
@@ -242,7 +210,7 @@ def test_kernel_random_properties():
     for _ in range(80):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         basis = integer_kernel(m)
-        assert len(basis) == m.cols - rational_rank(m)
+        assert len(basis) == m.cols - gauss_rank(m.entries)
         for vec in basis:
             assert all(x == 0 for x in m.apply(vec))
         if basis:
@@ -337,12 +305,6 @@ def test_solve_mod_p_dimension_mismatch():
 
 # ---------------------------------------------------------------- misc
 
-def test_rational_rank_examples():
-    assert rational_rank(IntMatrix.identity(4)) == 4
-    assert rational_rank(IntMatrix.zeros(3, 2)) == 0
-    assert rational_rank(IntMatrix([[2, 4], [6, 8]])) == 2
-
-
 def test_determinant_small():
     assert determinant(IntMatrix([[2, 4], [6, 8]])) == -8
     assert determinant(IntMatrix.identity(5)) == 1
@@ -425,19 +387,6 @@ def test_invert_unimodular_rejects_non_units():
     for shape in ((2, 3), (3, 2), (1, 0)):
         with pytest.raises(ValueError):
             invert_unimodular(IntMatrix.zeros(*shape))
-
-
-def test_affine_invert_roundtrip_on_random_unimodular_matrices():
-    rng = random.Random(33)
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        a = AffineGen(
-            random_unimodular(rng, n),
-            tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n)),
-        )
-        inv = a.invert()
-        assert (a * inv).is_identity() and (inv * a).is_identity()
-        assert inv.invert() == a
 
 
 def test_vec_mod1():

@@ -14,22 +14,16 @@ from operator import sub
 
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.finite import (
-    _is_subgroup,
-    abelian_invariant_factors,
-    cyclic_group,
-    direct_product,
-    finite_group_from_holonomy,
-    in_coprime_class,
-    is_primitive,
-    quotient_group,
-    semidirect_cyclic,
-    structure_name,
-    subgroup_as_group,
-    sylow_subgroup,
+    _is_subgroup, abelian_invariant_factors, finite_group_from_holonomy, in_coprime_class,
+    is_primitive, structure_name
 )
 from bieberbach.groupfile import document_to_group
 from bieberbach.invariants import abelianization, relation_matrix
 from bieberbach.linalg import IntMatrix, smith_normal_form
+from oracles import (
+    cyclic_group, direct_product, quotient_group, semidirect_cyclic, subgroup_as_group,
+    sylow_subgroup
+)
 from test_build_oracle import assert_edge_cocycle_is_full, diagonal_z2_7, s5_group
 from test_calabi import perfbench_corpus
 from test_cli import large_holonomy_documents

@@ -1,0 +1,142 @@
+"""The library's surface, read with the standard library's `ast` (no lint
+package is needed): what `src/bieberbach` defines is what the commands
+and the benchmark run, and the package exports exactly its public API.
+
+A top-level function or class counts as reached when its name appears in
+code, outside its own definition, in another `src/bieberbach` module
+(the package `__init__` aside, since it only re-exports), in the rest of
+its own module, or in a `perfbench/*.py` file.  Docstrings and comments
+hold no names, so a mention there does not count."""
+
+import ast
+import types
+from pathlib import Path
+
+import bieberbach
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bieberbach"
+ENTRY_POINTS = {("cli", "main")}
+
+PUBLIC_API = set(
+    """
+    IntMatrix SmithForm smith_normal_form integer_kernel determinant
+    AffineGen CrystalGroup HolonomyElement TorsionWitness CrystalError ClosureBudgetExceeded
+    HolonomyNotFaithful build_group is_torsion_free torsion_witness
+    AbelianInvariants FixedLattice FixedTorusSubgroup TooManyFixedPoints abelianization
+    fixed_lattice fixed_torus character_count
+    Character StabilizerRecord character orbit_data
+    FiniteGroup Subgroup CoprimeTree finite_group_from_holonomy all_subgroups is_primitive
+    in_coprime_class structure_name
+    GroupFileError document_to_group group_to_document load_group
+    SurjectionToZ CalabiStep PolyZSeries ConnectivityReport NotTorsionFree surjection_to_Z
+    calabi_kernel is_connective connectivity_document
+    CatalogEntry ExpectedInvariants UnknownKey catalog_list catalog_get
+    """.split()
+)
+
+
+def parsed(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
+
+
+def source_modules() -> dict[str, ast.Module]:
+    return {path.stem: parsed(path) for path in sorted(SRC.glob("*.py"))}
+
+
+def names_in(nodes) -> set[str]:
+    """Identifiers, attribute names and `from`-imported names in code."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                out.update(alias.name for alias in sub.names)
+    return out
+
+
+def top_level_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+
+
+def unreached_definitions() -> list[str]:
+    modules = source_modules()
+    del modules["__init__"]
+    outside = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        outside |= names_in([parsed(path)])
+    unreached = []
+    for name, tree in modules.items():
+        elsewhere = set(outside)
+        for other, other_tree in modules.items():
+            if other != name:
+                elsewhere |= names_in([other_tree])
+        for node in top_level_definitions(tree):
+            rest = [n for n in tree.body if n is not node]
+            if (name, node.name) in ENTRY_POINTS:
+                continue
+            if node.name not in elsewhere and node.name not in names_in(rest):
+                unreached.append(f"{name}.{node.name}")
+    return unreached
+
+
+def exported(tree: ast.Module) -> set[str]:
+    """The strings of a literal `__all__`, if the module has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            try:
+                return set(ast.literal_eval(node.value))
+            except ValueError:  # not a literal list
+                return set()
+    return set()
+
+
+def unused_imports() -> list[str]:
+    unused = []
+    for name, tree in source_modules().items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name).split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{name}: {b}" for b in bound if b not in used]
+    return unused
+
+
+def test_every_definition_is_reached_by_the_program_or_the_benchmark():
+    assert unreached_definitions() == []
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    assert unused_imports() == []
+
+
+def test_no_test_oracle_is_defined_or_named_in_the_library():
+    """The slow predecessors live in `tests/oracles.py` only: no library
+    module defines, imports or calls one (no Hermite form, no Smith
+    solve, no subgroup-lattice splitting)."""
+    oracles = {node.name for node in top_level_definitions(parsed(ROOT / "tests" / "oracles.py"))}
+    assert "hermite_normal_form" in oracles and "solve_integer_linear" in oracles
+    for name, tree in source_modules().items():
+        defined = {node.name for node in top_level_definitions(tree)}
+        assert not oracles & (defined | names_in([tree])), name
+
+
+def test_the_package_exports_its_public_api_and_no_module():
+    assert len(bieberbach.__all__) == len(set(bieberbach.__all__)) == 53
+    assert set(bieberbach.__all__) == PUBLIC_API
+    for name in bieberbach.__all__:
+        assert not isinstance(getattr(bieberbach, name), types.ModuleType), name
+    namespace = {}
+    exec("from bieberbach import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC_API
