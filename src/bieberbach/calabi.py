@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from .crystal import AffineGen, CrystalGroup, build_group, is_torsion_free
 from .groupfile import group_to_document
 from .invariants import dual_action_smith
-from .linalg import IntMatrix, gcd_all, row_smith_basis
+from .linalg import IntMatrix, row_smith_basis
 
 
 class NotTorsionFree(Exception):
@@ -96,10 +97,10 @@ def surjection_to_Z(group: CrystalGroup) -> SurjectionToZ | None:
     f = snf.V.column(nnz)
     q = group.denominator
     values = [q * x for x in f] + [sum(map(mul, f, elem.shift)) for elem in group.elements]
-    scale = gcd_all(values) * (1 if next(x for x in f if x) > 0 else -1)
+    scale = gcd(*values) * (1 if next(x for x in f if x) > 0 else -1)
     values = [x // scale for x in values]
     f = tuple(values[: group.dim])
-    return SurjectionToZ(f, tuple(values[group.dim :]), lattice_index=gcd_all(f))
+    return SurjectionToZ(f, tuple(values[group.dim :]), lattice_index=gcd(*f))
 
 
 def _check_surjection(group: CrystalGroup, surj: SurjectionToZ) -> None:
@@ -111,9 +112,9 @@ def _check_surjection(group: CrystalGroup, surj: SurjectionToZ) -> None:
     from the edges (s, g) of the Cayley graph to every pair once
     phi(e) = 0."""
     f, phi = surj.lattice_map, surj.lift_values
-    if gcd_all(list(f) + list(phi)) != 1:
+    if gcd(*f, *phi) != 1:
         raise AssertionError("values are not coprime; the map is not onto Z")
-    if surj.lattice_index != gcd_all(f):
+    if surj.lattice_index != gcd(*f):
         raise AssertionError("lattice_index is not the gcd of the lattice map")
     f = IntMatrix([f], cols=group.dim).row(0)  # integers, one per coordinate
     gens = group.holonomy_generator_indices()

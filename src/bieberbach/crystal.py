@@ -43,16 +43,21 @@ RatVec = tuple[Fraction, ...]
 class AffineGen:
     """Affine element (A, a): x -> A x + a with A integral and a rational.
 
-    The constructor and `of` normalize the translation to `Fraction`s and
-    check the shapes and |det A| = 1; products and the Calabi kernel's
-    generators are made by `_trusted`, which does not."""
+    The constructor, which `of` builds through, normalizes the translation
+    to `Fraction`s and checks the shapes and |det A| = 1; products and the
+    Calabi kernel's generators are made by `_trusted`, which does not."""
 
     matrix: IntMatrix
     translation: RatVec
 
     def __post_init__(self):
         object.__setattr__(self, "translation", frac_vector(self.translation))
-        _check_affine(self.matrix, self.translation)
+        if self.matrix.rows != self.matrix.cols:
+            raise ValueError("matrix must be square")
+        if len(self.translation) != self.matrix.rows:
+            raise ValueError("translation dim does not match matrix")
+        if abs(determinant(self.matrix)) != 1:
+            raise ValueError("matrix is not invertible over Z (|det| != 1)")
 
     @classmethod
     def _trusted(cls, matrix: IntMatrix, translation: RatVec) -> AffineGen:
@@ -65,15 +70,9 @@ class AffineGen:
         return g
 
     @classmethod
-    def identity(cls, dim: int) -> AffineGen:
-        return cls._trusted(IntMatrix.identity(dim), (Fraction(0),) * dim)
-
-    @classmethod
     def of(cls, matrix_rows, translation) -> AffineGen:
-        matrix = IntMatrix(matrix_rows, cols=len(tuple(translation)))
-        translation = frac_vector(translation)
-        _check_affine(matrix, translation)
-        return cls._trusted(matrix, translation)
+        translation = tuple(translation)
+        return cls(IntMatrix(matrix_rows, cols=len(translation)), translation)
 
     def __mul__(self, other: AffineGen) -> AffineGen:
         if self.matrix.cols != other.matrix.rows:
@@ -82,18 +81,6 @@ class AffineGen:
             self.matrix * other.matrix,
             vec_add(self.matrix.apply(other.translation), self.translation),
         )
-
-    def is_identity(self) -> bool:
-        return self.matrix.is_identity() and all(x == 0 for x in self.translation)
-
-
-def _check_affine(matrix: IntMatrix, translation: RatVec) -> None:
-    if matrix.rows != matrix.cols:
-        raise ValueError("matrix must be square")
-    if len(translation) != matrix.rows:
-        raise ValueError("translation dim does not match matrix")
-    if abs(determinant(matrix)) != 1:
-        raise ValueError("matrix is not invertible over Z (|det| != 1)")
 
 
 @dataclass(frozen=True)
@@ -153,8 +140,9 @@ class CrystalGroup:
         return FiniteGroup(self.edges)
 
     def holonomy_generator_indices(self) -> tuple[int, ...]:
-        """Distinct non-identity generator images, in first-seen order."""
-        return tuple(idx for idx in dict.fromkeys(self.generator_images) if idx != 0)
+        """Distinct non-identity generator images, in first-seen order:
+        the identity's row of the Cayley graph."""
+        return self.edges[0]
 
 
 def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) -> CrystalGroup:

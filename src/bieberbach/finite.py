@@ -82,24 +82,15 @@ class FiniteGroup:
         return x
 
     @cached_property
-    def _powers(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Each element's order and inverse, its last power before the
-        identity: the powers of s step along s's word."""
-        cycles = []
-        for s in range(self.order):
-            last, power, order = 0, s, 1
-            while power:
-                last, power, order = power, self.times(power, s), order + 1
-            cycles.append((order, last))
-        return tuple(zip(*cycles))
-
-    @property
     def orders(self) -> tuple[int, ...]:
-        return self._powers[0]
-
-    @property
-    def inverses(self) -> tuple[int, ...]:
-        return self._powers[1]
+        """Each element's order: the powers of s step along s's word."""
+        orders = []
+        for s in range(self.order):
+            power, order = s, 1
+            while power:
+                power, order = self.times(power, s), order + 1
+            orders.append(order)
+        return tuple(orders)
 
     @cached_property
     def table(self) -> tuple[tuple[int, ...], ...]:
@@ -157,9 +148,6 @@ class FiniteGroup:
 
     def is_abelian(self) -> bool:
         return prod(self.abelian_quotient) == self.order
-
-    def is_cyclic(self) -> bool:
-        return self.order in self.orders
 
 
 @dataclass(frozen=True)

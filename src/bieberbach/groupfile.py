@@ -98,7 +98,7 @@ def document_to_group(doc) -> CrystalGroup:
             )
         shift = tuple(parse_rational(x) for x in translation)
         try:
-            gens.append(AffineGen.of(matrix, shift) if dim else AffineGen.identity(0))
+            gens.append(AffineGen.of(matrix, shift))
         except ValueError as exc:
             raise GroupFileError(f"generator {pos}: {exc}") from exc
     return build_group(dim, gens, name=name)

@@ -72,9 +72,6 @@ class FixedTorusSubgroup:
     tangent_basis: tuple[tuple[Fraction, ...], ...]
     points: tuple[tuple[Fraction, ...], ...] | None
 
-    def component_count(self) -> int:
-        return prod(self.component_orders) if self.component_orders else 1
-
 
 def _action_matrices(group: CrystalGroup) -> list[IntMatrix]:
     return [group.elements[i].matrix for i in group.holonomy_generator_indices()]

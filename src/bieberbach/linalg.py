@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from operator import add, mul, sub
 
 
@@ -74,15 +73,6 @@ class IntMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> IntMatrix:
         return cls._trusted(((0,) * cols,) * rows, cols)
-
-    @classmethod
-    def from_columns(cls, columns, rows: int | None = None) -> IntMatrix:
-        columns = [tuple(c) for c in columns]
-        if columns:
-            rows = len(columns[0])
-        elif rows is None:
-            raise ValueError("from_columns with no columns needs rows=")
-        return cls([[c[i] for c in columns] for i in range(rows)], cols=len(columns))
 
     @staticmethod
     def vstack(mats) -> IntMatrix:
@@ -151,11 +141,6 @@ class IntMatrix:
 
     def shape(self):
         return (self.rows, self.cols)
-
-    def is_identity(self) -> bool:
-        return self.rows == self.cols and all(
-            x == int(i == j) for i, row in enumerate(self._data) for j, x in enumerate(row)
-        )
 
     def __eq__(self, other):
         if not isinstance(other, IntMatrix):
@@ -394,13 +379,6 @@ def determinant(m: IntMatrix) -> int:
             a[i][t] = 0
         prev = a[t][t]
     return sign * a[n - 1][n - 1]
-
-
-def gcd_all(values) -> int:
-    g = 0
-    for x in values:
-        g = gcd(g, int(x))
-    return g
 
 
 def frac_vector(entries) -> tuple[Fraction, ...]:

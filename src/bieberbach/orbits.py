@@ -31,9 +31,6 @@ class StabilizerRecord:
     stabilizer: tuple[int, ...]  # holonomy element indices, sorted
     index: int
 
-    def stabilizer_order(self) -> int:
-        return len(self.stabilizer)
-
 
 def _dual_action(group: CrystalGroup):
     """The dual action on characters c/q, in integers: a function of

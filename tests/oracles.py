@@ -3,15 +3,19 @@ fast paths (the Hermite form, rational and Smith solves, element normal
 forms, the table-verified finite group and its subgroup-lattice Sylow,
 quotient and coprime-split checks), the brute-force torsion and
 gcd-of-minors checks, the exhaustive (Z/2)^2 search behind the catalog's
-frozen entry, and the small groups several test modules build.  Nothing
-in `src/` calls them."""
+frozen entry, the small groups several test modules build, and the
+benchmark's corpus.  Nothing in `src/` calls them."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
+from pathlib import Path
 
 from bieberbach.crystal import (
     AffineGen, CrystalError, CrystalGroup, HolonomyElement, build_group, is_torsion_free
@@ -101,9 +105,18 @@ def invert_unimodular(m: IntMatrix) -> IntMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     hnf = hermite_normal_form(m)
-    if not hnf.H.is_identity():
+    if hnf.H != IntMatrix.identity(m.rows):
         raise ValueError("matrix is not unimodular (det is not +-1)")
     return hnf.U
+
+
+def from_columns(columns, rows: int | None = None) -> IntMatrix:
+    """The matrix with the given columns; `rows` fixes the height when
+    there are none.  Entries are checked as `IntMatrix` checks them."""
+    columns = [tuple(c) for c in columns]
+    if columns:
+        rows = len(columns[0])
+    return IntMatrix([[c[i] for c in columns] for i in range(rows)], cols=len(columns))
 
 
 def rational_solve(rows, rhs) -> tuple[Fraction, ...] | None:
@@ -214,6 +227,10 @@ def element_normal_form(g: AffineGen, group: CrystalGroup) -> tuple[HolonomyElem
     return elem, tuple(int(x) for x in lam)
 
 
+def affine_identity(dim: int) -> AffineGen:
+    return AffineGen.of(IntMatrix.identity(dim).entries, (0,) * dim)
+
+
 def reconstruct_element(group: CrystalGroup, index: int, lam) -> AffineGen:
     """Inverse of element_normal_form."""
     elem = group.elements[index]
@@ -230,7 +247,7 @@ def brute_force_torsion(group, box=4):
             power = a
             for _ in range(group.holonomy.orders[elem.index] - 1):
                 power = power * a
-            if power.is_identity():
+            if power == affine_identity(group.dim):
                 return True
     return False
 
@@ -264,6 +281,22 @@ def finite_group(table) -> FiniteGroup:
         if table[table[x][g]][y] != table[x][table[g][y]]:
             raise ValueError("table is not associative")
     return FiniteGroup(tuple(tuple(row[g] for g in gens) for row in table))
+
+
+def inverses(group: FiniteGroup) -> tuple[int, ...]:
+    """Each element's inverse, its last power before the identity: the
+    powers of s step along s's word."""
+    out = []
+    for s in range(group.order):
+        last, power = 0, s
+        while power:
+            last, power = power, group.times(power, s)
+        out.append(last)
+    return tuple(out)
+
+
+def is_cyclic(group: FiniteGroup) -> bool:
+    return group.order in group.orders
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -487,3 +520,24 @@ def search_connective_c2c2() -> tuple[AffineGen, AffineGen]:
                         continue
                     return AffineGen.of(m1, t1), AffineGen.of(m2, t2)
     raise AssertionError("no connective (Z/2)^2 representative found")
+
+
+# ---------------------------------------------------------------- the benchmark's corpus
+
+PERFBENCH_CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+
+
+@cache
+def _perfbench_corpus():
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", PERFBENCH_CORPUS)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # its dataclasses look their module up
+    spec.loader.exec_module(corpus)
+    return corpus
+
+
+@cache
+def corpus_items(workload: str, seed: int = 1) -> tuple:
+    """The benchmark's items of one workload and seed, each `.doc` a group
+    document, drawn by its own pure-Python corpus generator."""
+    return tuple(_perfbench_corpus().generate(workload, seed))

@@ -25,7 +25,8 @@ from bieberbach.linalg import IntMatrix, integer_kernel, smith_normal_form
 from bieberbach.orbits import orbit_data
 from oracles import (
     brute_force_torsion, coprime_split_properties, cyclic_group, fraction_stabilizer_classes,
-    minor_gcd_divisors, random_signed_permutation, rational_solve, semidirect_cyclic
+    from_columns, is_cyclic, minor_gcd_divisors, random_signed_permutation, rational_solve,
+    semidirect_cyclic
 )
 
 
@@ -65,7 +66,7 @@ def test_hantzsche_wendt_regression():
     if character_count(g) != 16:
         failures.append(f"character count {character_count(g)} != 16")
     d = finite_group_from_holonomy(g)
-    if d.order != 4 or d.is_cyclic() or not is_primitive(d):
+    if d.order != 4 or is_cyclic(d) or not is_primitive(d):
         failures.append("holonomy should be primitive Z/2 + Z/2")
 
     elapsed = time.monotonic() - start
@@ -91,7 +92,7 @@ def test_catalog_sweep():
             finite_h1_dim3.append(key)
         d = finite_group_from_holonomy(g)
         verdict = is_connective(g)
-        if d.is_cyclic() and not verdict.connective:
+        if is_cyclic(d) and not verdict.connective:
             failures.append(f"{key}: cyclic holonomy but not connective")
         if verdict.connective != entry.expected.connective:
             failures.append(f"{key}: verdict mismatch against expected record")
@@ -279,7 +280,7 @@ def test_oracle_equivalence():
                         if any(vec):
                             failures.append(f"trial {trial}: missed kernel vector {vec}")
                         continue
-                    sol = rational_solve(IntMatrix.from_columns(basis), vec)
+                    sol = rational_solve(from_columns(basis), vec)
                     if sol is None or any(x.denominator != 1 for x in sol):
                         failures.append(f"trial {trial}: {vec} outside kernel span")
     report("oracle equivalence", failures)

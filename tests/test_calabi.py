@@ -1,11 +1,7 @@
-import importlib.util
 import random
-import sys
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache
-from math import lcm
-from pathlib import Path
+from math import gcd, lcm
 
 import pytest
 
@@ -23,11 +19,11 @@ from bieberbach.finite import finite_group_from_holonomy, in_coprime_class
 from bieberbach.groupfile import document_to_group
 from bieberbach.invariants import abelianization, dual_action_smith, fixed_lattice, fixed_torus
 from bieberbach.linalg import (
-    IntMatrix, frac_vector, gcd_all, integer_kernel, row_smith_basis, smith_normal_form, vec_add
+    IntMatrix, frac_vector, integer_kernel, row_smith_basis, smith_normal_form, vec_add
 )
 from oracles import (
-    hermite_normal_form, hw_group, invert_unimodular, klein_bottle, rational_solve,
-    solve_integer_linear, torus
+    corpus_items, from_columns, hermite_normal_form, hw_group, inverses, invert_unimodular,
+    klein_bottle, rational_solve, solve_integer_linear, torus
 )
 from test_build_oracle import full_cocycle
 from test_invariants import presentation_map, signed_permutation_group
@@ -159,7 +155,7 @@ def test_kernel_rejects_a_lattice_index_that_is_not_the_gcd():
     for key in ("torus_2", "klein_bottle", "dim3_c3"):
         g = catalog_get(key).group
         surj = surjection_to_Z(g)
-        wrong = replace(surj, lattice_index=gcd_all(surj.lattice_map) + 1)
+        wrong = replace(surj, lattice_index=gcd(*surj.lattice_map) + 1)
         with pytest.raises(AssertionError, match="lattice_index"):
             calabi_kernel(g, wrong)
 
@@ -172,7 +168,7 @@ def all_pairs_check_surjection(group, surj):
     on all n^2 pairs."""
     f, phi = surj.lattice_map, surj.lift_values
     k = group.dim
-    if gcd_all(list(f) + list(phi)) != 1:
+    if gcd(*f, *phi) != 1:
         raise AssertionError("values are not coprime; the map is not onto Z")
     fm = IntMatrix([f], cols=k)
     for elem in group.elements:
@@ -205,7 +201,7 @@ def single_entry_perturbations(surj):
     f, phi = list(surj.lattice_map), list(surj.lift_values)
     for values, rebuild in (
         (phi, lambda v: SurjectionToZ(surj.lattice_map, tuple(v), surj.lattice_index)),
-        (f, lambda v: SurjectionToZ(tuple(v), surj.lift_values, gcd_all(v))),
+        (f, lambda v: SurjectionToZ(tuple(v), surj.lift_values, gcd(*v))),
     ):
         for i in range(len(values)):
             for delta in (-1, 1):
@@ -298,7 +294,7 @@ def h1_surjection_to_Z(group):
         row = [-x for x in row]
     f = tuple(row[:k])
     assert any(f), "surjection vanishes on the lattice; rank bookkeeping broken"
-    return SurjectionToZ(lattice_map=f, lift_values=tuple(row[k:]), lattice_index=gcd_all(f))
+    return SurjectionToZ(lattice_map=f, lift_values=tuple(row[k:]), lattice_index=gcd(*f))
 
 
 def chain_verdict(group, surjection):
@@ -314,27 +310,13 @@ def chain_verdict(group, surjection):
     return True, length
 
 
-PERFBENCH_CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
-
-
-@cache
-def perfbench_corpus(workload, seed):
-    """The benchmark's group documents for one workload and seed, drawn
-    by the benchmark's own pure-Python corpus generator."""
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", PERFBENCH_CORPUS)
-    corpus = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = corpus  # its dataclasses look their module up
-    spec.loader.exec_module(corpus)
-    return tuple(item.doc for item in corpus.generate(workload, seed))
-
-
 def torsion_free_corpus_groups():
     """The torsion-free groups of the seed-1 and seed-2 `analyze` and
     `connective` corpora, each built afresh."""
     for workload in ("analyze", "connective"):
         for seed in (1, 2):
-            for doc in perfbench_corpus(workload, seed):
-                group = document_to_group(doc)
+            for item in corpus_items(workload, seed):
+                group = document_to_group(item.doc)
                 if is_torsion_free(group):
                     yield group
 
@@ -383,7 +365,7 @@ def assert_normalized_surjection_or_trivial_centre(group):
     assert (surj is None) == (fixed_lattice(group).rank == 0), group.name
     if surj is not None:
         _check_surjection(group, surj)
-        assert gcd_all(surj.lattice_map + surj.lift_values) == 1
+        assert gcd(*surj.lattice_map, *surj.lift_values) == 1
         assert next(x for x in surj.lattice_map if x) > 0
 
 
@@ -421,11 +403,11 @@ def _averaged_projection(group, f: tuple[int, ...], w: tuple[int, ...], d: int):
         [Fraction(int(i == j)) - Fraction(w[i] * f[j], d) for j in range(k)]
         for i in range(k)
     ]
-    n = group.holonomy_order
+    n, inverse = group.holonomy_order, inverses(group.holonomy)
     p_rows = [[Fraction(0)] * k for _ in range(k)]
     for elem in group.elements:
         a = elem.matrix
-        ainv = group.elements[group.holonomy.inverses[elem.index]].matrix
+        ainv = group.elements[inverse[elem.index]].matrix
         # accumulate A(s^-1) E A(s)
         ea = [[sum(e_rows[i][l] * a[l, j] for l in range(k)) for j in range(k)] for i in range(k)]
         for i in range(k):
@@ -453,7 +435,7 @@ def fraction_kernel_generators(group, surj):
     snf = smith_normal_form(IntMatrix([f], cols=k))
     w = tuple(snf.U[0, 0] * x for x in snf.V.column(0))
     basis = [snf.V.column(j) for j in range(1, k)]
-    bmat = IntMatrix.from_columns(basis, rows=k)
+    bmat = from_columns(basis, rows=k)
     kernel_holonomy = tuple(
         i for i in range(group.holonomy_order) if surj.lift_values[i] % d == 0
     )
@@ -475,11 +457,11 @@ def fraction_kernel_generators(group, surj):
             col = rational_solve(bmat, moved)
             assert col is not None and all(x.denominator == 1 for x in col)
             restricted_cols.append([int(x) for x in col])
-        restricted = IntMatrix.from_columns(restricted_cols, rows=k - 1)
+        restricted = from_columns(restricted_cols, rows=k - 1)
         new_gens_by_element[idx] = (restricted, coords)
 
     nontrivial = {idx: pair for idx, pair in new_gens_by_element.items() if idx != 0}
-    vasquez_applied = any(mat.is_identity() for mat, _ in nontrivial.values())
+    vasquez_applied = any(mat == IntMatrix.identity(mat.rows) for mat, _ in nontrivial.values())
     if vasquez_applied:
         gens = _vasquez_standardize(k - 1, list(nontrivial.values()))
     else:
@@ -501,7 +483,7 @@ def _vasquez_standardize(dim: int, affine_pairs) -> list[AffineGen]:
     kernel sublattice are pure translations and belong to the maximal
     abelian normal subgroup.
     """
-    pure = [tr for mat, tr in affine_pairs if mat.is_identity()]
+    pure = [tr for mat, tr in affine_pairs if mat == IntMatrix.identity(mat.rows)]
     denom = 1
     for tr in pure:
         for x in tr:
@@ -530,7 +512,7 @@ def _vasquez_standardize(dim: int, affine_pairs) -> list[AffineGen]:
         new_tr = rational_solve(cmat, tr)
         if new_tr is None:
             raise InvariantProjectionFailure("translation outside the enlarged span")
-        gens.append(AffineGen(IntMatrix.from_columns(new_cols, rows=dim), new_tr))
+        gens.append(AffineGen(from_columns(new_cols, rows=dim), new_tr))
     return gens
 
 
@@ -679,7 +661,7 @@ def test_row_basis_matches_smith_form_on_every_chain_stage():
     groups = [catalog_get(key).group for key in catalog_list()]
     for workload in ("analyze", "lattice", "connective"):
         for seed in (1, 2):
-            groups += [document_to_group(doc) for doc in perfbench_corpus(workload, seed)]
+            groups += [document_to_group(item.doc) for item in corpus_items(workload, seed)]
     stages = 0
     for group in groups:
         for _, surj in chain_stages(group):
@@ -705,7 +687,7 @@ def test_row_basis_matches_smith_form_on_random_rows():
         seen.add(("zero", 0 in f))
         seen.add(("negative", min(f) < 0))
         seen.add(("tie", len(nonzero) > len(set(nonzero))))
-        seen.add(("non-primitive", gcd_all(f) > 1))
+        seen.add(("non-primitive", gcd(*f) > 1))
         seen.add(("sign", row_smith_basis(f)[2]))
     assert seen == {(name, flag) for name in ("zero", "negative", "tie", "non-primitive")
                     for flag in (False, True)} | {("sign", 1), ("sign", -1)}

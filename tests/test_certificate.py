@@ -13,6 +13,7 @@ import copy
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 
@@ -21,9 +22,10 @@ from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.cli import main
 from bieberbach.crystal import AffineGen, build_group
 from bieberbach.groupfile import document_to_group, group_to_document
-from bieberbach.linalg import IntMatrix, gcd_all, smith_normal_form, vec_add
+from bieberbach.linalg import IntMatrix, smith_normal_form, vec_add
 from test_build_oracle import full_cocycle
-from test_calabi import perfbench_corpus, seeded_chain_groups
+from oracles import corpus_items, from_columns
+from test_calabi import seeded_chain_groups
 from test_invariants import full_element_h1
 
 
@@ -69,11 +71,11 @@ def verify_step(stage, step):
     f, phi, d = step["lattice_map"], step["lift_values"], step["lattice_index"]
     check(k > 0, "a dimension-0 stage was peeled")
     check(len(f) == k and len(phi) == n, "surjection has the wrong shape")
-    check(d == gcd_all(f) and d > 0, "lattice index is not the gcd of the lattice map")
+    check(d == gcd(*f) and d > 0, "lattice index is not the gcd of the lattice map")
     row = IntMatrix([f], cols=k)
     check(all(row * g.matrix == row for g in stage.generators), "lattice map is not invariant")
     check(phi[0] == 0, "lift value of the identity is not 0")
-    check(gcd_all(f + phi) == 1, "values are not coprime; the map is not onto Z")
+    check(gcd(*f, *phi) == 1, "values are not coprime; the map is not onto Z")
     cocycle = full_cocycle(stage)
     check(
         all(
@@ -90,7 +92,7 @@ def verify_step(stage, step):
         "sublattice basis is not k - 1 vectors in ker f",
     )
     # k - 1 vectors of ker f with unit Smith divisors span all of ker f
-    bmat = IntMatrix.from_columns(basis, rows=k)
+    bmat = from_columns(basis, rows=k)
     check(
         all(x == 1 for x in smith_normal_form(bmat).divisors),
         "sublattice basis does not span ker f",
@@ -158,7 +160,7 @@ def corpus_documents():
     docs += [group_to_document(g) for g in seeded_chain_groups()]
     for workload in ("analyze", "connective"):
         for seed in (1, 2):
-            docs += perfbench_corpus(workload, seed)
+            docs += [item.doc for item in corpus_items(workload, seed)]
     return docs
 
 
@@ -293,7 +295,7 @@ def test_tampering_breaks_chains_with_lift_values_and_late_cores():
     surjections have nonzero lift values, and every negative verdict
     there that is reached after a peel."""
     lifts = cores = 0
-    for doc, cert in certified(perfbench_corpus("analyze", 1)):
+    for doc, cert in certified(item.doc for item in corpus_items("analyze")):
         late_core = not cert["connective"] and bool(cert["chain"])
         has_lifts = any(any(step["lift_values"]) for step in cert["chain"])
         if not (late_core or (has_lifts and lifts < 4)):

@@ -24,9 +24,9 @@ from bieberbach.crystal import AffineGen, build_group, torsion_witness
 from bieberbach.finite import all_subgroups, finite_group_from_holonomy
 from bieberbach.groupfile import group_to_document
 from bieberbach.linalg import IntMatrix
-from oracles import semidirect_cyclic
-from test_calabi import perfbench_corpus, seeded_chain_groups
-from test_corpus_outputs import DIGESTS, argv_for, corpus_items
+from oracles import corpus_items, semidirect_cyclic
+from test_calabi import seeded_chain_groups
+from test_corpus_outputs import DIGESTS, argv_for
 from test_linalg import assert_smith_forms_agree
 
 
@@ -162,7 +162,7 @@ def test_the_calabi_peel_runs_no_hermite_form_and_no_one_row_smith_form(
     Smith form is taken of a one-row matrix.  No Hermite form can run: the
     library holds none (`test_surface.py`)."""
     smith = count_calls_everywhere(monkeypatch, linalg.smith_columns)
-    for pos, doc in enumerate(perfbench_corpus("connective", 1)):
+    for pos, doc in enumerate(item.doc for item in corpus_items("connective")):
         path = tmp_path / f"{pos}.json"
         path.write_text(json.dumps(doc))
         assert main(["connective", str(path), "--certificate", "--format", "json"]) == 0

@@ -14,21 +14,17 @@ To print the digests of the current code:
 """
 
 import hashlib
-import importlib.util
 import io
 import json
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from functools import cache
 from pathlib import Path
 
 import pytest
 
 from bieberbach.cli import main
+from oracles import corpus_items
 
-
-PERFBENCH_CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
 
 DIGESTS = {
     "connective --certificate --format json": (
@@ -48,17 +44,6 @@ DIGESTS = {
         "d6faf3c65ee585f43d2952088b1a152c1728888f12a009fdee794118cb3e1474",
     ),
 }
-
-
-@cache
-def corpus_items(workload):
-    """The benchmark's seed-1 items of one workload, drawn by its own
-    pure-Python corpus generator."""
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", PERFBENCH_CORPUS)
-    corpus = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = corpus  # its dataclasses look their module up
-    spec.loader.exec_module(corpus)
-    return tuple(corpus.generate(workload, 1))
 
 
 def argv_for(command, item, path):

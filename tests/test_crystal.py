@@ -13,11 +13,12 @@ from bieberbach.crystal import (
 from bieberbach.groupfile import document_to_group
 from bieberbach.linalg import IntMatrix
 from oracles import (
-    NotInGroup, brute_force_torsion, element_normal_form, hw_group, klein_bottle,
-    random_signed_permutation, reconstruct_element, solve_integer_linear, torus
+    NotInGroup, affine_identity, brute_force_torsion, corpus_items, element_normal_form, hw_group,
+    inverses, klein_bottle, random_signed_permutation, reconstruct_element, solve_integer_linear,
+    torus
 )
 from test_build_oracle import full_cocycle, random_rotation_generator
-from test_calabi import perfbench_corpus, random_diagonal_group, random_screw_group
+from test_calabi import random_diagonal_group, random_screw_group
 
 
 F = Fraction
@@ -52,15 +53,35 @@ def test_build_klein_bottle():
     assert full_cocycle(g)[s][s] == (1, 0)
 
 
+def test_holonomy_generators_are_the_distinct_generator_images():
+    """The identity's row of the Cayley graph lists the distinct
+    non-identity generator images in first-seen order, on the catalog and
+    the seed-1 benchmark corpora."""
+    groups = [catalog_get(key).group for key in catalog_list()]
+    for workload in ("analyze", "lattice", "connective"):
+        groups += [document_to_group(item.doc) for item in corpus_items(workload)]
+    for g in groups:
+        images = tuple(idx for idx in dict.fromkeys(g.generator_images) if idx != 0)
+        assert g.holonomy_generator_indices() == images, g.name
+
+
 def test_build_dim0():
     g = build_group(0, [], name="point")
     assert g.dim == 0
     assert g.holonomy_order == 1
+    doc = {"dimension": 0, "generators": [{"matrix": [], "translation": []}]}
+    point = document_to_group(doc)
+    assert point.holonomy_order == 1 and point.generators == (AffineGen.of([], ()),)
 
 
 def test_build_rejects_non_unimodular():
     with pytest.raises(ValueError):
         AffineGen.of([[2, 0], [0, 1]], (0, 0))
+
+
+def test_of_reads_a_one_shot_translation_once():
+    half = AffineGen.of([[1]], (x for x in [F(1, 2)]))
+    assert half == AffineGen.of([[1]], (F(1, 2),)) and half.translation == (F(1, 2),)
 
 
 def test_build_budget():
@@ -105,7 +126,7 @@ def test_cocycle_associativity():
 def test_mult_table_is_group():
     g = hw_group()
     n = g.holonomy_order
-    mult, inverse = g.holonomy.table, g.holonomy.inverses
+    mult, inverse = g.holonomy.table, inverses(g.holonomy)
     for i in range(n):
         assert mult[0][i] == i and mult[i][0] == i
         assert mult[i][inverse[i]] == 0
@@ -133,7 +154,7 @@ def test_hw_xy_product():
 
 def test_normal_form_identity():
     g = torus(2)
-    elem, lam = element_normal_form(AffineGen.identity(2), g)
+    elem, lam = element_normal_form(affine_identity(2), g)
     assert elem.index == 0 and lam == (0, 0)
 
 
@@ -192,7 +213,7 @@ def test_point_group_has_torsion():
     assert w.order == 2
     # the witness element really is torsion
     a = reconstruct_element(g, w.element.index, w.correction)
-    assert (a * a).is_identity()
+    assert a * a == affine_identity(3)
     # q = 1: each representative is linear, so g_s^p = 1 needs no correction
     for g in (g, cube_rotations()):
         w = torsion_witness(g)
@@ -269,11 +290,11 @@ def assert_witness_is_torsion(group, w):
     correction, has that order in the group."""
     assert is_prime(w.order) and group.holonomy.orders[w.element.index] == w.order
     a = reconstruct_element(group, w.element.index, w.correction)
-    power = a
+    power, identity = a, affine_identity(group.dim)
     for _ in range(w.order - 1):
-        assert not power.is_identity()
+        assert power != identity
         power = power * a
-    assert power.is_identity()
+    assert power == identity
 
 
 def rank_duality_draws():
@@ -446,7 +467,7 @@ def test_mod_p_norm_solution_matches_the_smith_solve():
     groups = [g for gs, _ in oracle_corpus().values() for g in gs]
     for workload in ("analyze", "connective"):
         for seed in (1, 2, 3):
-            groups += [document_to_group(doc) for doc in perfbench_corpus(workload, seed)]
+            groups += [document_to_group(item.doc) for item in corpus_items(workload, seed)]
     for g in groups:
         assert_norm_solutions_match_the_smith_oracle(g)
     odd = odd_prime_groups()

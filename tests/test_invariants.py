@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -16,7 +17,9 @@ from bieberbach.invariants import (
     relation_matrix,
 )
 from bieberbach.linalg import IntMatrix, integer_kernel, smith_normal_form
-from oracles import hermite_normal_form, hw_group, klein_bottle, random_signed_permutation, torus
+from oracles import (
+    from_columns, hermite_normal_form, hw_group, klein_bottle, random_signed_permutation, torus
+)
 from test_build_oracle import full_cocycle, random_rotation_generator
 
 
@@ -77,7 +80,7 @@ def full_element_relation_matrix(g):
             col[k + t] += 1
             col[k + g.holonomy.table[s][t]] -= 1
             columns.append(col)
-    return IntMatrix.from_columns(columns, rows=k + n)
+    return from_columns(columns, rows=k + n)
 
 
 def cayley_graph_relation_matrix(group):
@@ -120,7 +123,7 @@ def cayley_graph_relation_matrix(group):
         if key != zero and key not in seen:
             seen.add(key)
             unique.append(col)
-    return IntMatrix.from_columns(unique, rows=nvars)
+    return from_columns(unique, rows=nvars)
 
 
 def full_element_h1(g):
@@ -374,7 +377,7 @@ def test_fixed_torus_points_satisfy_congruence():
 def test_fixed_torus_points_match_brute_force():
     g = hw_group()
     ft = fixed_torus(g)
-    q = ft.component_count()
+    q = prod(ft.component_orders)
     mats = [g.elements[i].matrix.transpose() for i in g.holonomy_generator_indices()]
     brute = set()
     for combo in itertools.product(range(q), repeat=3):

@@ -21,11 +21,10 @@ from bieberbach.groupfile import document_to_group
 from bieberbach.invariants import abelianization, relation_matrix
 from bieberbach.linalg import IntMatrix, smith_normal_form
 from oracles import (
-    cyclic_group, direct_product, quotient_group, semidirect_cyclic, subgroup_as_group,
-    sylow_subgroup
+    corpus_items, cyclic_group, direct_product, from_columns, inverses, is_cyclic, quotient_group,
+    semidirect_cyclic, subgroup_as_group, sylow_subgroup
 )
 from test_build_oracle import assert_edge_cocycle_is_full, diagonal_z2_7, s5_group
-from test_calabi import perfbench_corpus
 from test_cli import large_holonomy_documents
 from test_crystal import rank_duality_draws
 from test_finite import (
@@ -45,7 +44,7 @@ def crystal_corpus():
     groups = [catalog_get(key).group for key in catalog_list()] + rank_duality_draws()
     for workload in ("analyze", "connective"):
         for seed in (1, 2):
-            groups += [document_to_group(doc) for doc in perfbench_corpus(workload, seed)]
+            groups += [document_to_group(item.doc) for item in corpus_items(workload, seed)]
     return tuple(groups)
 
 
@@ -97,7 +96,7 @@ def test_h1_matches_the_cayley_graph_presentation():
 
 def all_sylows_cyclic(d):
     return all(
-        subgroup_as_group(d, sylow_subgroup(d, p).elements).is_cyclic()
+        is_cyclic(subgroup_as_group(d, sylow_subgroup(d, p).elements))
         for p in prime_factors(d.order)
     )
 
@@ -108,7 +107,7 @@ def test_primitivity_and_coprime_class_match_the_subgroup_lattice():
     for d in groups:
         assert is_primitive(d) == lattice_is_primitive(d), d.order
         assert in_coprime_class(d) == lattice_in_coprime_class(d), d.order
-        if not d.is_cyclic():
+        if not is_cyclic(d):
             cyclic_sylows = all_sylows_cyclic(d)
             searched += cyclic_sylows
             rejected += not cyclic_sylows
@@ -182,7 +181,7 @@ def larger_holonomies():
 def commutator_closure_index(d):
     """|G/G'| as `is_primitive` computed it before G/G' came off the
     Cayley graph: the closure of all n^2 commutators."""
-    t, inv, n = d.table, d.inverses, d.order
+    t, inv, n = d.table, inverses(d), d.order
     commutators = {t[t[inv[a]][inv[b]]][t[a][b]] for a in range(n) for b in range(n)}
     return n // len(all_products_closure(d, commutators))
 
@@ -294,7 +293,7 @@ def edge_loop_relation_matrix(g):
             col[k + pos] += 1
             columns.append(tuple(col))
     unique = [col for col in dict.fromkeys(columns) if any(col)]
-    return IntMatrix.from_columns(unique, rows=k + len(gens))
+    return from_columns(unique, rows=k + len(gens))
 
 
 def word_count_abelian_quotient(d):
@@ -310,7 +309,7 @@ def word_count_abelian_quotient(d):
             col[j] += 1
             columns.append(tuple(col))
     unique = [col for col in dict.fromkeys(columns) if any(col)]
-    rel = IntMatrix.from_columns(unique, rows=len(gens))
+    rel = from_columns(unique, rows=len(gens))
     return tuple(q for q in smith_normal_form(rel).divisors if q >= 2)
 
 
