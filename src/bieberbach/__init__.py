@@ -17,7 +17,6 @@ from .linalg import (
 from .crystal import (
     AffineGen,
     CrystalGroup,
-    HolonomyElement,
     TorsionWitness,
     CrystalError,
     ClosureBudgetExceeded,
@@ -79,7 +78,7 @@ from .catalog import (
 
 __all__ = [
     "IntMatrix", "SmithForm", "smith_normal_form", "integer_kernel", "determinant",
-    "AffineGen", "CrystalGroup", "HolonomyElement", "TorsionWitness", "CrystalError",
+    "AffineGen", "CrystalGroup", "TorsionWitness", "CrystalError",
     "ClosureBudgetExceeded", "HolonomyNotFaithful", "build_group", "is_torsion_free",
     "torsion_witness",
     "AbelianInvariants", "FixedLattice", "FixedTorusSubgroup", "TooManyFixedPoints",

@@ -13,7 +13,6 @@ are read off one change of basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -177,10 +176,11 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
             tuple(sum(map(mul, row_a, b)) for b in basis)
             for row_a in (tuple(sum(map(mul, r, c)) for c in cols) for r in kernel_rows)
         )
-        shift = (sum(map(mul, r, elem.shift)) for r in kernel_rows)  # q times the coordinates
+        shift = tuple(sum(map(mul, r, elem.shift)) for r in kernel_rows)  # q times the coordinates
+        g = gcd(q, *shift)  # in lowest terms, as the constructor writes it
         gens.append(
             AffineGen._trusted(
-                IntMatrix._trusted(restricted, k - 1), tuple(Fraction(x, q) for x in shift)
+                IntMatrix._trusted(restricted, k - 1), tuple(x // g for x in shift), q // g
             )
         )
 

@@ -19,7 +19,7 @@ from math import lcm
 from operator import add, mul
 
 from .finite import FiniteGroup, computed_once
-from .linalg import IntMatrix, determinant, frac_vector, solve_mod_p, vec_add
+from .linalg import IntMatrix, determinant, solve_mod_p
 
 
 class CrystalError(Exception):
@@ -36,37 +36,49 @@ class HolonomyNotFaithful(CrystalError):
     maximal abelian in the generated group."""
 
 
-RatVec = tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AffineGen:
-    """Affine element (A, a): x -> A x + a with A integral and a rational.
+    """Affine element (A, a): x -> A x + a with A integral and a the
+    integer vector `shift` over the integer `denominator` >= 1.
 
-    The constructor, which `of` builds through, normalizes the translation
-    to `Fraction`s and checks the shapes and |det A| = 1; products and the
-    Calabi kernel's generators are made by `_trusted`, which does not."""
+    The constructor takes a rational translation (ints and `Fraction`s),
+    checks the shapes and |det A| = 1, and writes it in lowest terms:
+    the denominator is the lcm of the entries' denominators.  A group's
+    elements and the Calabi kernel's generators are made by `_trusted`,
+    which checks nothing; a group's elements all carry the group's
+    denominator q, with shifts in [0, q)^k."""
 
     matrix: IntMatrix
-    translation: RatVec
+    shift: tuple[int, ...]
+    denominator: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "translation", frac_vector(self.translation))
-        if self.matrix.rows != self.matrix.cols:
+    def __init__(self, matrix: IntMatrix, translation):
+        translation = tuple(translation)
+        for x in translation:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"translation entry {x!r} is not an int or a Fraction")
+        if matrix.rows != matrix.cols:
             raise ValueError("matrix must be square")
-        if len(self.translation) != self.matrix.rows:
+        if len(translation) != matrix.rows:
             raise ValueError("translation dim does not match matrix")
-        if abs(determinant(self.matrix)) != 1:
+        if abs(determinant(matrix)) != 1:
             raise ValueError("matrix is not invertible over Z (|det| != 1)")
+        q = lcm(*(x.denominator for x in translation))
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(
+            self, "shift", tuple(x.numerator * (q // x.denominator) for x in translation)
+        )
+        object.__setattr__(self, "denominator", q)
 
     @classmethod
-    def _trusted(cls, matrix: IntMatrix, translation: RatVec) -> AffineGen:
-        """An element on `matrix` and `translation`, unchecked: a square
-        matrix with |det| = 1 and a tuple of `Fraction`s of its size, such
-        as products of checked elements make."""
+    def _trusted(cls, matrix: IntMatrix, shift: tuple[int, ...], denominator: int) -> AffineGen:
+        """An element on `matrix` and `shift` over `denominator`,
+        unchecked: a square matrix with |det| = 1, a tuple of ints of its
+        size and an int >= 1."""
         g = object.__new__(cls)
         object.__setattr__(g, "matrix", matrix)
-        object.__setattr__(g, "translation", translation)
+        object.__setattr__(g, "shift", shift)
+        object.__setattr__(g, "denominator", denominator)
         return g
 
     @classmethod
@@ -74,29 +86,8 @@ class AffineGen:
         translation = tuple(translation)
         return cls(IntMatrix(matrix_rows, cols=len(translation)), translation)
 
-    def __mul__(self, other: AffineGen) -> AffineGen:
-        if self.matrix.cols != other.matrix.rows:
-            raise ValueError("dimension mismatch")
-        return AffineGen._trusted(
-            self.matrix * other.matrix,
-            vec_add(self.matrix.apply(other.translation), self.translation),
-        )
-
-
-@dataclass(frozen=True)
-class HolonomyElement:
-    """One coset of the lattice: matrix plus the representative
-    translation shift/denominator, reduced into [0,1)^k.  Every element
-    of a group has the group's denominator q, and each shift lies in
-    [0, q)^k."""
-
-    index: int
-    matrix: IntMatrix
-    shift: tuple[int, ...]
-    denominator: int
-
     @property
-    def translation(self) -> RatVec:
+    def translation(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.denominator) for x in self.shift)
 
 
@@ -105,7 +96,7 @@ class TorsionWitness:
     """Data certifying a finite-order element: (lattice shift by
     `correction`) * (lift of `element`) has order `order`."""
 
-    element: HolonomyElement
+    element: AffineGen
     correction: tuple[int, ...]
     order: int
 
@@ -120,10 +111,9 @@ class CrystalGroup:
     name: str
     dim: int
     generators: tuple[AffineGen, ...]
-    elements: tuple[HolonomyElement, ...]
+    elements: tuple[AffineGen, ...]
     edges: tuple[tuple[int, ...], ...]
     edge_cocycle: tuple[tuple[tuple[int, ...], ...], ...]
-    generator_images: tuple[int, ...]
 
     @property
     def holonomy_order(self) -> int:
@@ -171,14 +161,14 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
         if g.matrix.rows != dim:
             raise ValueError(f"generator of dim {g.matrix.rows} in a dim-{dim} group")
 
-    q = lcm(*(x.denominator for g in gens for x in g.translation))
+    q = lcm(*(g.denominator for g in gens))
     orbit = [tuple(int(r == c) for c in range(dim)) for r in range(dim)]
     orbit_index = {row: r for r, row in enumerate(orbit)}
     actions = [  # each generator's rows, its translation times q, and
         # its images and dots on the orbit rows reached so far
         (
             g.matrix.entries,
-            tuple(x.numerator * (q // x.denominator) % q for x in g.translation),
+            tuple(x * (q // g.denominator) % q for x in g.shift),
             {},
             {},
         )
@@ -240,13 +230,8 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
     # the first input generator with each holonomy generator's matrix
     positions = [right[0].index(g) for g in dict.fromkeys(right[0]) if g != 0]
     elements = tuple(
-        HolonomyElement(
-            index=i,
-            matrix=IntMatrix._trusted(tuple(map(orbit.__getitem__, key)), dim),
-            shift=shift,
-            denominator=q,
-        )
-        for i, (key, shift) in enumerate(zip(keys, shifts))
+        AffineGen._trusted(IntMatrix._trusted(tuple(map(orbit.__getitem__, key)), dim), shift, q)
+        for key, shift in zip(keys, shifts)
     )
     return CrystalGroup(
         name=name,
@@ -255,7 +240,6 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
         elements=elements,
         edges=tuple(tuple(row[pos] for pos in positions) for row in right),
         edge_cocycle=tuple(tuple(row[pos] for pos in positions) for row in defects),
-        generator_images=tuple(right[0]),
     )
 
 
@@ -293,8 +277,7 @@ def torsion_witness(group: CrystalGroup) -> TorsionWitness | None:
     """
     holonomy, elements, q = group.holonomy, group.elements, group.denominator
     seen = {0}
-    for elem in elements:
-        s = elem.index
+    for s, elem in enumerate(elements):
         p = holonomy.orders[s]
         if s in seen or any(p % d == 0 for d in range(2, p)):
             continue

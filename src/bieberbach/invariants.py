@@ -20,7 +20,6 @@ from .finite import computed_once
 from .linalg import (
     IntMatrix,
     SmithColumns,
-    frac_vector,
     integer_kernel,
     smith_columns,
     smith_divisors,
@@ -114,11 +113,9 @@ def abelianization(group: CrystalGroup) -> AbelianInvariants:
 def fixed_lattice(group: CrystalGroup) -> FixedLattice:
     """Sublattice of Z^k fixed by the holonomy; equals the intersection
     of the group's center with the lattice."""
-    mats = _action_matrices(group)
     k = group.dim
-    if not mats:
-        return FixedLattice(basis=tuple(IntMatrix.identity(k).column(j) for j in range(k)))
-    stacked = IntMatrix.vstack([m - IntMatrix.identity(k) for m in mats])
+    mats = [m - IntMatrix.identity(k) for m in _action_matrices(group)]
+    stacked = IntMatrix.vstack(mats) if mats else IntMatrix.zeros(0, k)
     return FixedLattice(basis=tuple(integer_kernel(stacked)))
 
 
@@ -149,7 +146,7 @@ def fixed_torus(group: CrystalGroup) -> FixedTorusSubgroup:
     divisors = list(snf.divisors) + [0] * (k - len(snf.divisors))
     rank = sum(1 for d in divisors if d == 0)
     component_orders = tuple(d for d in divisors if d >= 2)
-    tangent = tuple(frac_vector(snf.V.column(j)) for j, d in enumerate(divisors) if d == 0)
+    tangent = tuple(tuple(map(Fraction, snf.V.column(j))) for j, d in enumerate(divisors) if d == 0)
 
     points = None
     if rank == 0:

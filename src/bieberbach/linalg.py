@@ -1,9 +1,9 @@
 """Exact integer linear algebra.
 
-Everything here runs over arbitrary-precision Python ints (and
-fractions.Fraction for rational vectors); no floats anywhere.  The
-workhorse is the Smith normal form, from which integer kernels, the
-fixed dual lattice and first homology all fall out.
+Everything here runs over arbitrary-precision Python ints; no
+fractions and no floats.  The workhorse is the Smith normal form, from
+which integer kernels, the fixed dual lattice and first homology all
+fall out.
 
 One Smith elimination serves three entry points, each carrying only
 the transforms its caller reads: `smith_divisors` carries none (H1 and
@@ -19,7 +19,6 @@ torsion test).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mul, sub
 
 
@@ -113,7 +112,7 @@ class IntMatrix:
         )
 
     def apply(self, vec):
-        """Matrix times column vector; works for int and Fraction entries."""
+        """Matrix times an integer column vector."""
         if len(vec) != self.cols:
             raise ValueError(f"vector of dim {len(vec)} against {self.shape()}")
         return tuple(sum(a * x for a, x in zip(row, vec)) for row in self._data)
@@ -379,16 +378,3 @@ def determinant(m: IntMatrix) -> int:
             a[i][t] = 0
         prev = a[t][t]
     return sign * a[n - 1][n - 1]
-
-
-def frac_vector(entries) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in entries)
-
-
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_mod1(vec) -> tuple[Fraction, ...]:
-    """Reduce a rational vector into [0, 1)^k."""
-    return tuple(Fraction(x) % 1 for x in vec)

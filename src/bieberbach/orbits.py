@@ -13,7 +13,6 @@ from math import lcm
 from operator import mul
 
 from .crystal import CrystalGroup
-from .linalg import frac_vector, vec_mod1
 
 
 Character = tuple[Fraction, ...]
@@ -21,7 +20,7 @@ Character = tuple[Fraction, ...]
 
 def character(entries) -> Character:
     """Reduce entries into [0,1) and normalize to exact fractions."""
-    return vec_mod1(frac_vector(entries))
+    return tuple(Fraction(x) % 1 for x in entries)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Test oracles, each kept once: the slow predecessors of the library's
-fast paths (the Hermite form, rational and Smith solves, element normal
-forms, the table-verified finite group and its subgroup-lattice Sylow,
-quotient and coprime-split checks), the brute-force torsion and
-gcd-of-minors checks, the exhaustive (Z/2)^2 search behind the catalog's
-frozen entry, the small groups several test modules build, and the
-benchmark's corpus.  Nothing in `src/` calls them."""
+fast paths (the Hermite form, rational and Smith solves, rational
+vectors, element normal forms and products, the table-verified finite
+group and its subgroup-lattice Sylow, quotient and coprime-split
+checks), the brute-force torsion and gcd-of-minors checks, the
+exhaustive (Z/2)^2 search behind the catalog's frozen entry, the small
+groups several test modules build, and the benchmark's corpus.  Nothing
+in `src/` calls them."""
 
 from __future__ import annotations
 
@@ -17,16 +18,12 @@ from functools import cache
 from math import gcd
 from pathlib import Path
 
-from bieberbach.crystal import (
-    AffineGen, CrystalError, CrystalGroup, HolonomyElement, build_group, is_torsion_free
-)
+from bieberbach.crystal import AffineGen, CrystalError, CrystalGroup, build_group, is_torsion_free
 from bieberbach.finite import (
     FiniteGroup, Subgroup, _closure, _is_normal, _prime_factors, all_subgroups
 )
 from bieberbach.invariants import abelianization
-from bieberbach.linalg import (
-    IntMatrix, _as_int, determinant, frac_vector, smith_normal_form, vec_add, vec_mod1
-)
+from bieberbach.linalg import IntMatrix, _as_int, determinant, smith_normal_form
 
 F = Fraction
 
@@ -202,8 +199,21 @@ def minor_gcd_divisors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
+def frac_vector(entries) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x) for x in entries)
+
+
+def vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
+
+
+def vec_mod1(vec) -> tuple[Fraction, ...]:
+    """Reduce a rational vector into [0, 1)^k."""
+    return tuple(Fraction(x) % 1 for x in vec)
 
 
 # ---------------------------------------------------------------- crystallographic elements
@@ -212,7 +222,7 @@ class NotInGroup(CrystalError):
     """An affine element does not belong to the group."""
 
 
-def element_normal_form(g: AffineGen, group: CrystalGroup) -> tuple[HolonomyElement, tuple[int, ...]]:
+def element_normal_form(g: AffineGen, group: CrystalGroup) -> tuple[AffineGen, tuple[int, ...]]:
     """Coset decomposition g = (lattice shift) * (stored representative).
 
     Returns (holonomy element s, integer vector lam) with
@@ -227,6 +237,13 @@ def element_normal_form(g: AffineGen, group: CrystalGroup) -> tuple[HolonomyElem
     return elem, tuple(int(x) for x in lam)
 
 
+def affine_product(a: AffineGen, b: AffineGen) -> AffineGen:
+    """The product a b: x -> A (B x + b) + a, in `Fraction` arithmetic."""
+    if a.matrix.cols != b.matrix.rows:
+        raise ValueError("dimension mismatch")
+    return AffineGen(a.matrix * b.matrix, vec_add(a.matrix.apply(b.translation), a.translation))
+
+
 def affine_identity(dim: int) -> AffineGen:
     return AffineGen.of(IntMatrix.identity(dim).entries, (0,) * dim)
 
@@ -239,14 +256,12 @@ def reconstruct_element(group: CrystalGroup, index: int, lam) -> AffineGen:
 
 def brute_force_torsion(group, box=4):
     """Oracle: enumerate lattice corrections in a box and take powers."""
-    for elem in group.elements:
-        if elem.index == 0:
-            continue
+    for index in range(1, group.holonomy_order):
         for lam in itertools.product(range(-box, box + 1), repeat=group.dim):
-            a = reconstruct_element(group, elem.index, lam)
+            a = reconstruct_element(group, index, lam)
             power = a
-            for _ in range(group.holonomy.orders[elem.index] - 1):
-                power = power * a
+            for _ in range(group.holonomy.orders[index] - 1):
+                power = affine_product(power, a)
             if power == affine_identity(group.dim):
                 return True
     return False

@@ -27,17 +27,19 @@ from bieberbach.crystal import (
     AffineGen,
     ClosureBudgetExceeded,
     CrystalError,
-    HolonomyElement,
     HolonomyNotFaithful,
-    RatVec,
     build_group,
     computed_once,
 )
-from bieberbach.linalg import IntMatrix, vec_add, vec_mod1
-from oracles import inverses, random_signed_permutation, reconstruct_element, vec_sub
+from bieberbach.linalg import IntMatrix
+from oracles import (
+    affine_product, inverses, random_signed_permutation, reconstruct_element, vec_add, vec_mod1,
+    vec_sub
+)
 
 
 F = Fraction
+RatVec = tuple[Fraction, ...]
 
 
 class NonIntegralCocycle(CrystalError):
@@ -54,12 +56,12 @@ def full_cocycle(group):
     q = lcm(*(x.denominator for e in es for x in e.translation))
     shifts = [tuple(x.numerator * (q // x.denominator) for x in e.translation) for e in es]
     rows = []
-    for e, t_s, products in zip(es, shifts, group.holonomy.table):
+    for s, (e, t_s, products) in enumerate(zip(es, shifts, group.holonomy.table)):
         row = []
         for t, (t_t, st) in enumerate(zip(shifts, products)):
             defect = [a + b - c for a, b, c in zip(e.matrix.apply(t_t), t_s, shifts[st])]
             if any(x % q for x in defect):
-                raise NonIntegralCocycle(f"defect of pair ({e.index},{t}) is not in Z^{group.dim}")
+                raise NonIntegralCocycle(f"defect of pair ({s},{t}) is not in Z^{group.dim}")
             row.append(tuple(x // q for x in defect))
         rows.append(tuple(row))
     return tuple(rows)
@@ -85,7 +87,7 @@ class FractionGroup:
     name: str
     dim: int
     generators: tuple[AffineGen, ...]
-    elements: tuple[HolonomyElement, ...]
+    elements: tuple[AffineGen, ...]
     mult: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
     orders: tuple[int, ...]
@@ -193,13 +195,8 @@ def fraction_build_group(
 
     q = lcm(*(x.denominator for _, t in pairs for x in t))
     elements = tuple(
-        HolonomyElement(
-            index=i,
-            matrix=pairs[i][0],
-            shift=tuple(x.numerator * (q // x.denominator) for x in pairs[i][1]),
-            denominator=q,
-        )
-        for i in range(n)
+        AffineGen._trusted(mat, tuple(x.numerator * (q // x.denominator) for x in t), q)
+        for mat, t in pairs
     )
     generator_images = tuple(index_of[p] for p in gen_pairs)
     gen_columns = [g for g in dict.fromkeys(generator_images) if g != 0]
@@ -219,7 +216,7 @@ def fraction_build_group(
 
 def relabelling(old, new):
     """Index map from `old`'s elements to `new`'s, matched by matrix."""
-    index = {e.matrix: e.index for e in new.elements}
+    index = {e.matrix: i for i, e in enumerate(new.elements)}
     perm = [index[e.matrix] for e in old.elements]
     assert sorted(perm) == list(range(new.holonomy_order))
     return perm
@@ -231,15 +228,18 @@ def assert_same_group(old, new):
     perm = relabelling(old, new)
     assert perm[0] == 0
     new_inverses = inverses(new.holonomy)
-    for e in old.elements:
-        mine = new.elements[perm[e.index]]
+    for i, e in enumerate(old.elements):
+        mine = new.elements[perm[i]]
         assert (mine.matrix, mine.translation) == (e.matrix, e.translation)
-        assert new.holonomy.orders[mine.index] == old.orders[e.index]
-        assert new_inverses[perm[e.index]] == perm[old.inverse[e.index]]
+        assert new.holonomy.orders[perm[i]] == old.orders[i]
+        assert new_inverses[perm[i]] == perm[old.inverse[i]]
     n = old.holonomy_order
     for i, j in itertools.product(range(n), repeat=2):
         assert new.holonomy.table[perm[i]][perm[j]] == perm[old.mult[i][j]]
-    assert new.generator_images == tuple(perm[x] for x in old.generator_images)
+    new_index = {e.matrix: i for i, e in enumerate(new.elements)}
+    images = tuple(new_index[g.matrix] for g in new.generators)
+    assert images == tuple(perm[x] for x in old.generator_images)
+    assert new.holonomy_generator_indices() == tuple(x for x in dict.fromkeys(images) if x)
     # so the holonomy generators correspond too, in the same order
     for i in range(n):
         assert new.edge_cocycle[perm[i]] == old.edge_cocycle[i]
@@ -371,7 +371,7 @@ def test_huge_translation_denominators_match_fraction_build(dim, rows, shift):
     the group: the build must not spend time or memory in proportion to q."""
     g = assert_builds_agree(dim, [AffineGen.of(rows, shift)], closure_budget=8)
     assert g is not None and g.holonomy_order == 2
-    assert g.elements[g.generator_images[0]].translation == tuple(x % 1 for x in shift)
+    assert g.elements[g.holonomy_generator_indices()[0]].translation == tuple(x % 1 for x in shift)
 
 
 # ---------------------------------------------------------------- large groups
@@ -414,9 +414,9 @@ def check_group_axioms(g, samples):
         assert mult[0][i] == i and mult[i][0] == i
         assert mult[i][inverse[i]] == 0 and mult[inverse[i]][i] == 0
         assert g.elements[i].matrix * g.elements[inverse[i]].matrix == g.elements[0].matrix
-    for gen, idx in zip(g.generators, g.generator_images):
-        elem = g.elements[idx]
-        assert elem.matrix == gen.matrix and elem.translation == vec_mod1(gen.translation)
+    for gen in g.generators:
+        elem = next(e for e in g.elements if e.matrix == gen.matrix)
+        assert elem.translation == vec_mod1(gen.translation)
     assert_edge_cocycle_is_full(g)
     c = full_cocycle(g)
     rng = random.Random(n)
@@ -429,7 +429,9 @@ def check_group_axioms(g, samples):
         right = vec_add(g.elements[s].matrix.apply(c[t][u]), c[s][tu])
         assert left == right
         # the tables describe the affine product of representatives
-        prod = reconstruct_element(g, s, (0,) * g.dim) * reconstruct_element(g, t, (0,) * g.dim)
+        prod = affine_product(
+            reconstruct_element(g, s, (0,) * g.dim), reconstruct_element(g, t, (0,) * g.dim)
+        )
         assert prod == reconstruct_element(g, st, c[s][t])
 
 

@@ -18,12 +18,10 @@ from bieberbach.crystal import AffineGen, CrystalError, build_group, is_torsion_
 from bieberbach.finite import finite_group_from_holonomy, in_coprime_class
 from bieberbach.groupfile import document_to_group
 from bieberbach.invariants import abelianization, dual_action_smith, fixed_lattice, fixed_torus
-from bieberbach.linalg import (
-    IntMatrix, frac_vector, integer_kernel, row_smith_basis, smith_normal_form, vec_add
-)
+from bieberbach.linalg import IntMatrix, integer_kernel, row_smith_basis, smith_normal_form
 from oracles import (
-    corpus_items, from_columns, hermite_normal_form, hw_group, inverses, invert_unimodular,
-    klein_bottle, rational_solve, solve_integer_linear, torus
+    corpus_items, frac_vector, from_columns, hermite_normal_form, hw_group, inverses,
+    invert_unimodular, klein_bottle, rational_solve, solve_integer_linear, torus, vec_add
 )
 from test_build_oracle import full_cocycle
 from test_invariants import presentation_map, signed_permutation_group
@@ -56,7 +54,7 @@ def test_surjection_klein_bottle():
     assert surj.lattice_map == (2, 0)
     assert surj.lattice_index == 2
     g = klein_bottle()
-    s = g.generator_images[0]
+    s = g.holonomy_generator_indices()[0]
     assert surj.lift_values[s] == 1
     assert surj.lift_values[0] == 0
 
@@ -119,7 +117,7 @@ def test_lift_corrections_match_per_element_solves():
     of the half screw g has a nonzero value, and f = (-1, -1, 0) makes
     the Smith form negate its row."""
     g = build_group(3, [AffineGen.of([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (F(1, 2), F(1, 2), 0))])
-    s = g.generator_images[0]
+    s = g.holonomy_generator_indices()[0]
     # phi(g) + phi(g) = f . (1, 1, 0), the translation of g^2
     for f, phi in (((1, 1, 0), 1), ((-1, -1, 0), -1), ((1, 3, 0), 2), ((3, 1, 0), 2)):
         lift_values = tuple(phi if i == s else 0 for i in range(2))
@@ -270,7 +268,7 @@ def test_edge_surjection_check_matches_all_pairs_on_hand_made_surjections():
     """Lift corrections that are not zero, and lift values off by a
     constant."""
     g = build_group(3, [AffineGen.of([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (F(1, 2), F(1, 2), 0))])
-    s = g.generator_images[0]
+    s = g.holonomy_generator_indices()[0]
     for f, phi in (((1, 1, 0), 1), ((-1, -1, 0), -1), ((1, 3, 0), 2), ((3, 1, 0), 2)):
         for shift in (-1, 0, 2):
             lift_values = tuple(phi + shift if i == s else 0 for i in range(2))
@@ -405,9 +403,9 @@ def _averaged_projection(group, f: tuple[int, ...], w: tuple[int, ...], d: int):
     ]
     n, inverse = group.holonomy_order, inverses(group.holonomy)
     p_rows = [[Fraction(0)] * k for _ in range(k)]
-    for elem in group.elements:
+    for s, elem in enumerate(group.elements):
         a = elem.matrix
-        ainv = group.elements[inverse[elem.index]].matrix
+        ainv = group.elements[inverse[s]].matrix
         # accumulate A(s^-1) E A(s)
         ea = [[sum(e_rows[i][l] * a[l, j] for l in range(k)) for j in range(k)] for i in range(k)]
         for i in range(k):
@@ -596,7 +594,7 @@ def test_kernel_matches_fraction_oracle_with_lift_corrections():
     """The hand-made surjections of the per-element solve test, whose
     lift corrections are not zero."""
     g = build_group(3, [AffineGen.of([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (F(1, 2), F(1, 2), 0))])
-    s = g.generator_images[0]
+    s = g.holonomy_generator_indices()[0]
     for f, phi in (((1, 1, 0), 1), ((-1, -1, 0), -1), ((1, 3, 0), 2), ((3, 1, 0), 2)):
         lift_values = tuple(phi if i == s else 0 for i in range(2))
         surj = SurjectionToZ(f, lift_values, lattice_index=1)
@@ -614,7 +612,7 @@ def test_kernel_rejects_lift_values_that_break_the_homomorphism_property():
     for dim, f in ((2, (1, 1)), (3, (1, 1, 0)), (3, (2, 2, 1))):
         swap = [[int(j == (1 - i if i < 2 else i)) for j in range(dim)] for i in range(dim)]
         g = build_group(dim, [AffineGen.of(swap, (F(1, 2), F(1, 2)) + (F(0),) * (dim - 2))])
-        s = g.generator_images[0]
+        s = g.holonomy_generator_indices()[0]
         genuine = int(sum(a * b for a, b in zip(f, g.elements[s].translation)))
         for phi in (genuine, genuine - 1, genuine + 2):
             lift_values = tuple(phi if i == s else 0 for i in range(2))
@@ -865,3 +863,35 @@ def test_vasquez_never_fires_on_catalog_style_groups():
     for g in (klein_bottle(), torus(3), c4_screw()):
         report = is_connective(g)
         assert all(not s.vasquez_applied for s in report.chain)
+
+
+def z6_half_and_third_screw():
+    """Holonomy Z/6 in dimension 5: a flips e5 and moves e2 by 1/2, b turns
+    the (e3, e4) plane by a third and moves e1 by 1/3, so q = 6 while the
+    first kernel keeps only a, whose shift is over 2."""
+    identity = [[int(i == j) for j in range(5)] for i in range(5)]
+    flip, turn = [r[:] for r in identity], [r[:] for r in identity]
+    flip[4][4] = -1
+    turn[2][2:4], turn[3][2:4] = [0, -1], [1, -1]
+    a = AffineGen.of(flip, (0, F(1, 2), 0, 0, 0))
+    b = AffineGen.of(turn, (F(1, 3), 0, 0, 0, 0))
+    return build_group(5, [a, b], name="z6")
+
+
+def test_kernel_generators_are_written_in_lowest_terms():
+    """Each kernel generator's shift and denominator are coprime, the form
+    `AffineGen`'s constructor writes, so the two compare equal, on the
+    seed-1 benchmark corpus, the catalog and a group whose first kernel
+    generator drops a factor of its parent's denominator."""
+    groups = [document_to_group(item.doc) for item in corpus_items("connective")]
+    groups += [catalog_get(key).group for key in catalog_list()] + [z6_half_and_third_screw()]
+    reduced = 0
+    for group in groups:
+        stage = group
+        for step in is_connective(group).chain:
+            for g in step.kernel_group.generators:
+                assert gcd(g.denominator, *g.shift) == 1
+                assert AffineGen(g.matrix, g.translation) == g
+                reduced += g.denominator < stage.denominator
+            stage = step.kernel_group
+    assert reduced > 0

@@ -5,7 +5,7 @@ from bieberbach.catalog import UnknownKey, catalog_get, catalog_list
 from bieberbach.crystal import is_torsion_free
 from bieberbach.finite import finite_group_from_holonomy, structure_name
 from bieberbach.invariants import abelianization, fixed_torus
-from oracles import is_cyclic, search_connective_c2c2
+from oracles import affine_product, is_cyclic, search_connective_c2c2
 
 
 EXPECTED_KEYS = {
@@ -49,6 +49,15 @@ def test_every_entry_matches_expected_record():
         assert d.order == exp.holonomy_order, key
         assert structure_name(d) == exp.holonomy_id, key
         assert is_connective(g).connective == exp.connective, key
+
+
+def test_hw_generators_satisfy_their_defining_relations():
+    """The Hantzsche-Wendt screw generators x, y of the catalog entry
+    satisfy x^2 y x^2 = y and y^2 x y^2 = x."""
+    x, y = catalog_get("hw").group.generators
+    x2, y2 = affine_product(x, x), affine_product(y, y)
+    assert affine_product(affine_product(x2, y), x2) == y
+    assert affine_product(affine_product(y2, x), y2) == x
 
 
 def test_hw_is_the_only_finite_h1_dim3_entry():

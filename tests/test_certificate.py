@@ -22,9 +22,9 @@ from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.cli import main
 from bieberbach.crystal import AffineGen, build_group
 from bieberbach.groupfile import document_to_group, group_to_document
-from bieberbach.linalg import IntMatrix, smith_normal_form, vec_add
+from bieberbach.linalg import IntMatrix, smith_normal_form
 from test_build_oracle import full_cocycle
-from oracles import corpus_items, from_columns
+from oracles import corpus_items, from_columns, vec_add
 from test_calabi import seeded_chain_groups
 from test_invariants import full_element_h1
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import bieberbach.crystal as crystal
+from bieberbach.calabi import is_connective, surjection_to_Z
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.crystal import (
     AffineGen, ClosureBudgetExceeded, CrystalError, HolonomyNotFaithful, TorsionWitness,
@@ -13,9 +14,9 @@ from bieberbach.crystal import (
 from bieberbach.groupfile import document_to_group
 from bieberbach.linalg import IntMatrix
 from oracles import (
-    NotInGroup, affine_identity, brute_force_torsion, corpus_items, element_normal_form, hw_group,
-    inverses, klein_bottle, random_signed_permutation, reconstruct_element, solve_integer_linear,
-    torus
+    NotInGroup, affine_identity, affine_product, brute_force_torsion, corpus_items,
+    element_normal_form, hw_group, inverses, klein_bottle, random_signed_permutation,
+    reconstruct_element, solve_integer_linear, torus
 )
 from test_build_oracle import full_cocycle, random_rotation_generator
 from test_calabi import random_diagonal_group, random_screw_group
@@ -29,26 +30,26 @@ F = Fraction
 def test_build_hw():
     g = hw_group()
     assert g.holonomy_order == 4
-    assert all(g.holonomy.orders[e.index] == 2 for e in g.elements if e.index != 0)
+    assert all(order == 2 for order in g.holonomy.orders[1:])
     # defining relations x^2 y x^2 = y and y^2 x y^2 = x
     x, y = g.generators
-    x2 = x * x
-    y2 = y * y
-    assert x2 * y * x2 == y
-    assert y2 * x * y2 == x
+    x2 = affine_product(x, x)
+    y2 = affine_product(y, y)
+    assert affine_product(affine_product(x2, y), x2) == y
+    assert affine_product(affine_product(y2, x), y2) == x
 
 
 def test_build_torus():
     g = torus(2)
     assert g.holonomy_order == 1
-    assert g.generator_images == (0, 0)
+    assert g.holonomy_generator_indices() == ()  # both generators map to the identity
 
 
 def test_build_klein_bottle():
     g = klein_bottle()
     assert g.holonomy_order == 2
-    s = g.generator_images[0]
-    assert g.holonomy_generator_indices() == (s,)
+    (s,) = g.holonomy_generator_indices()
+    assert g.elements[s].matrix == g.generators[0].matrix
     assert g.edge_cocycle[s] == ((1, 0),)
     assert full_cocycle(g)[s][s] == (1, 0)
 
@@ -61,7 +62,9 @@ def test_holonomy_generators_are_the_distinct_generator_images():
     for workload in ("analyze", "lattice", "connective"):
         groups += [document_to_group(item.doc) for item in corpus_items(workload)]
     for g in groups:
-        images = tuple(idx for idx in dict.fromkeys(g.generator_images) if idx != 0)
+        index = {e.matrix: i for i, e in enumerate(g.elements)}
+        images = tuple(dict.fromkeys(index[x.matrix] for x in g.generators))
+        images = tuple(idx for idx in images if idx != 0)
         assert g.holonomy_generator_indices() == images, g.name
 
 
@@ -136,16 +139,34 @@ def test_mult_table_is_group():
 
 # ---------------------------------------------------------------- affine ops
 
+def test_the_constructor_writes_the_translation_in_lowest_terms():
+    g = AffineGen.of([[1, 0], [0, 1]], (F(1, 2), F(2, 3)))
+    assert (g.shift, g.denominator, g.translation) == ((3, 4), 6, (F(1, 2), F(2, 3)))
+    g = AffineGen.of([[1, 0], [0, 1]], (F(4, 2), -3))
+    assert (g.shift, g.denominator) == ((2, -3), 1)
+    assert AffineGen.of([[1]], (F(2, 4),)) == AffineGen.of([[1]], (F(1, 2),))
+
+
+@pytest.mark.parametrize("entry", [0.1, 0.5, 1.0, "1/2", None])
+def test_the_constructor_rejects_translation_entries_that_are_not_exact(entry):
+    """Only ints and Fractions are exact rationals: a float such as 0.1
+    would be read as 3602879701896397/36028797018963968."""
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        AffineGen.of([[1]], (entry,))
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        AffineGen(IntMatrix.identity(2), (0, entry))
+
+
 def test_klein_square_is_translation():
     g = klein_bottle().generators[0]
-    sq = g * g
+    sq = affine_product(g, g)
     assert sq.matrix == IntMatrix.identity(2)
     assert sq.translation == (F(1), F(0))
 
 
 def test_hw_xy_product():
     gx, gy = hw_group().generators
-    prod = gx * gy
+    prod = affine_product(gx, gy)
     assert prod.matrix == IntMatrix([[-1, 0, 0], [0, -1, 0], [0, 0, 1]])
     assert prod.translation == (F(1, 2), F(0), F(-1, 2))
 
@@ -155,7 +176,7 @@ def test_hw_xy_product():
 def test_normal_form_identity():
     g = torus(2)
     elem, lam = element_normal_form(affine_identity(2), g)
-    assert elem.index == 0 and lam == (0, 0)
+    assert g.elements.index(elem) == 0 and lam == (0, 0)
 
 
 def test_normal_form_pure_translation():
@@ -163,14 +184,14 @@ def test_normal_form_pure_translation():
     elem, lam = element_normal_form(
         AffineGen(IntMatrix.identity(2), (F(2), F(-1))), g
     )
-    assert elem.index == 0 and lam == (2, -1)
+    assert g.elements.index(elem) == 0 and lam == (2, -1)
 
 
 def test_normal_form_klein_square():
     g = klein_bottle()
-    sq = g.generators[0] * g.generators[0]
+    sq = affine_product(g.generators[0], g.generators[0])
     elem, lam = element_normal_form(sq, g)
-    assert elem.index == 0 and lam == (1, 0)
+    assert g.elements.index(elem) == 0 and lam == (1, 0)
 
 
 def test_normal_form_rejects_outsiders():
@@ -189,7 +210,7 @@ def test_normal_form_roundtrip_random():
             lam = tuple(rng.randint(-3, 3) for _ in range(g.dim))
             a = reconstruct_element(g, idx, lam)
             elem, lam2 = element_normal_form(a, g)
-            assert (elem.index, lam2) == (idx, lam)
+            assert (g.elements.index(elem), lam2) == (idx, lam)
 
 
 # ---------------------------------------------------------------- torsion
@@ -212,8 +233,8 @@ def test_point_group_has_torsion():
     assert w is not None
     assert w.order == 2
     # the witness element really is torsion
-    a = reconstruct_element(g, w.element.index, w.correction)
-    assert a * a == affine_identity(3)
+    a = reconstruct_element(g, g.elements.index(w.element), w.correction)
+    assert affine_product(a, a) == affine_identity(3)
     # q = 1: each representative is linear, so g_s^p = 1 needs no correction
     for g in (g, cube_rotations()):
         w = torsion_witness(g)
@@ -246,8 +267,8 @@ def test_torsion_agrees_with_brute_force():
     quarter = groups[-2]
     assert [is_torsion_free(g) for g in groups[-2:]] == [False, True]
     w = torsion_witness(quarter)
-    s = quarter.generator_images[0]
-    assert w.order == 2 and w.element.index == quarter.holonomy.table[s][s]
+    s = quarter.holonomy_generator_indices()[0]
+    assert w.order == 2 and w.element == quarter.elements[quarter.holonomy.table[s][s]]
     assert_witness_is_torsion(quarter, w)
 
 
@@ -261,10 +282,8 @@ def per_element_torsion_witness(group):
     the coset exists iff N_s (a_s + lam) = 0 has an integer solution,
     where N_s = sum of A(s)^j over j < m.
     """
-    for elem in group.elements:
-        if elem.index == 0:
-            continue
-        m = group.holonomy.orders[elem.index]
+    for s, elem in enumerate(group.elements[1:], start=1):
+        m = group.holonomy.orders[s]
         acc = IntMatrix.identity(group.dim)
         norm = IntMatrix.zeros(group.dim, group.dim)
         for _ in range(m):
@@ -288,12 +307,13 @@ def is_prime(n):
 def assert_witness_is_torsion(group, w):
     """`w` names an element of prime order whose lift, shifted by the
     correction, has that order in the group."""
-    assert is_prime(w.order) and group.holonomy.orders[w.element.index] == w.order
-    a = reconstruct_element(group, w.element.index, w.correction)
+    s = group.elements.index(w.element)
+    assert is_prime(w.order) and group.holonomy.orders[s] == w.order
+    a = reconstruct_element(group, s, w.correction)
     power, identity = a, affine_identity(group.dim)
     for _ in range(w.order - 1):
         assert power != identity
-        power = power * a
+        power = affine_product(power, a)
     assert power == identity
 
 
@@ -550,34 +570,38 @@ def test_torsion_test_solves_once_per_prime_order_cyclic_subgroup(monkeypatch, m
 # ---------------------------------------------------------------- integer translations
 
 def test_group_core_makes_no_fractions(monkeypatch):
-    """`build_group`, `torsion_witness` and `surjection_to_Z` read each
-    element's integer shift over the group's denominator q; the
-    Fraction translation is derived from them on demand."""
-    import bieberbach.calabi as calabi
-
+    """`build_group`, `torsion_witness`, `surjection_to_Z` and the whole
+    `is_connective` chain, `calabi_kernel` included, read each element's
+    integer shift over its denominator and build no `Fraction`, counted
+    at `Fraction.__new__` wherever it is called.  The Fraction
+    translation is derived from the shift on demand."""
     inputs = [
         (g.dim, g.generators, g.name)
         for groups, _ in oracle_corpus().values()
         for g in groups
     ]
+    connective = [document_to_group(item.doc) for item in corpus_items("connective")]
+    inputs += [(g.dim, g.generators, g.name) for g in connective]
     made = []
+    new = Fraction.__new__
 
-    class CountingFraction(Fraction):
-        def __new__(cls, *args, **kwargs):
-            made.append(args)
-            return Fraction(*args, **kwargs)
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(crystal, "Fraction", CountingFraction)
-    monkeypatch.setattr(calabi, "Fraction", CountingFraction)
-    groups = []
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    groups, stages = [], 0
     for dim, gens, name in inputs:
         group = build_group(dim, gens, name=name)
-        torsion_witness(group)
-        calabi.surjection_to_Z(group)
+        torsion_free = torsion_witness(group) is None
+        surjection_to_Z(group)
+        if torsion_free:
+            stages += len(is_connective(group).chain)
         groups.append(group)
     monkeypatch.undo()
 
     assert made == []
+    assert stages > len(connective)  # the chain peeled more than once per group
     denominators = set()
     for group in groups:
         q = group.denominator

@@ -143,8 +143,10 @@ def assert_same_fields(old: MatrixGroup, new):
     assert tuple(e.matrix for e in new.elements) == old.matrices
     assert tuple(e.shift for e in new.elements) == old.shifts
     assert new.denominator == old.denominator
-    assert new.generator_images == old.generator_images
+    index = {e.matrix: i for i, e in enumerate(new.elements)}
+    assert tuple(index[g.matrix] for g in new.generators) == old.generator_images
     gens = new.holonomy_generator_indices()
+    assert gens == tuple(x for x in dict.fromkeys(old.generator_images) if x)
     assert new.edges == tuple(tuple(row[g] for g in gens) for row in old.mult)
     assert new.edge_cocycle == old.edge_cocycle
     assert new.holonomy.orders == old.orders

@@ -6,11 +6,11 @@ import pytest
 
 from bieberbach.linalg import (
     IntMatrix, determinant, integer_kernel, smith_columns, smith_divisors,
-    smith_normal_form, solve_mod_p, vec_mod1
+    smith_normal_form, solve_mod_p
 )
 from oracles import (
     from_columns, hermite_normal_form, invert_unimodular, minor_gcd_divisors, rational_solve,
-    solve_integer_linear
+    solve_integer_linear, vec_mod1
 )
 
 

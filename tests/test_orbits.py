@@ -11,9 +11,8 @@ from bieberbach.cli import main
 from bieberbach.crystal import AffineGen, build_group
 from bieberbach.groupfile import load_group
 from bieberbach.invariants import fixed_torus
-from bieberbach.linalg import vec_mod1
 from bieberbach.orbits import StabilizerRecord, character, orbit_data
-from oracles import fraction_stabilizer_classes, hw_group, torus
+from oracles import fraction_stabilizer_classes, hw_group, torus, vec_mod1
 from test_crystal import rank_duality_draws
 
 
@@ -175,10 +174,10 @@ def fraction_orbit_data(chi, group):
         raise ValueError(f"character of dim {len(chi)} against a dim-{group.dim} group")
     orbit = set()
     stabilizer = []
-    for elem in group.elements:
+    for s, elem in enumerate(group.elements):
         moved = vec_mod1(elem.matrix.transpose().apply(chi))
         if moved == chi:
-            stabilizer.append(elem.index)
+            stabilizer.append(s)
         orbit.add(moved)
     return StabilizerRecord(
         character=chi,

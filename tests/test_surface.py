@@ -23,11 +23,12 @@ import bieberbach
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bieberbach"
 ENTRY_POINTS = {("cli", "main")}
+INTEGER_MODULES = ("linalg", "calabi", "finite")  # no Fraction inside
 
 PUBLIC_API = set(
     """
     IntMatrix SmithForm smith_normal_form integer_kernel determinant
-    AffineGen CrystalGroup HolonomyElement TorsionWitness CrystalError ClosureBudgetExceeded
+    AffineGen CrystalGroup TorsionWitness CrystalError ClosureBudgetExceeded
     HolonomyNotFaithful build_group is_torsion_free torsion_witness
     AbelianInvariants FixedLattice FixedTorusSubgroup TooManyFixedPoints abelianization
     fixed_lattice fixed_torus character_count
@@ -136,6 +137,28 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert unused_imports() == []
 
 
+def imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level package of every module the tree imports."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_the_integer_modules_import_no_fractions():
+    """Linear algebra, the Calabi peel and the finite groups run in
+    integers: they import no `fractions` and name no `Fraction`, which
+    enters at the boundary (group files, characters, the fixed torus,
+    `AffineGen`'s constructor and its `translation`)."""
+    modules = source_modules()
+    for name in INTEGER_MODULES:
+        assert "fractions" not in imported_modules(modules[name]), name
+        assert "Fraction" not in names_in([modules[name]]), name
+
+
 def test_no_test_oracle_is_defined_or_named_in_the_library():
     """The slow predecessors live in `tests/oracles.py` only: no library
     module defines, imports or calls one (no Hermite form, no Smith
@@ -148,7 +171,7 @@ def test_no_test_oracle_is_defined_or_named_in_the_library():
 
 
 def test_the_package_exports_its_public_api_and_no_module():
-    assert len(bieberbach.__all__) == len(set(bieberbach.__all__)) == 53
+    assert len(bieberbach.__all__) == len(set(bieberbach.__all__)) == 52
     assert set(bieberbach.__all__) == PUBLIC_API
     for name in bieberbach.__all__:
         assert not isinstance(getattr(bieberbach, name), types.ModuleType), name
