@@ -5,9 +5,10 @@ read off the holonomy-fixed dual lattice; the kernel is a torsion-free
 group one dimension down.  Iterating either reaches the trivial group
 (the group is poly-Z, hence connective) or stalls at a stage with
 trivial centre (a core with finite first homology, certifying the
-negative verdict).  Each surjection is checked on the edges of the
-generators' Cayley graph, and the kernel's translations and matrices
-are read off one change of basis.
+negative verdict).  Each surjection is checked by reading each
+holonomy element once, with no Cayley graph: for an invariant f, the
+lift values phi make a homomorphism iff phi(s) = f . t_s.  The kernel's
+translations and matrices are read off one change of basis.
 """
 
 from __future__ import annotations
@@ -103,29 +104,30 @@ def surjection_to_Z(group: CrystalGroup) -> SurjectionToZ | None:
 
 
 def _check_surjection(group: CrystalGroup, surj: SurjectionToZ) -> None:
-    """Raise AssertionError unless the values define a homomorphism onto
-    Z whose `lattice_index` is gcd(f).  Invariance f A(g) = f and the
-    homomorphism identity phi(s) + phi(g) - phi(sg) = f . tau(s, g) are
-    checked on the holonomy generators g only: every element is a word
-    in them, and the cocycle identity carries the homomorphism identity
-    from the edges (s, g) of the Cayley graph to every pair once
-    phi(e) = 0."""
+    """Raise AssertionError unless the values, one lift value per
+    holonomy element, define a homomorphism onto Z whose `lattice_index`
+    is gcd(f).
+
+    Invariance f A(g) = f is checked on the holonomy generators g, which
+    carries it to every element.  Then phi is a homomorphism iff
+    phi(s) = f . t_s for each representative translation t_s: from
+    t_s + A_s t_g = tau(s, g) + t_sg and f A_s = f, phi - f . t is a
+    homomorphism from the finite holonomy to Q, so it is 0; conversely
+    f . tau(s, g) = f . t_s + f . t_g - f . t_sg.  So each element is read
+    once: q phi(s) = f . shift_s over the group's denominator q."""
     f, phi = surj.lattice_map, surj.lift_values
+    if len(phi) != group.holonomy_order:
+        raise AssertionError("not one lift value per holonomy element")
     if gcd(*f, *phi) != 1:
         raise AssertionError("values are not coprime; the map is not onto Z")
     if surj.lattice_index != gcd(*f):
         raise AssertionError("lattice_index is not the gcd of the lattice map")
     f = IntMatrix([f], cols=group.dim).row(0)  # integers, one per coordinate
-    gens = group.holonomy_generator_indices()
-    for g in gens:
+    for g in group.holonomy_generator_indices():
         if tuple(sum(map(mul, f, col)) for col in zip(*group.elements[g].matrix)) != f:
             raise AssertionError("lattice map is not holonomy invariant")
-    edges_hold = phi[0] == 0 and all(
-        phi[s] + phi[g] - phi[t] == sum(a * b for a, b in zip(f, tau))
-        for s, (row, taus) in enumerate(zip(group.edges, group.edge_cocycle))
-        for g, t, tau in zip(gens, row, taus)
-    )
-    if not edges_hold:
+    q = group.denominator
+    if any(q * x != sum(map(mul, f, elem.shift)) for x, elem in zip(phi, group.elements)):
         raise AssertionError("lift values break the homomorphism property")
 
 
@@ -133,10 +135,9 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
     """Kernel of the surjection as a standard-form group of dimension
     k - 1, together with the bookkeeping for re-verification.
 
-    The surjection is checked first (`_check_surjection`).  A checked
-    surjection has phi(s) = f . t_s for each representative translation
-    t_s: phi - f . t is a homomorphism from the finite holonomy to Q, so
-    it is 0.  So each corrected translation x = t_s + lam lies in ker(f).
+    The surjection is checked first (`_check_surjection`), so
+    phi(s) = f . t_s for each representative translation t_s, and each
+    corrected translation x = t_s + lam lies in ker(f).
     The columns of the Smith transform V of [f] after the first are a
     basis of ker(f), so x has kernel coordinates (V^-1 x)[1:], and A
     restricts to (V^-1 A V)[1:, 1:], all in integers.  V and V^-1 come

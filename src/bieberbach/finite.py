@@ -5,7 +5,9 @@ tree presents it (Reidemeister-Schreier): `tree_relations` writes that
 presentation once, for G/G' here and, with the lattice cocycle on the
 edges, for the crystallographic group's H1.  Element orders and G/G'
 decide Hiller-Sah primitivity and recognize iterated coprime
-semidirect products of cyclic groups, at any order.  Only the subgroup
+semidirect products of cyclic groups, at any order: by P. Hall's
+theorem each level's normal Hall subgroup is found by a count, with
+no closure (`_coprime_tree`).  Only the subgroup
 lattice `all_subgroups` reads the n x n table; it is brute force on
 purpose, and no command calls it (the benchmark's probe times it).
 """
@@ -146,9 +148,6 @@ class FiniteGroup:
         rel = self.tree_relations(unlabelled, 0)
         return tuple(d for d in smith_divisors(rel) if d >= 2)
 
-    def is_abelian(self) -> bool:
-        return prod(self.abelian_quotient) == self.order
-
 
 @dataclass(frozen=True)
 class Subgroup:
@@ -269,8 +268,15 @@ def in_coprime_class(group: FiniteGroup) -> CoprimeTree | None:
 def _coprime_tree(group: FiniteGroup, elems) -> CoprimeTree:
     """The tree of the subgroup on `elems`, whose Sylow subgroups are
     cyclic.  Z/m splits off for the smallest m coprime to n/m such that
-    an element has order m and the elements of order dividing n/m form a
-    subgroup: that subgroup is then normal of order n/m."""
+    an element has order m and exactly n/m elements have order dividing
+    n/m: those elements then form a normal subgroup of order n/m.
+
+    The count decides it.  A group with cyclic Sylow subgroups is
+    solvable (Hoelder, Burnside, Zassenhaus), so it has a Hall subgroup H
+    of order n/m (P. Hall, 1928), and the n/m elements of H all have order
+    dividing n/m.  A subgroup made only of such elements has order prime
+    to m (Cauchy), so dividing n/m: the set is a subgroup iff it is H,
+    iff it has n/m elements.  It is closed under conjugation, so normal."""
     n = len(elems)
     orders = {group.orders[x] for x in elems}
     if n in orders:
@@ -279,42 +285,9 @@ def _coprime_tree(group: FiniteGroup, elems) -> CoprimeTree:
         if n % m or gcd(m, n // m) != 1 or m not in orders:
             continue
         normal = [x for x in elems if (n // m) % group.orders[x] == 0]
-        if _is_subgroup(group, normal):
+        if len(normal) == n // m:
             return CoprimeTree(normal_part=_coprime_tree(group, normal), complement_order=m)
     raise AssertionError("a group with cyclic Sylow subgroups splits (Hoelder)")
-
-
-def _is_subgroup(group: FiniteGroup, elems) -> bool:
-    """Whether `elems` is closed under products, so a subgroup when not
-    empty, by closing it breadth first from a greedy generating set drawn
-    from it: each element not yet reached joins the generators, the
-    elements reached before it are multiplied by it and each later one
-    by every generator, O(|S| |gens|) products in all.  False as soon as
-    a product leaves S; else the closure holds all of S and is S."""
-    members = set(elems)
-    reached, seen, gens = [0], {0}, []
-    for g in elems:
-        if g in seen:
-            continue
-        gens.append(g)
-        old = len(reached)
-        for pos, x in enumerate(reached):  # grows as we go
-            for s in gens[-1:] if pos < old else gens:
-                y = group.times(x, s)
-                if y not in members:
-                    return False
-                if y not in seen:
-                    seen.add(y)
-                    reached.append(y)
-    return True
-
-
-def abelian_invariant_factors(group: FiniteGroup) -> tuple[int, ...] | None:
-    """Invariant factor decomposition for abelian groups (largest
-    first); None when the group is not abelian."""
-    if not group.is_abelian():
-        return None
-    return group.abelian_quotient[::-1]
 
 
 def structure_name(group: FiniteGroup) -> str:
@@ -322,7 +295,7 @@ def structure_name(group: FiniteGroup) -> str:
     tag for nonabelian groups."""
     if group.order == 1:
         return "trivial"
-    invs = abelian_invariant_factors(group)
-    if invs is None:
+    factors = group.abelian_quotient
+    if prod(factors) != group.order:
         return f"nonabelian of order {group.order}"
-    return " + ".join(f"Z/{d}" for d in invs)
+    return " + ".join(f"Z/{d}" for d in reversed(factors))

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 
 from .crystal import AffineGen, CrystalGroup, build_group
 
@@ -58,6 +59,12 @@ def parse_rational(value) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     return str(value)
+
+
+def _format_ratio(x: int, q: int) -> str:
+    """x/q as `format_rational` writes it, with no `Fraction` built."""
+    g = gcd(x, q)
+    return str(x // g) if g == q else f"{x // g}/{q // g}"
 
 
 def document_to_group(doc) -> CrystalGroup:
@@ -111,7 +118,7 @@ def group_to_document(group: CrystalGroup) -> dict:
         "generators": [
             {
                 "matrix": [list(row) for row in g.matrix],
-                "translation": [format_rational(x) for x in g.translation],
+                "translation": [_format_ratio(x, g.denominator) for x in g.shift],
             }
             for g in group.generators
         ],

@@ -19,7 +19,12 @@ Character = tuple[Fraction, ...]
 
 
 def character(entries) -> Character:
-    """Reduce entries into [0,1) and normalize to exact fractions."""
+    """Reduce exact entries, ints and `Fraction`s, into [0,1); any other
+    entry (a float, a string) raises TypeError."""
+    entries = tuple(entries)
+    for x in entries:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"character entry {x!r} is not an int or a Fraction")
     return tuple(Fraction(x) % 1 for x in entries)
 
 

@@ -158,6 +158,17 @@ def test_kernel_rejects_a_lattice_index_that_is_not_the_gcd():
             calabi_kernel(g, wrong)
 
 
+def test_kernel_rejects_lift_values_of_the_wrong_length():
+    """One lift value per holonomy element: one too few or one too many
+    is rejected, not read past or printed in the certificate."""
+    for key in ("klein_bottle", "dim3_c3", "dim3_c2c2_connective"):
+        g = catalog_get(key).group
+        surj = surjection_to_Z(g)
+        for lift_values in (surj.lift_values[:-1], surj.lift_values + (7,)):
+            with pytest.raises(AssertionError, match="one lift value per holonomy element"):
+                calabi_kernel(g, replace(surj, lift_values=lift_values))
+
+
 # ---------------------------------------------------------------- surjection oracle
 
 def all_pairs_check_surjection(group, surj):
@@ -208,9 +219,10 @@ def single_entry_perturbations(surj):
                 yield rebuild(moved)
 
 
-def assert_edge_check_matches_all_pairs(group, surj) -> tuple[int, int]:
-    """The edge check and the all-pairs copy agree on `surj` and on each
-    single-entry perturbation; returns (accepted, rejected) counts."""
+def assert_element_check_matches_all_pairs(group, surj) -> tuple[int, int]:
+    """The per-element check and the all-pairs copy agree on `surj` and
+    on each single-entry perturbation; returns (accepted, rejected)
+    counts."""
     accepted = rejected = 0
     for candidate in (surj, *single_entry_perturbations(surj)):
         verdict = accepts(_check_surjection, group, candidate)
@@ -234,12 +246,12 @@ def chain_stages(group):
         stage = calabi_kernel(stage, surj).kernel_group
 
 
-def test_edge_surjection_check_matches_all_pairs_on_catalog_chains():
+def test_element_surjection_check_matches_all_pairs_on_catalog_chains():
     stages = accepted = rejected = 0
     for key in catalog_list():
         for stage, surj in chain_stages(catalog_get(key).group):
             assert accepts(all_pairs_check_surjection, stage, surj), key
-            a, r = assert_edge_check_matches_all_pairs(stage, surj)
+            a, r = assert_element_check_matches_all_pairs(stage, surj)
             stages += 1
             accepted += a
             rejected += r
@@ -248,7 +260,7 @@ def test_edge_surjection_check_matches_all_pairs_on_catalog_chains():
     assert accepted > stages and rejected > 5 * stages
 
 
-def test_edge_surjection_check_matches_all_pairs_on_random_chains():
+def test_element_surjection_check_matches_all_pairs_on_random_chains():
     """Seeded screw groups (translation denominators 2, 3, 4 and 6) and
     diagonal (Z/2)^r groups, whose chains carry nonzero lift values."""
     rng = random.Random(43)
@@ -259,12 +271,12 @@ def test_edge_surjection_check_matches_all_pairs_on_random_chains():
     nonzero_lifts = 0
     for g in groups:
         for stage, surj in chain_stages(g):
-            assert_edge_check_matches_all_pairs(stage, surj)
+            assert_element_check_matches_all_pairs(stage, surj)
             nonzero_lifts += any(surj.lift_values)
     assert nonzero_lifts >= len(groups)
 
 
-def test_edge_surjection_check_matches_all_pairs_on_hand_made_surjections():
+def test_element_surjection_check_matches_all_pairs_on_hand_made_surjections():
     """Lift corrections that are not zero, and lift values off by a
     constant."""
     g = build_group(3, [AffineGen.of([[1, 0, 0], [0, 1, 0], [0, 0, -1]], (F(1, 2), F(1, 2), 0))])
@@ -274,7 +286,7 @@ def test_edge_surjection_check_matches_all_pairs_on_hand_made_surjections():
             lift_values = tuple(phi + shift if i == s else 0 for i in range(2))
             surj = SurjectionToZ(f, lift_values, lattice_index=1)
             assert accepts(_check_surjection, g, surj) == (shift == 0)
-            assert_edge_check_matches_all_pairs(g, surj)
+            assert_element_check_matches_all_pairs(g, surj)
 
 
 # ---------------------------------------------------------------- H1 surjection oracle

@@ -11,7 +11,7 @@ from bieberbach.crystal import (
     AffineGen, ClosureBudgetExceeded, CrystalError, HolonomyNotFaithful, TorsionWitness,
     build_group, is_torsion_free, norm_solution, torsion_witness
 )
-from bieberbach.groupfile import document_to_group
+from bieberbach.groupfile import document_to_group, group_to_document
 from bieberbach.linalg import IntMatrix
 from oracles import (
     NotInGroup, affine_identity, affine_product, brute_force_torsion, corpus_items,
@@ -611,3 +611,36 @@ def test_group_core_makes_no_fractions(monkeypatch):
             assert all(type(x) is int and 0 <= x < q for x in e.shift)
             assert e.translation == tuple(Fraction(x, q) % 1 for x in e.shift)
     assert {1, 2, 3, 4, 6} <= denominators
+
+
+def test_group_documents_print_translations_without_fractions(monkeypatch):
+    """`group_to_document` writes each generator's translation entry p/q
+    from its shift over its denominator, as `str` writes the Fraction
+    (whole, zero and negative entries included), and builds no
+    `Fraction`.  The groups are the catalog, hand-made generators with
+    negative and whole translations, and every stage of the catalog's
+    Calabi chains."""
+    catalog = [catalog_get(key).group for key in catalog_list()]
+    groups = catalog + [
+        build_group(2, [AffineGen.of([[1, 0], [0, -1]], (F(-1, 2), 0))]),
+        build_group(2, [AffineGen.of([[1, 0], [0, -1]], (F(5, 2), F(-1, 3)))]),
+        build_group(1, [AffineGen.of([[-1]], (F(-7, 4),)), AffineGen.of([[1]], (3,))]),
+    ]
+    groups += [
+        step.kernel_group for g in catalog if is_torsion_free(g) for step in is_connective(g).chain
+    ]
+    expected = [[[str(x) for x in gen.translation] for gen in g.generators] for g in groups]
+    assert any(x.startswith("-") for doc in expected for gen in doc for x in gen)
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    docs = [group_to_document(g) for g in groups]
+    monkeypatch.undo()
+
+    assert made == []
+    assert [[gen["translation"] for gen in doc["generators"]] for doc in docs] == expected

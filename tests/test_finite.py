@@ -8,8 +8,8 @@ import pytest
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.crystal import AffineGen, ClosureBudgetExceeded, build_group
 from bieberbach.finite import (
-    CoprimeTree, all_subgroups, abelian_invariant_factors, finite_group_from_holonomy,
-    in_coprime_class, is_primitive, structure_name
+    CoprimeTree, all_subgroups, finite_group_from_holonomy, in_coprime_class, is_primitive,
+    structure_name
 )
 from oracles import (
     coprime_split_properties, cyclic_group, direct_product, finite_group, has_normal_complement,
@@ -49,7 +49,7 @@ def test_from_holonomy():
     d = finite_group_from_holonomy(hw_group())
     assert d.order == 4
     assert all(o == 2 for o in d.orders[1:])
-    assert d.is_abelian() and not is_cyclic(d)
+    assert structure_name(d) == "Z/2 + Z/2" and not is_cyclic(d)
 
 
 def test_trivial_and_cyclic():
@@ -480,7 +480,7 @@ def test_structure_names():
     assert structure_name(cyclic_group(6)) == "Z/6"
     assert structure_name(klein_four()) == "Z/2 + Z/2"
     assert structure_name(s3()) == "nonabelian of order 6"
-    assert abelian_invariant_factors(direct_product(cyclic_group(2), cyclic_group(4))) == (4, 2)
+    assert structure_name(direct_product(cyclic_group(2), cyclic_group(4))) == "Z/4 + Z/2"
 
 
 def test_subgroup_as_group_reindexes():

@@ -120,6 +120,17 @@ def test_character_normalization():
     assert character((F(5, 4), F(-1, 3), 2)) == (F(1, 4), F(2, 3), F(0))
 
 
+def test_character_rejects_entries_that_are_not_exact():
+    """A float is not read as its binary fraction (0.1 as
+    3602879701896397/36028797018963968), nor a string parsed: only ints
+    and Fractions are characters' entries."""
+    for entries in ((0.1,), ("1/3",), (F(1, 2), 0.5), (0, None)):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            character(entries)
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        orbit_data((0.5, 0, 0), hw_group())
+
+
 def test_orbit_points_are_sorted():
     rec = orbit_data((F(1, 5), F(2, 7), F(3, 11)), hw_group())
     assert rec.index == 4

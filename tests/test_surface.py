@@ -159,6 +159,14 @@ def test_the_integer_modules_import_no_fractions():
         assert "Fraction" not in names_in([modules[name]]), name
 
 
+def test_the_calabi_peel_reads_no_cayley_graph():
+    """A surjection is checked by reading each holonomy element once
+    (phi(s) = f . t_s), so `calabi` names neither the Cayley graph's
+    `edges` nor its `edge_cocycle`."""
+    used = names_in([source_modules()["calabi"]])
+    assert used["edges"] == used["edge_cocycle"] == 0
+
+
 def test_no_test_oracle_is_defined_or_named_in_the_library():
     """The slow predecessors live in `tests/oracles.py` only: no library
     module defines, imports or calls one (no Hermite form, no Smith
