@@ -8,12 +8,18 @@ trivial centre (a core with finite first homology, certifying the
 negative verdict).  Each surjection is checked by reading each
 holonomy element once, with no Cayley graph: for an invariant f, the
 lift values phi make a homomorphism iff phi(s) = f . t_s.  The kernel's
-translations and matrices are read off one change of basis.
+translations and matrices are read off one change of basis, for the
+corrected lifts of a greedy generating set of the kernel holonomy only
+(at most log2 |H| of them), so each kernel's closure is |H| x log2 |H|.
+Once a stage has trivial holonomy it is the lattice Z^m, and the rest of
+the chain is written in closed form: each peel takes the first
+coordinate, with no Smith form and no closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from math import gcd
 from operator import mul
 
@@ -133,7 +139,11 @@ def _check_surjection(group: CrystalGroup, surj: SurjectionToZ) -> None:
 
 def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
     """Kernel of the surjection as a standard-form group of dimension
-    k - 1, together with the bookkeeping for re-verification.
+    k - 1, together with the bookkeeping for re-verification: the kernel
+    holonomy and a lift correction for each of its elements, and as the
+    kernel's generators the corrected lifts of the greedy generating set
+    of the kernel holonomy (`_generating_subset`).  With the lattice
+    ker(f), which stays implicit, those lifts generate the kernel.
 
     The surjection is checked first (`_check_surjection`), so
     phi(s) = f . t_s for each representative translation t_s, and each
@@ -167,7 +177,7 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
 
     q = group.denominator
     gens = []
-    for idx in kernel_holonomy[1:]:  # kernel_holonomy[0] is the identity
+    for idx in _generating_subset(group, kernel_holonomy):
         elem = group.elements[idx]
         cols = tuple(zip(*elem.matrix.entries))
         # f A = f, so A keeps ker(f): the block V^-1[1:] A V[:, 1:] of A in
@@ -195,19 +205,73 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
     )
 
 
+def _generating_subset(group: CrystalGroup, members: tuple[int, ...]) -> list[int]:
+    """A greedy generating set of the holonomy subgroup `members`, which
+    lists the identity first: walked in order, an element not yet reached
+    becomes a generator.  The reached elements are closed as each one
+    joins: the subgroup reached before it is multiplied by it on the
+    right, and each element reached after that by every generator.  Each
+    generator at least doubles the reached subgroup, so there are at most
+    log2 |members| of them, found with O(|members| |gens|) products."""
+    times = group.holonomy.times
+    gens: list[int] = []
+    reached, seen = [0], {0}
+    for s in members:
+        if s in seen:
+            continue
+        gens.append(s)
+        start = len(reached)
+        for x in reached[:start]:  # a coset of the reached subgroup, all new
+            reached.append(times(x, s))
+        seen.update(reached[start:])
+        for x in islice(reached, start, None):  # the list grows as we go
+            for g in gens:
+                y = times(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    reached.append(y)
+    return gens
+
+
 def _kernel_name(name: str) -> str:
     return f"{name}.ker" if name else "ker"
 
 
+def _lattice_tail(stage: CrystalGroup) -> tuple[CalabiStep, ...]:
+    """The rest of the chain from a stage with trivial holonomy, the
+    lattice Z^m, in closed form: the peels `surjection_to_Z` and
+    `calabi_kernel` would make.  The fixed dual lattice is all of Z^m, so
+    each peel's surjection is the first coordinate, its sublattice basis
+    the other unit vectors, and its kernel the lattice one dimension
+    down, with no generators."""
+    steps = []
+    name = stage.name
+    for m in range(stage.dim, 0, -1):
+        units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+        name = _kernel_name(name)
+        steps.append(
+            CalabiStep(
+                surjection=SurjectionToZ(units[0], (0,), lattice_index=1),
+                kernel_group=build_group(m - 1, (), name=name),
+                sublattice_basis=tuple(units[1:]),
+                kernel_holonomy=(0,),
+                lift_corrections=((0,) * m,),
+            )
+        )
+    return tuple(steps)
+
+
 def is_connective(group: CrystalGroup) -> ConnectivityReport:
     """Connectivity verdict with a certificate.  Iterates surjection +
-    kernel until dimension 0 (a full poly-Z chain: connective) or until
-    a stage with finite first homology (the core: not connective)."""
+    kernel while the stage has holonomy, until a stage with finite first
+    homology (the core: not connective) or a stage with trivial holonomy.
+    That stage is the lattice Z^m, and `_lattice_tail` writes its m peels
+    down to dimension 0 in closed form (a full poly-Z chain: connective)."""
     if not is_torsion_free(group):
         raise NotTorsionFree(f"group {group.name!r} has torsion")
     steps: list[CalabiStep] = []
     stage = group
-    while stage.dim > 0:
+    while stage.holonomy_order > 1:  # a dimension-0 stage has trivial holonomy
         surj = surjection_to_Z(stage)
         if surj is None:
             chain = tuple(steps)
@@ -217,7 +281,7 @@ def is_connective(group: CrystalGroup) -> ConnectivityReport:
         step = calabi_kernel(stage, surj)
         steps.append(step)
         stage = step.kernel_group
-    chain = tuple(steps)
+    chain = tuple(steps) + _lattice_tail(stage)
     return ConnectivityReport(
         connective=True, certificate=PolyZSeries(steps=chain), core=None, chain=chain
     )

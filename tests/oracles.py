@@ -310,6 +310,18 @@ def inverses(group: FiniteGroup) -> tuple[int, ...]:
     return tuple(out)
 
 
+def greedy_generating_subset(group: FiniteGroup, members) -> tuple[int, ...]:
+    """The greedy generating set of the subgroup `members`, the identity
+    first: walked in order, an element joins when the subgroup the
+    earlier ones generate, closed afresh over the table, misses it."""
+    gens, reached = [], frozenset({0})
+    for s in members:
+        if s not in reached:
+            gens.append(s)
+            reached = _closure(group.table, gens)
+    return tuple(gens)
+
+
 def is_cyclic(group: FiniteGroup) -> bool:
     return group.order in group.orders
 

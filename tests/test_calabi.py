@@ -9,19 +9,23 @@ from bieberbach.calabi import (
     NotTorsionFree,
     SurjectionToZ,
     _check_surjection,
+    _generating_subset,
+    _lattice_tail,
     calabi_kernel,
     is_connective,
+    step_document,
     surjection_to_Z,
 )
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.crystal import AffineGen, CrystalError, build_group, is_torsion_free
-from bieberbach.finite import finite_group_from_holonomy, in_coprime_class
+from bieberbach.finite import _closure, finite_group_from_holonomy, in_coprime_class
 from bieberbach.groupfile import document_to_group
 from bieberbach.invariants import abelianization, dual_action_smith, fixed_lattice, fixed_torus
 from bieberbach.linalg import IntMatrix, integer_kernel, row_smith_basis, smith_normal_form
 from oracles import (
-    corpus_items, frac_vector, from_columns, hermite_normal_form, hw_group, inverses,
-    invert_unimodular, klein_bottle, rational_solve, solve_integer_linear, torus, vec_add
+    corpus_items, frac_vector, from_columns, greedy_generating_subset, hermite_normal_form,
+    hw_group, inverses, invert_unimodular, klein_bottle, rational_solve, solve_integer_linear,
+    torus, vec_add
 )
 from test_build_oracle import full_cocycle
 from test_invariants import presentation_map, signed_permutation_group
@@ -437,8 +441,11 @@ def fraction_kernel_generators(group, surj):
     """The kernel generators as `calabi_kernel` made them before its
     integer rewrite: the projection averaged over every holonomy element
     in Fractions, then one `rational_solve` for each translation and for
-    each kernel basis vector moved by each element.  Returns the
-    generators and the flag for the Vasquez pass."""
+    each kernel basis vector moved by each element.  The generators are
+    the elements of the greedy generating set of the kernel holonomy,
+    found by closures over the multiplication table.  Returns the
+    generators and the flag for the Vasquez pass, which reads every
+    kernel element."""
     k = group.dim
     f = surj.lattice_map
     d = surj.lattice_index
@@ -475,7 +482,8 @@ def fraction_kernel_generators(group, surj):
     if vasquez_applied:
         gens = _vasquez_standardize(k - 1, list(nontrivial.values()))
     else:
-        gens = [AffineGen(mat, tr) for (mat, tr) in nontrivial.values()]
+        subset = greedy_generating_subset(group.holonomy, kernel_holonomy)
+        gens = [AffineGen(*new_gens_by_element[idx]) for idx in subset]
     return tuple(gens), vasquez_applied
 
 
@@ -648,6 +656,91 @@ def test_kernel_matches_fraction_oracle_on_random_diagonal_and_screw_groups():
     assert {g.holonomy_order for g in groups} >= {2, 3, 4, 6, 8}
     stages = sum(assert_chain_matches_fraction_oracle(g) for g in groups)
     assert stages >= 2 * len(groups)
+
+
+# ---------------------------------------------------------------- lattice tail and generating sets
+
+def general_peels(stage):
+    """The chain below `stage` by `surjection_to_Z` and `calabi_kernel`
+    alone, with no closed-form lattice tail."""
+    return [calabi_kernel(peeled, surj) for peeled, surj in chain_stages(stage)]
+
+
+def assert_lattice_tail_matches_general_peel(stage):
+    """The closed-form peels of a lattice stage against the general peel:
+    the same certificate documents and the same kernel groups."""
+    tail, general = _lattice_tail(stage), general_peels(stage)
+    assert stage.holonomy_order == 1
+    assert len(tail) == len(general) == stage.dim, stage.name
+    for closed, peeled in zip(tail, general):
+        assert step_document(closed) == step_document(peeled), stage.name
+        for field in ("elements", "edges", "edge_cocycle"):
+            assert getattr(closed.kernel_group, field) == getattr(peeled.kernel_group, field)
+
+
+def test_lattice_tail_matches_the_general_peel_on_catalog_and_corpora():
+    """Every trivial-holonomy stage the general chain reaches from the
+    catalog and the seed-1 and seed-2 `analyze` and `connective` corpora."""
+    groups = [catalog_get(key).group for key in catalog_list()]
+    stages = 0
+    for group in groups + list(torsion_free_corpus_groups()):
+        for stage, _ in chain_stages(group):
+            if stage.holonomy_order == 1:
+                assert_lattice_tail_matches_general_peel(stage)
+                stages += 1
+    assert stages >= 500
+
+
+def test_lattice_tail_matches_the_general_peel_on_integer_translation_lattices():
+    """Z^k for k = 0..8, generated by the unit translations or by a few
+    random integer translations (none at all is Z^k too)."""
+    rng = random.Random(11)
+    for k in range(9):
+        lattices = [torus(k)]
+        for count in range(4):
+            gens = [
+                AffineGen(IntMatrix.identity(k), tuple(rng.randint(-3, 3) for _ in range(k)))
+                for _ in range(count)
+            ]
+            lattices.append(build_group(k, gens, name=f"lattice_{k}_{count}"))
+        for lattice in lattices:
+            assert_lattice_tail_matches_general_peel(lattice)
+            report = is_connective(lattice)
+            assert report.connective and len(report.chain) == k
+            assert list(map(step_document, report.chain)) == list(
+                map(step_document, general_peels(lattice))
+            )
+
+
+def test_generating_subset_matches_the_table_oracle_on_signed_permutation_groups():
+    """The incremental closure against closures afresh over the table,
+    on non-abelian holonomy of order up to 48, for the whole group and for
+    the subgroup a random pair of elements generates."""
+    rng = random.Random(17)
+    nonabelian = 0
+    for _ in range(60):
+        g = signed_permutation_group(rng, rng.randint(2, 4))
+        table, n = g.holonomy.table, g.holonomy_order
+        nonabelian += any(table[x][y] != table[y][x] for x in range(n) for y in range(n))
+        pair = [rng.randrange(n), rng.randrange(n)]
+        for members in (tuple(range(n)), tuple(sorted(_closure(table, pair)))):
+            subset = _generating_subset(g, members)
+            assert tuple(subset) == greedy_generating_subset(g.holonomy, members)
+            assert _closure(table, subset) == set(members)
+            assert len(subset) <= (len(members) - 1).bit_length()
+    assert nonabelian >= 10
+
+
+def test_every_kernel_has_at_most_log2_of_its_holonomy_order_generators():
+    groups = [catalog_get(key).group for key in catalog_list()] + seeded_chain_groups()
+    generators = elements = 0
+    for group in groups + list(torsion_free_corpus_groups()):
+        for step in is_connective(group).chain:
+            count, order = len(step.kernel_group.generators), len(step.kernel_holonomy)
+            assert count <= (order - 1).bit_length(), group.name  # ceil(log2 order)
+            generators += count
+            elements += order - 1
+    assert generators < elements  # one generator per element would be more
 
 
 # ---------------------------------------------------------------- the peel's basis

@@ -1,12 +1,14 @@
 """An independent check of `connective --certificate` documents.
 
 `verify_certificate` rebuilds every stage of the chain from the group
-documents in the certificate and checks each peel with `linalg` and
-`build_group` only; it never calls the code that produced the
-certificate.  A negative verdict is checked by the core's first homology
-over all pairs of holonomy elements (the Smith form of the full-element
-relation matrix), a path the producer, which reads the fixed dual
-lattice, does not take.
+documents in the certificate and checks each peel with `linalg`,
+`build_group` and the subgroup closure over the holonomy's table only;
+it never calls the code that produced the certificate.  A kernel's
+generators are the corrected lifts of a subset of the kernel holonomy
+that generates it, one generator per element of the subset.  A negative
+verdict is checked by the core's first homology over all pairs of
+holonomy elements (the Smith form of the full-element relation matrix),
+a path the producer, which reads the fixed dual lattice, does not take.
 """
 
 import copy
@@ -21,10 +23,11 @@ from bieberbach.calabi import NotTorsionFree, connectivity_document, is_connecti
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.cli import main
 from bieberbach.crystal import AffineGen, build_group
+from bieberbach.finite import _closure
 from bieberbach.groupfile import document_to_group, group_to_document
 from bieberbach.linalg import IntMatrix, smith_normal_form
 from test_build_oracle import full_cocycle
-from oracles import corpus_items, from_columns, vec_add
+from oracles import corpus_items, from_columns, rational_solve, vec_add
 from test_calabi import seeded_chain_groups
 from test_invariants import full_element_h1
 
@@ -110,25 +113,50 @@ def verify_step(stage, step):
         ),
         "lift corrections do not move the lifts into ker f",
     )
+    # and they are -phi(s)/d times one vector w with f . w = d: a lift
+    # valued 0 is not moved, and the others move along one line
+    valued = [(phi[s], lam) for s, lam in zip(kernel_holonomy, corrections) if phi[s]]
+    phi0, lam0 = valued[0] if valued else (1, [0] * k)
+    check(
+        all(
+            [phi0 * x for x in lam] == [phi[s] * y for y in lam0]
+            for s, lam in zip(kernel_holonomy, corrections)
+        ),
+        "lift corrections are not multiples of one vector",
+    )
     check(step["vasquez_applied"] is False, "a Vasquez pass is never needed")
 
-    # the kernel is generated by ker f and the corrected lifts of the
-    # kernel holonomy, written in the sublattice basis
+    # the kernel is generated by ker f and the corrected lifts of a
+    # generating subset of the kernel holonomy, written in the sublattice
+    # basis; the holonomy is faithful, so a generator's matrix names its
+    # element
     dim, _, gens = generator_data(step["kernel"])
     check(
         dim == k - 1
-        and len(gens) == len(kernel_holonomy) - 1
         and all(len(t) == dim and len(rows) == dim for rows, t in gens)
         and all(len(r) == dim for rows, _ in gens for r in rows),
         "kernel has the wrong shape",
     )
-    for s, lam, (rows, t) in zip(kernel_holonomy[1:], corrections[1:], gens):
-        elem = stage.elements[s]
-        check(elem.matrix * bmat == bmat * IntMatrix(rows, cols=dim), "kernel matrix is wrong")
+    lifted = []
+    for rows, t in gens:
+        matrix = IntMatrix(rows, cols=dim)
+        found = [
+            pos
+            for pos, s in enumerate(kernel_holonomy)
+            if stage.elements[s].matrix * bmat == bmat * matrix
+        ]
+        check(len(found) == 1, "kernel matrix is not the restriction of one kernel element")
+        s, lam = kernel_holonomy[found[0]], corrections[found[0]]
         check(
-            bmat.apply(t) == vec_add(elem.translation, lam),
+            bmat.apply(t) == vec_add(stage.elements[s].translation, lam),
             "kernel translation is not the corrected lift",
         )
+        lifted.append(s)
+    check(len(set(lifted)) == len(lifted), "two kernel generators lift one element")
+    check(
+        _closure(stage.holonomy.table, lifted) == set(kernel_holonomy),
+        "kernel generators do not generate the kernel holonomy",
+    )
 
 
 def verify_certificate(group_doc, cert):
@@ -305,3 +333,80 @@ def test_tampering_breaks_chains_with_lift_values_and_late_cores():
         cores += late_core
         lifts += has_lifts
     assert lifts >= 4 and cores >= 1
+
+
+def kernel_generator(stage, step, s, lam):
+    """The lift of element s of `stage`, moved by lam and written in the
+    step's sublattice basis, as a generator entry of a group document;
+    translation 0 when the moved lift leaves ker f."""
+    basis = step["sublattice_basis"]
+    bmat = from_columns(basis, rows=stage.dim)
+    elem = stage.elements[s]
+    cols = [rational_solve(bmat, elem.matrix.apply(v)) for v in basis]
+    t = rational_solve(bmat, vec_add(elem.translation, lam)) or (0,) * len(basis)
+    return {
+        "matrix": [[int(col[i]) for col in cols] for i in range(len(basis))],
+        "translation": [str(x) for x in t],
+    }
+
+
+def peels(doc, cert):
+    """(position, stage group, step) along the certificate's chain."""
+    stage_doc = doc
+    for pos, step in enumerate(cert["chain"]):
+        yield pos, group_of(stage_doc), step
+        stage_doc = step["kernel"]
+
+
+def catalog_and_corpus_certificates():
+    docs = [group_to_document(catalog_get(key).group) for key in catalog_list()]
+    docs += [item.doc for item in corpus_items("connective")]
+    return list(certified(docs))
+
+
+def test_a_kernel_generator_off_the_kernel_holonomy_is_rejected():
+    """A generator that restricts an element outside the kernel holonomy
+    to ker f (it keeps ker f, since f A = f) names no kernel element."""
+    count = 0
+    for doc, cert in catalog_and_corpus_certificates():
+        for pos, stage, step in peels(doc, cert):
+            outside = sorted(set(range(stage.holonomy_order)) - set(step["kernel_holonomy"]))
+            if not outside:
+                continue
+            gen = kernel_generator(stage, step, outside[-1], [0] * stage.dim)
+            bad = edited(cert, ("chain", pos, "kernel", "generators"),
+                         step["kernel"]["generators"] + [gen])
+            with pytest.raises(CertificateError, match="restriction of one kernel element"):
+                verify_certificate(doc, bad)
+            count += 1
+    assert count >= 100
+
+
+def test_kernel_generators_that_miss_part_of_the_kernel_holonomy_are_rejected():
+    """The last generator swapped for the corrected lift of an element
+    the others already generate (the identity at least): every generator
+    is still the corrected lift of its own kernel element, but together
+    they no longer generate the kernel holonomy."""
+    count = nonidentity = 0
+    for doc, cert in catalog_and_corpus_certificates():
+        for pos, stage, step in peels(doc, cert):
+            gens = step["kernel"]["generators"]
+            if not gens:
+                continue
+            kernel_holonomy = step["kernel_holonomy"]
+            lifted = [
+                kernel_holonomy[pos_s]
+                for g in gens
+                for pos_s, s in enumerate(kernel_holonomy)
+                if kernel_generator(stage, step, s, step["lift_corrections"][pos_s]) == g
+            ]
+            assert len(lifted) == len(gens)
+            spare = max(_closure(stage.holonomy.table, lifted[:-1]) - set(lifted[:-1]))
+            lam = step["lift_corrections"][kernel_holonomy.index(spare)]
+            swapped = gens[:-1] + [kernel_generator(stage, step, spare, lam)]
+            bad = edited(cert, ("chain", pos, "kernel", "generators"), swapped)
+            with pytest.raises(CertificateError, match="do not generate the kernel holonomy"):
+                verify_certificate(doc, bad)
+            count += 1
+            nonidentity += spare != 0
+    assert count >= 40 and nonidentity >= 1

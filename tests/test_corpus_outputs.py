@@ -29,11 +29,11 @@ from oracles import corpus_items
 DIGESTS = {
     "connective --certificate --format json": (
         "connective",
-        "c848442bc64315440b59ccd83021d681d40baba9924d03368872b3c6faeb1411",
+        "8fd25369f1b89369b19fbe0cded9ccc23a9df081ba4eb6d9bfe3706a371d07a4",
     ),
     "analyze --format json": (
         "analyze",
-        "c5be8ee7113ebf6763ccae871b2f1b4b5bc89d806bd4be0f84d2a4baddd88ac2",
+        "049bbb82d583155ce190c540b7f31924e37c087974812d9a45952946438beaf7",
     ),
     "fixed-torus --format json": (
         "lattice",

@@ -1,4 +1,5 @@
-"""Invariants at scale: real Bott groups of holonomy order 512 and 2048.
+"""Invariants at scale: real Bott groups of holonomy order 512 and 2048,
+and Hantzsche-Wendt x Bott(10), of order 2048.
 
 A real Bott group (Kamishima-Masuda, "Cohomological rigidity of real
 Bott manifolds", AGT 2009) is built in closed form from an n x n
@@ -8,13 +9,22 @@ The last coordinate is scaled by 2, so s_n is the unit translation.  The
 holonomy is (Z/2)^(n-1) and faithful, the group is an iterated circle
 bundle, so it is torsion free, and every s_j with j > 1 is inverted by
 s_(j-1): H1 = Z + (Z/2)^(n-1).
+
+The block-diagonal product of the Hantzsche-Wendt group with a real Bott
+group is torsion free and has the Bott group's centre, so the Calabi
+chain peels the n Bott coordinates and stalls at the Hantzsche-Wendt
+core, whose H1 is finite: it is not connective.
 """
 
 import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from bieberbach.calabi import is_connective
+from bieberbach.catalog import catalog_get
+from bieberbach.cli import AnalysisReport
 from bieberbach.crystal import AffineGen, build_group, torsion_witness
 from bieberbach.invariants import abelianization, relation_matrix
 
@@ -30,6 +40,26 @@ def real_bott_group(n, seed=7):
         shift = [Fraction(int(r == i), 2 if i < n - 1 else 1) for r in range(n)]
         gens.append(AffineGen.of(matrix, shift))
     return build_group(n, gens, name=f"real_bott_{n}")
+
+
+def block_diagonal(g, before, after):
+    """The affine element g acting on the coordinates after the first
+    `before`, with `after` more coordinates fixed."""
+    k = g.matrix.rows
+    dim = before + k + after
+    rows = [[int(r == c) for c in range(dim)] for r in range(dim)]
+    for r, row in enumerate(g.matrix.entries):
+        rows[before + r][before : before + k] = row
+    return AffineGen.of(rows, (0,) * before + g.translation + (0,) * after)
+
+
+def hw_times_bott(n, seed=7):
+    """The catalog's Hantzsche-Wendt group times `real_bott_group(n)`,
+    on the first 3 and the last n coordinates."""
+    hw, bott = catalog_get("hw").group, real_bott_group(n, seed)
+    gens = [block_diagonal(g, 0, n) for g in hw.generators]
+    gens += [block_diagonal(g, 3, 0) for g in bott.generators]
+    return build_group(3 + n, gens, name=f"hw_x_real_bott_{n}")
 
 
 def test_h1_of_the_order_2048_real_bott_group():
@@ -69,4 +99,47 @@ def test_the_order_512_real_bott_group_is_connective_with_chain_length_10():
     report = is_connective(group)
     elapsed = time.perf_counter() - start
     assert report.connective and len(report.chain) == 10
+    assert elapsed < 2.0
+
+
+def test_the_order_2048_real_bott_group_is_connective_with_chain_length_12():
+    """Each kernel is handed the corrected lifts of a greedy generating
+    set of its holonomy, at most log2 |H| of them.  With one generator
+    per kernel element every stage closed an n x (n - 1) Cayley graph, and
+    this took 7.95 s (2 CPUs, CPython 3.11); it takes about 0.3 s."""
+    group = real_bott_group(12)
+    assert group.holonomy_order == 2048
+    start = time.perf_counter()
+    report = is_connective(group)
+    elapsed = time.perf_counter() - start
+    assert report.connective and len(report.chain) == 12
+    assert elapsed < 2.0
+
+
+def test_hw_times_bott_10_stalls_at_the_hantzsche_wendt_core():
+    """Not connective after 10 peels, at a dim-3 core with finite H1.
+    With one kernel generator per kernel element this took 8.48 s (2 CPUs,
+    CPython 3.11); it takes about 0.4 s."""
+    group = hw_times_bott(10)
+    assert group.holonomy_order == 2048
+    start = time.perf_counter()
+    report = is_connective(group)
+    elapsed = time.perf_counter() - start
+    assert not report.connective and len(report.chain) == 10
+    assert report.core.dim == 3 and abelianization(report.core).rank == 0
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("make_group", [lambda: real_bott_group(12), lambda: hw_times_bott(10)],
+                         ids=["real_bott_12", "hw_x_real_bott_10"])
+def test_analysis_at_order_2048(make_group):
+    """The whole `analyze` report: 7.3 s and 9.8 s (2 CPUs, CPython 3.11)
+    with one kernel generator per kernel element, about 0.5 s each now."""
+    group = make_group()
+    assert group.holonomy_order == 2048
+    start = time.perf_counter()
+    report = AnalysisReport.compute(group)
+    report.to_document()
+    elapsed = time.perf_counter() - start
+    assert report.torsion_free and report.connectivity.connective == (group.dim == 12)
     assert elapsed < 2.0
