@@ -43,8 +43,6 @@ from .orbits import (
 )
 from .finite import (
     FiniteGroup,
-    Subgroup,
-    CoprimeTree,
     finite_group_from_holonomy,
     all_subgroups,
     is_primitive,
@@ -84,7 +82,7 @@ __all__ = [
     "AbelianInvariants", "FixedLattice", "FixedTorusSubgroup", "TooManyFixedPoints",
     "abelianization", "fixed_lattice", "fixed_torus", "character_count",
     "Character", "StabilizerRecord", "character", "orbit_data",
-    "FiniteGroup", "Subgroup", "CoprimeTree", "finite_group_from_holonomy",
+    "FiniteGroup", "finite_group_from_holonomy",
     "all_subgroups", "is_primitive", "in_coprime_class", "structure_name",
     "GroupFileError", "document_to_group", "group_to_document", "load_group",
     "SurjectionToZ", "CalabiStep", "PolyZSeries", "ConnectivityReport",

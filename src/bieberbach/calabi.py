@@ -13,7 +13,9 @@ corrected lifts of a greedy generating set of the kernel holonomy only
 (at most log2 |H| of them), so each kernel's closure is |H| x log2 |H|.
 Once a stage has trivial holonomy it is the lattice Z^m, and the rest of
 the chain is written in closed form: each peel takes the first
-coordinate, with no Smith form and no closure.
+coordinate, with no Smith form and no closure.  A surjection stores only
+its values; the index of the lattice's image, gcd(f), is read off them,
+so no record can carry one that disagrees.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from itertools import islice
 from math import gcd
 from operator import mul
+from typing import ClassVar
 
 from .crystal import AffineGen, CrystalGroup, build_group, is_torsion_free
 from .groupfile import group_to_document
@@ -37,12 +40,15 @@ class NotTorsionFree(Exception):
 class SurjectionToZ:
     """A surjective homomorphism onto Z, recorded by its values on the
     lattice basis (`lattice_map`) and on the holonomy lifts
-    (`lift_values`, one per holonomy element).  `lattice_index` is the
-    index of the image of the lattice inside Z."""
+    (`lift_values`, one per holonomy element)."""
 
     lattice_map: tuple[int, ...]
     lift_values: tuple[int, ...]
-    lattice_index: int
+
+    @property
+    def lattice_index(self) -> int:
+        """The index of the image of the lattice inside Z."""
+        return gcd(*self.lattice_map)
 
 
 @dataclass(frozen=True)
@@ -55,15 +61,15 @@ class CalabiStep:
     only if a non-identity element restricted to the identity on ker(f);
     with f A = f that forces (A - I)^2 = 0, so A = I for a matrix of
     finite order, and a faithful holonomy has only the identity there.
-    The field stays because certificate documents and the benchmark's
-    trace carry it."""
+    It is a class constant, so no step can set it, and it stays because
+    certificate documents and the benchmark's trace carry it."""
 
     surjection: SurjectionToZ
     kernel_group: CrystalGroup
     sublattice_basis: tuple[tuple[int, ...], ...]
     kernel_holonomy: tuple[int, ...]
     lift_corrections: tuple[tuple[int, ...], ...]
-    vasquez_applied: bool = False
+    vasquez_applied: ClassVar[bool] = False
 
 
 @dataclass(frozen=True)
@@ -106,13 +112,12 @@ def surjection_to_Z(group: CrystalGroup) -> SurjectionToZ | None:
     scale = gcd(*values) * (1 if next(x for x in f if x) > 0 else -1)
     values = [x // scale for x in values]
     f = tuple(values[: group.dim])
-    return SurjectionToZ(f, tuple(values[group.dim :]), lattice_index=gcd(*f))
+    return SurjectionToZ(f, tuple(values[group.dim :]))
 
 
 def _check_surjection(group: CrystalGroup, surj: SurjectionToZ) -> None:
     """Raise AssertionError unless the values, one lift value per
-    holonomy element, define a homomorphism onto Z whose `lattice_index`
-    is gcd(f).
+    holonomy element, define a homomorphism onto Z.
 
     Invariance f A(g) = f is checked on the holonomy generators g, which
     carries it to every element.  Then phi is a homomorphism iff
@@ -126,8 +131,6 @@ def _check_surjection(group: CrystalGroup, surj: SurjectionToZ) -> None:
         raise AssertionError("not one lift value per holonomy element")
     if gcd(*f, *phi) != 1:
         raise AssertionError("values are not coprime; the map is not onto Z")
-    if surj.lattice_index != gcd(*f):
-        raise AssertionError("lattice_index is not the gcd of the lattice map")
     f = IntMatrix([f], cols=group.dim).row(0)  # integers, one per coordinate
     for g in group.holonomy_generator_indices():
         if tuple(sum(map(mul, f, col)) for col in zip(*group.elements[g].matrix)) != f:
@@ -251,7 +254,7 @@ def _lattice_tail(stage: CrystalGroup) -> tuple[CalabiStep, ...]:
         name = _kernel_name(name)
         steps.append(
             CalabiStep(
-                surjection=SurjectionToZ(units[0], (0,), lattice_index=1),
+                surjection=SurjectionToZ(units[0], (0,)),
                 kernel_group=build_group(m - 1, (), name=name),
                 sublattice_basis=tuple(units[1:]),
                 kernel_holonomy=(0,),

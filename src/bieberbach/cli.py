@@ -23,12 +23,7 @@ from .calabi import (
 )
 from .catalog import UnknownKey, catalog_get, catalog_list
 from .crystal import CrystalError, CrystalGroup, is_torsion_free
-from .finite import (
-    CoprimeTree,
-    in_coprime_class,
-    is_primitive,
-    structure_name,
-)
+from .finite import in_coprime_class, is_primitive, structure_name
 from .groupfile import (
     GroupFileError,
     format_rational,
@@ -59,12 +54,12 @@ def _rat_list(vec) -> list[str]:
     return [format_rational(x) for x in vec]
 
 
-def _coprime_text(tree: CoprimeTree | None) -> str:
-    return "no" if tree is None else " -> ".join(f"Z/{m}" for m in tree.orders())
+def _coprime_text(orders: tuple[int, ...] | None) -> str:
+    return "no" if orders is None else " -> ".join(f"Z/{m}" for m in orders)
 
 
-def _coprime_document(tree: CoprimeTree | None) -> dict | None:
-    return None if tree is None else {"orders": list(tree.orders())}
+def _coprime_document(orders: tuple[int, ...] | None) -> dict | None:
+    return None if orders is None else {"orders": list(orders)}
 
 
 def _h1_document(rank: int, torsion, order: int | None) -> dict:
@@ -96,7 +91,7 @@ class AnalysisReport:
     holonomy_order: int
     holonomy_id: str
     holonomy_primitive: bool
-    coprime_class: CoprimeTree | None
+    coprime_class: tuple[int, ...] | None
     connectivity: ConnectivityReport | None
 
     @classmethod
@@ -373,9 +368,9 @@ def cmd_holonomy(args) -> int:
         doc["primitive"] = is_primitive(d)
         lines.append(f"primitive: {'yes' if doc['primitive'] else 'no'}")
     if args.coprime_class:
-        tree = in_coprime_class(d)
-        doc["coprime_class"] = _coprime_document(tree)
-        lines.append(f"coprime class: {_coprime_text(tree)}")
+        orders = in_coprime_class(d)
+        doc["coprime_class"] = _coprime_document(orders)
+        lines.append(f"coprime class: {_coprime_text(orders)}")
     _emit(doc, args.format, lambda: "\n".join(lines))
     return 0
 

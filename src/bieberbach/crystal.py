@@ -86,10 +86,6 @@ class AffineGen:
         translation = tuple(translation)
         return cls(IntMatrix(matrix_rows, cols=len(translation)), translation)
 
-    @property
-    def translation(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.denominator) for x in self.shift)
-
 
 @dataclass(frozen=True)
 class TorsionWitness:

@@ -5,11 +5,12 @@ tree presents it (Reidemeister-Schreier): `tree_relations` writes that
 presentation once, for G/G' here and, with the lattice cocycle on the
 edges, for the crystallographic group's H1.  Element orders and G/G'
 decide Hiller-Sah primitivity and recognize iterated coprime
-semidirect products of cyclic groups, at any order: by P. Hall's
-theorem each level's normal Hall subgroup is found by a count, with
-no closure (`_coprime_tree`).  Only the subgroup
-lattice `all_subgroups` reads the n x n table; it is brute force on
-purpose, and no command calls it (the benchmark's probe times it).
+semidirect products of cyclic groups, at any order, as the tuple of
+their cyclic orders: by P. Hall's theorem each level's normal Hall
+subgroup is found by a count, with no closure (`_coprime_tree`).  Only
+the subgroup lattice `all_subgroups`, a tuple of element sets, reads
+the n x n table; it is brute force on purpose, and no command calls it
+(the benchmark's probe times it).
 """
 
 from __future__ import annotations
@@ -149,28 +150,6 @@ class FiniteGroup:
         return tuple(d for d in smith_divisors(rel) if d >= 2)
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    elements: frozenset[int]
-    order: int
-    is_normal: bool
-
-
-@dataclass(frozen=True)
-class CoprimeTree:
-    """Iterated semidirect product of cyclic groups with pairwise
-    coprime orders: either a cyclic leaf (normal_part is None) or a node
-    (normal part) x| Z/complement_order."""
-
-    normal_part: CoprimeTree | None
-    complement_order: int
-
-    def orders(self) -> tuple[int, ...]:
-        if self.normal_part is None:
-            return (self.complement_order,)
-        return self.normal_part.orders() + (self.complement_order,)
-
-
 def finite_group_from_holonomy(group) -> FiniteGroup:
     """A `CrystalGroup`'s holonomy as a finite group: the Cayley graph of
     `build_group`'s closure, so nothing is built or re-verified."""
@@ -196,16 +175,11 @@ def _closure(table, seed) -> frozenset[int]:
     return frozenset(out)
 
 
-def _is_normal(group: FiniteGroup, elems: frozenset[int]) -> bool:
-    t = group.table  # gH = Hg for every g
-    return all({t[g][x] for x in elems} == {t[x][g] for x in elems} for g in range(group.order))
-
-
 @computed_once
-def all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
-    """Every subgroup, as joins of cyclic subgroups closed under pairwise
-    join.  Deterministic order: by (order, sorted elements).  Enumerated
-    once per group object."""
+def all_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
+    """Every subgroup, as the set of its elements: the joins of cyclic
+    subgroups closed under pairwise join.  Deterministic order: by
+    (order, sorted elements).  Enumerated once per group object."""
     found: set[frozenset[int]] = set()
     fresh = {frozenset({0})} | {_closure(group.table, {g}) for g in range(group.order)}
     # Round r joins two subgroups new in round r - 1 (round 0: the cyclic
@@ -218,10 +192,7 @@ def all_subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
         pairs = itertools.combinations(fresh, 2)
         # a nested pair's join is one of them
         fresh = {_closure(group.table, a | b) for a, b in pairs if not (a <= b or b <= a)} - found
-    ordered = sorted(found, key=lambda s: (len(s), sorted(s)))
-    return tuple(
-        Subgroup(elements=s, order=len(s), is_normal=_is_normal(group, s)) for s in ordered
-    )
+    return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 
 def _prime_factors(n: int) -> dict[int, int]:
@@ -254,22 +225,25 @@ def is_primitive(group: FiniteGroup) -> bool:
     )
 
 
-def in_coprime_class(group: FiniteGroup) -> CoprimeTree | None:
+def in_coprime_class(group: FiniteGroup) -> tuple[int, ...] | None:
     """Recognize iterated semidirect products of cyclic groups with
-    pairwise coprime orders; cyclic groups themselves are leaves.  These
-    are the groups whose Sylow subgroups are all cyclic (Hoelder,
-    Burnside, Zassenhaus)."""
+    pairwise coprime orders, and give the cyclic orders from the
+    innermost normal part out: (3, 2) for S3 = Z/3 x| Z/2, and (n,) for
+    a cyclic group.  None for any other group.  These are the groups
+    whose Sylow subgroups are all cyclic (Hoelder, Burnside,
+    Zassenhaus)."""
     n = group.order
     if any(p**a not in group.orders for p, a in _prime_factors(n).items()):
         return None
     return _coprime_tree(group, range(n))
 
 
-def _coprime_tree(group: FiniteGroup, elems) -> CoprimeTree:
-    """The tree of the subgroup on `elems`, whose Sylow subgroups are
-    cyclic.  Z/m splits off for the smallest m coprime to n/m such that
-    an element has order m and exactly n/m elements have order dividing
-    n/m: those elements then form a normal subgroup of order n/m.
+def _coprime_tree(group: FiniteGroup, elems) -> tuple[int, ...]:
+    """The cyclic orders of the subgroup on `elems`, whose Sylow
+    subgroups are cyclic, innermost first.  Z/m splits off for the
+    smallest m coprime to n/m such that an element has order m and
+    exactly n/m elements have order dividing n/m: those elements then
+    form a normal subgroup of order n/m, whose orders come before m.
 
     The count decides it.  A group with cyclic Sylow subgroups is
     solvable (Hoelder, Burnside, Zassenhaus), so it has a Hall subgroup H
@@ -280,13 +254,13 @@ def _coprime_tree(group: FiniteGroup, elems) -> CoprimeTree:
     n = len(elems)
     orders = {group.orders[x] for x in elems}
     if n in orders:
-        return CoprimeTree(normal_part=None, complement_order=n)
+        return (n,)
     for m in range(2, n):
         if n % m or gcd(m, n // m) != 1 or m not in orders:
             continue
         normal = [x for x in elems if (n // m) % group.orders[x] == 0]
         if len(normal) == n // m:
-            return CoprimeTree(normal_part=_coprime_tree(group, normal), complement_order=m)
+            return _coprime_tree(group, normal) + (m,)
     raise AssertionError("a group with cyclic Sylow subgroups splits (Hoelder)")
 
 

@@ -61,15 +61,18 @@ class FixedLattice:
 
 @dataclass(frozen=True)
 class FixedTorusSubgroup:
-    """Fixed subgroup of the dual torus: a torus of dimension `rank`
-    times a finite group with the given cyclic component orders.  When
-    the rank is 0 the full (finite) fixed-point list is enumerated, up to
-    MAX_FIXED_POINTS points."""
+    """Fixed subgroup of the dual torus: a torus spanned by the integer
+    vectors `tangent_basis`, times a finite group with the given cyclic
+    component orders.  When the rank is 0 the full (finite) fixed-point
+    list is enumerated, up to MAX_FIXED_POINTS points."""
 
-    rank: int
     component_orders: tuple[int, ...]
-    tangent_basis: tuple[tuple[Fraction, ...], ...]
+    tangent_basis: tuple[tuple[int, ...], ...]
     points: tuple[tuple[Fraction, ...], ...] | None
+
+    @property
+    def rank(self) -> int:
+        return len(self.tangent_basis)
 
 
 def _action_matrices(group: CrystalGroup) -> list[IntMatrix]:
@@ -144,12 +147,10 @@ def fixed_torus(group: CrystalGroup) -> FixedTorusSubgroup:
     k = group.dim
     snf = dual_action_smith(group)
     divisors = list(snf.divisors) + [0] * (k - len(snf.divisors))
-    rank = sum(1 for d in divisors if d == 0)
-    component_orders = tuple(d for d in divisors if d >= 2)
-    tangent = tuple(tuple(map(Fraction, snf.V.column(j))) for j, d in enumerate(divisors) if d == 0)
+    tangent = tuple(snf.V.column(j) for j, d in enumerate(divisors) if d == 0)
 
     points = None
-    if rank == 0:
+    if not tangent:
         count = prod(divisors)
         if count > MAX_FIXED_POINTS:
             raise TooManyFixedPoints(
@@ -160,8 +161,7 @@ def fixed_torus(group: CrystalGroup) -> FixedTorusSubgroup:
         pts = sorted(tuple(x % q for x in snf.V.apply(c)) for c in itertools.product(*ranges))
         points = tuple(tuple(Fraction(x, q) for x in p) for p in pts)
     return FixedTorusSubgroup(
-        rank=rank,
-        component_orders=component_orders,
+        component_orders=tuple(d for d in divisors if d >= 2),
         tangent_basis=tangent,
         points=points,
     )

@@ -23,6 +23,10 @@ from operator import add, mul, sub
 
 
 def _as_int(x):
+    """An exact integral entry as an int; a float, whose value may
+    already be rounded, is never read."""
+    if isinstance(x, float):
+        raise TypeError(f"float matrix entry: {x!r}")
     xi = int(x)
     if xi != x:
         raise TypeError(f"non-integer matrix entry: {x!r}")

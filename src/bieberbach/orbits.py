@@ -33,19 +33,11 @@ class StabilizerRecord:
     character: Character
     orbit: tuple[Character, ...]
     stabilizer: tuple[int, ...]  # holonomy element indices, sorted
-    index: int
 
-
-def _dual_action(group: CrystalGroup):
-    """The dual action on characters c/q, in integers: a function of
-    (c, q) that lists A^T c mod q for each holonomy element in index
-    order, reading A^T's rows off A's columns."""
-    columns = [tuple(zip(*e.matrix.entries)) for e in group.elements]
-
-    def images(c, q):
-        return [tuple(sum(map(mul, col, c)) % q for col in cols) for cols in columns]
-
-    return images
+    @property
+    def index(self) -> int:
+        """The stabilizer's index in the holonomy: the orbit size."""
+        return len(self.orbit)
 
 
 def orbit_data(chi, group: CrystalGroup) -> StabilizerRecord:
@@ -58,14 +50,16 @@ def orbit_data(chi, group: CrystalGroup) -> StabilizerRecord:
         raise ValueError(f"character of dim {len(chi)} against a dim-{group.dim} group")
     q = lcm(*(x.denominator for x in chi))
     c = tuple(x.numerator * (q // x.denominator) for x in chi)
-    images = _dual_action(group)(c, q)
+    # the dual action on c/q in integers: A^T c mod q for each holonomy
+    # element in index order, reading A^T's rows off A's columns
+    images = [
+        tuple(sum(map(mul, col, c)) % q for col in zip(*e.matrix.entries))
+        for e in group.elements
+    ]
     # over one denominator, the integer tuples sort as the fractions do
     orbit = sorted(set(images))
-    record = StabilizerRecord(
+    return StabilizerRecord(
         character=chi,
         orbit=tuple(tuple(Fraction(x, q) for x in point) for point in orbit),
         stabilizer=tuple(i for i, image in enumerate(images) if image == c),
-        index=len(orbit),
     )
-    assert record.index * len(record.stabilizer) == group.holonomy_order
-    return record

@@ -1,11 +1,11 @@
 """Test oracles, each kept once: the slow predecessors of the library's
 fast paths (the Hermite form, rational and Smith solves, rational
-vectors, element normal forms and products, the table-verified finite
-group and its subgroup-lattice Sylow, quotient and coprime-split
-checks), the brute-force torsion and gcd-of-minors checks, the
-exhaustive (Z/2)^2 search behind the catalog's frozen entry, the small
-groups several test modules build, and the benchmark's corpus.  Nothing
-in `src/` calls them."""
+vectors and translations, element normal forms and products, the
+table-verified finite group, normality of its subgroups and their
+Sylow, quotient and coprime-split checks), the brute-force torsion and
+gcd-of-minors checks, the exhaustive (Z/2)^2 search behind the
+catalog's frozen entry, the small groups several test modules build,
+and the benchmark's corpus.  Nothing in `src/` calls them."""
 
 from __future__ import annotations
 
@@ -19,9 +19,7 @@ from math import gcd
 from pathlib import Path
 
 from bieberbach.crystal import AffineGen, CrystalError, CrystalGroup, build_group, is_torsion_free
-from bieberbach.finite import (
-    FiniteGroup, Subgroup, _closure, _is_normal, _prime_factors, all_subgroups
-)
+from bieberbach.finite import FiniteGroup, _closure, _prime_factors, all_subgroups
 from bieberbach.invariants import abelianization
 from bieberbach.linalg import IntMatrix, _as_int, determinant, smith_normal_form
 
@@ -218,6 +216,12 @@ def vec_mod1(vec) -> tuple[Fraction, ...]:
 
 # ---------------------------------------------------------------- crystallographic elements
 
+def translation_of(g: AffineGen) -> tuple[Fraction, ...]:
+    """The rational translation of an element: its shift over its
+    denominator."""
+    return tuple(Fraction(x, g.denominator) for x in g.shift)
+
+
 class NotInGroup(CrystalError):
     """An affine element does not belong to the group."""
 
@@ -231,7 +235,7 @@ def element_normal_form(g: AffineGen, group: CrystalGroup) -> tuple[AffineGen, t
     elem = next((e for e in group.elements if e.matrix == g.matrix), None)
     if elem is None:
         raise NotInGroup("matrix is not in the holonomy")
-    lam = vec_sub(g.translation, elem.translation)
+    lam = vec_sub(translation_of(g), translation_of(elem))
     if any(x.denominator != 1 for x in lam):
         raise NotInGroup("translation is not congruent to the coset representative mod Z^k")
     return elem, tuple(int(x) for x in lam)
@@ -241,7 +245,9 @@ def affine_product(a: AffineGen, b: AffineGen) -> AffineGen:
     """The product a b: x -> A (B x + b) + a, in `Fraction` arithmetic."""
     if a.matrix.cols != b.matrix.rows:
         raise ValueError("dimension mismatch")
-    return AffineGen(a.matrix * b.matrix, vec_add(a.matrix.apply(b.translation), a.translation))
+    return AffineGen(
+        a.matrix * b.matrix, vec_add(a.matrix.apply(translation_of(b)), translation_of(a))
+    )
 
 
 def affine_identity(dim: int) -> AffineGen:
@@ -251,7 +257,7 @@ def affine_identity(dim: int) -> AffineGen:
 def reconstruct_element(group: CrystalGroup, index: int, lam) -> AffineGen:
     """Inverse of element_normal_form."""
     elem = group.elements[index]
-    return AffineGen(elem.matrix, vec_add(elem.translation, frac_vector(lam)))
+    return AffineGen(elem.matrix, vec_add(translation_of(elem), frac_vector(lam)))
 
 
 def brute_force_torsion(group, box=4):
@@ -356,13 +362,30 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     ))
 
 
+@dataclass(frozen=True)
+class Subgroup:
+    elements: frozenset[int]
+    order: int
+    is_normal: bool
+
+
+def is_normal(group: FiniteGroup, elems: frozenset[int]) -> bool:
+    t = group.table  # gH = Hg for every g
+    return all({t[g][x] for x in elems} == {t[x][g] for x in elems} for g in range(group.order))
+
+
+def subgroups(group: FiniteGroup) -> tuple[Subgroup, ...]:
+    """`all_subgroups`, in its order, each with its order and normality."""
+    return tuple(Subgroup(s, len(s), is_normal(group, s)) for s in all_subgroups(group))
+
+
 def sylow_subgroup(group: FiniteGroup, p: int) -> Subgroup:
     """One Sylow p-subgroup (maximal p-power order)."""
     factors = _prime_factors(group.order)
     if p not in factors:
         raise ValueError(f"{p} does not divide the group order {group.order}")
     target = p ** factors[p]
-    for sub in all_subgroups(group):
+    for sub in subgroups(group):
         if sub.order == target:
             return sub
     raise AssertionError("Sylow subgroup not found; subgroup enumeration is broken")
@@ -373,7 +396,7 @@ def has_normal_complement(group: FiniteGroup, part: Subgroup) -> tuple[bool, Sub
     want = group.order // part.order
     if want * part.order != group.order:
         raise ValueError("subgroup order does not divide the group order")
-    for sub in all_subgroups(group):
+    for sub in subgroups(group):
         if sub.is_normal and sub.order == want and sub.elements & part.elements == {0}:
             return True, sub
     return False, None
@@ -392,7 +415,7 @@ def quotient_group(
 ) -> tuple[FiniteGroup, tuple[int, ...]]:
     """Quotient by a normal subgroup; returns (quotient, projection map
     element index -> coset index)."""
-    if not _is_normal(group, normal):
+    if not is_normal(group, normal):
         raise ValueError("quotient by a non-normal subgroup")
     coset_of = [-1] * group.order
     reps = []
@@ -444,7 +467,7 @@ def coprime_split_properties(
         raise ValueError("parts intersect nontrivially")
 
     checks = []
-    for sub in all_subgroups(group):
+    for sub in subgroups(group):
         if not sub.is_normal:
             continue
         quot, proj = quotient_group(group, sub.elements)
@@ -453,7 +476,7 @@ def coprime_split_properties(
         quotient_ok = (
             pk & pc == {0}
             and len(pk) * len(pc) == quot.order
-            and _is_normal(quot, frozenset(pk))
+            and is_normal(quot, frozenset(pk))
         )
         mk = sub.elements & K.elements
         mc = sub.elements & C.elements

@@ -14,7 +14,7 @@ from math import gcd
 from bieberbach.calabi import is_connective
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.crystal import AffineGen, build_group, is_torsion_free
-from bieberbach.finite import all_subgroups, finite_group_from_holonomy, is_primitive
+from bieberbach.finite import finite_group_from_holonomy, is_primitive
 from bieberbach.invariants import (
     abelianization,
     character_count,
@@ -26,7 +26,7 @@ from bieberbach.orbits import orbit_data
 from oracles import (
     brute_force_torsion, coprime_split_properties, cyclic_group, fraction_stabilizer_classes,
     from_columns, is_cyclic, minor_gcd_divisors, random_signed_permutation, rational_solve,
-    semidirect_cyclic
+    semidirect_cyclic, subgroups
 )
 
 
@@ -193,7 +193,7 @@ def test_coprime_split_suite():
         if g.order > 24:
             failures.append(f"{name}: order {g.order} outside the corpus bound")
             continue
-        subs = all_subgroups(g)
+        subs = subgroups(g)
         split = None
         for k in subs:
             if not k.is_normal or k.order in (1, g.order):

@@ -33,8 +33,8 @@ from bieberbach.crystal import (
 )
 from bieberbach.linalg import IntMatrix
 from oracles import (
-    affine_product, inverses, random_signed_permutation, reconstruct_element, vec_add, vec_mod1,
-    vec_sub
+    affine_product, inverses, random_signed_permutation, reconstruct_element, translation_of,
+    vec_add, vec_mod1, vec_sub
 )
 
 
@@ -53,8 +53,8 @@ def full_cocycle(group):
     from the elements (in integers, over the common denominator q of the
     translations) once per group object."""
     es = group.elements
-    q = lcm(*(x.denominator for e in es for x in e.translation))
-    shifts = [tuple(x.numerator * (q // x.denominator) for x in e.translation) for e in es]
+    q = lcm(*(x.denominator for e in es for x in translation_of(e)))
+    shifts = [tuple(x.numerator * (q // x.denominator) for x in translation_of(e)) for e in es]
     rows = []
     for s, (e, t_s, products) in enumerate(zip(es, shifts, group.holonomy.table)):
         row = []
@@ -125,7 +125,7 @@ def fraction_build_group(
 
     gen_pairs = []
     for g in gens:
-        p = (g.matrix, vec_mod1(g.translation))
+        p = (g.matrix, vec_mod1(translation_of(g)))
         gen_pairs.append(p)
         if p not in index_of:
             index_of[p] = len(pairs)
@@ -230,7 +230,7 @@ def assert_same_group(old, new):
     new_inverses = inverses(new.holonomy)
     for i, e in enumerate(old.elements):
         mine = new.elements[perm[i]]
-        assert (mine.matrix, mine.translation) == (e.matrix, e.translation)
+        assert (mine.matrix, translation_of(mine)) == (e.matrix, translation_of(e))
         assert new.holonomy.orders[perm[i]] == old.orders[i]
         assert new_inverses[perm[i]] == perm[old.inverse[i]]
     n = old.holonomy_order
@@ -342,7 +342,7 @@ def test_translation_denominators_above_two_match_fraction_build(q):
             rejected += 1
             continue
         built += 1
-        denominators.update(x.denominator for e in g.elements for x in e.translation)
+        denominators.update(x.denominator for e in g.elements for x in translation_of(e))
     assert built >= 20 and rejected >= 10
     assert q in denominators
 
@@ -371,7 +371,8 @@ def test_huge_translation_denominators_match_fraction_build(dim, rows, shift):
     the group: the build must not spend time or memory in proportion to q."""
     g = assert_builds_agree(dim, [AffineGen.of(rows, shift)], closure_budget=8)
     assert g is not None and g.holonomy_order == 2
-    assert g.elements[g.holonomy_generator_indices()[0]].translation == tuple(x % 1 for x in shift)
+    first = g.elements[g.holonomy_generator_indices()[0]]
+    assert translation_of(first) == tuple(x % 1 for x in shift)
 
 
 # ---------------------------------------------------------------- large groups
@@ -408,7 +409,8 @@ def check_group_axioms(g, samples):
     n = g.holonomy_order
     mult, inverse = g.holonomy.table, inverses(g.holonomy)
     identity = g.elements[0]
-    assert identity.matrix == IntMatrix.identity(g.dim) and identity.translation == (F(0),) * g.dim
+    assert identity.matrix == IntMatrix.identity(g.dim)
+    assert translation_of(identity) == (F(0),) * g.dim
     assert len({e.matrix for e in g.elements}) == n
     for i in range(n):
         assert mult[0][i] == i and mult[i][0] == i
@@ -416,7 +418,7 @@ def check_group_axioms(g, samples):
         assert g.elements[i].matrix * g.elements[inverse[i]].matrix == g.elements[0].matrix
     for gen in g.generators:
         elem = next(e for e in g.elements if e.matrix == gen.matrix)
-        assert elem.translation == vec_mod1(gen.translation)
+        assert translation_of(elem) == vec_mod1(translation_of(gen))
     assert_edge_cocycle_is_full(g)
     c = full_cocycle(g)
     rng = random.Random(n)
@@ -465,7 +467,7 @@ ROTATION_6 = IntMatrix([[0, -1, 0], [1, 1, 0], [0, 0, 1]])  # the dim3_c6 holono
 
 def conjugated(gens):
     """The generators moved by x -> P x: (A, a) becomes (P A P^-1, P a)."""
-    return [AffineGen(P * g.matrix * P_INV, P.apply(g.translation)) for g in gens]
+    return [AffineGen(P * g.matrix * P_INV, P.apply(translation_of(g))) for g in gens]
 
 
 def signed_permutations_3():
@@ -501,7 +503,7 @@ def test_dense_holonomy_conjugates_match_fraction_build():
         rows = {row for e in g.elements for row in e.matrix}
         assert any(sum(x != 0 for x in row) > 1 for row in rows)
         assert any(abs(x) > 1 for row in rows for x in row)
-        assert any(x.denominator == 2 for e in g.elements for x in e.translation)
+        assert any(x.denominator == 2 for e in g.elements for x in translation_of(e))
         orders.append(g.holonomy_order)
     assert orders == [48, 6, 4]
 

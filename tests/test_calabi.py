@@ -25,7 +25,7 @@ from bieberbach.linalg import IntMatrix, integer_kernel, row_smith_basis, smith_
 from oracles import (
     corpus_items, frac_vector, from_columns, greedy_generating_subset, hermite_normal_form,
     hw_group, inverses, invert_unimodular, klein_bottle, rational_solve, solve_integer_linear,
-    torus, vec_add
+    torus, translation_of, vec_add
 )
 from test_build_oracle import full_cocycle
 from test_invariants import presentation_map, signed_permutation_group
@@ -125,7 +125,7 @@ def test_lift_corrections_match_per_element_solves():
     # phi(g) + phi(g) = f . (1, 1, 0), the translation of g^2
     for f, phi in (((1, 1, 0), 1), ((-1, -1, 0), -1), ((1, 3, 0), 2), ((3, 1, 0), 2)):
         lift_values = tuple(phi if i == s else 0 for i in range(2))
-        step = calabi_kernel(g, SurjectionToZ(f, lift_values, lattice_index=1))
+        step = calabi_kernel(g, SurjectionToZ(f, lift_values))
         row = IntMatrix([f], cols=3)
         assert step.kernel_holonomy == (0, 1)
         assert step.lift_corrections == tuple(
@@ -146,20 +146,9 @@ def test_kernel_rejects_a_lattice_map_that_is_not_invariant():
         (hw_group(), (1, 1, 0)),
         (hw_group(), (1, 0, 0)),  # fixed by the first generator only
     ):
-        surj = SurjectionToZ(f, (0,) * g.holonomy_order, lattice_index=1)
+        surj = SurjectionToZ(f, (0,) * g.holonomy_order)
         with pytest.raises(AssertionError, match="not holonomy invariant"):
             calabi_kernel(g, surj)
-
-
-def test_kernel_rejects_a_lattice_index_that_is_not_the_gcd():
-    """The index is read, not recomputed, when the kernel holonomy and
-    the lift corrections are divided by it, so a wrong one must raise."""
-    for key in ("torus_2", "klein_bottle", "dim3_c3"):
-        g = catalog_get(key).group
-        surj = surjection_to_Z(g)
-        wrong = replace(surj, lattice_index=gcd(*surj.lattice_map) + 1)
-        with pytest.raises(AssertionError, match="lattice_index"):
-            calabi_kernel(g, wrong)
 
 
 def test_kernel_rejects_lift_values_of_the_wrong_length():
@@ -210,11 +199,11 @@ def accepts(check, group, surj) -> bool:
 
 def single_entry_perturbations(surj):
     """The surjection with one lift value or one lattice map entry moved
-    by -1 or +1; a moved lattice map carries its own lattice index."""
+    by -1 or +1."""
     f, phi = list(surj.lattice_map), list(surj.lift_values)
     for values, rebuild in (
-        (phi, lambda v: SurjectionToZ(surj.lattice_map, tuple(v), surj.lattice_index)),
-        (f, lambda v: SurjectionToZ(tuple(v), surj.lift_values, gcd(*v))),
+        (phi, lambda v: SurjectionToZ(surj.lattice_map, tuple(v))),
+        (f, lambda v: SurjectionToZ(tuple(v), surj.lift_values)),
     ):
         for i in range(len(values)):
             for delta in (-1, 1):
@@ -270,7 +259,7 @@ def test_element_surjection_check_matches_all_pairs_on_random_chains():
     rng = random.Random(43)
     groups = [random_screw_group(rng, dim) for dim in (4, 5) for _ in range(4)]
     groups += [random_diagonal_group(rng, dim, r) for dim in (4, 5) for r in (2, 3)]
-    denominators = {x.denominator for g in groups for e in g.elements for x in e.translation}
+    denominators = {x.denominator for g in groups for e in g.elements for x in translation_of(e)}
     assert denominators >= {3, 4, 6}
     nonzero_lifts = 0
     for g in groups:
@@ -288,7 +277,7 @@ def test_element_surjection_check_matches_all_pairs_on_hand_made_surjections():
     for f, phi in (((1, 1, 0), 1), ((-1, -1, 0), -1), ((1, 3, 0), 2), ((3, 1, 0), 2)):
         for shift in (-1, 0, 2):
             lift_values = tuple(phi + shift if i == s else 0 for i in range(2))
-            surj = SurjectionToZ(f, lift_values, lattice_index=1)
+            surj = SurjectionToZ(f, lift_values)
             assert accepts(_check_surjection, g, surj) == (shift == 0)
             assert_element_check_matches_all_pairs(g, surj)
 
@@ -308,7 +297,7 @@ def h1_surjection_to_Z(group):
         row = [-x for x in row]
     f = tuple(row[:k])
     assert any(f), "surjection vanishes on the lattice; rank bookkeeping broken"
-    return SurjectionToZ(lattice_map=f, lift_values=tuple(row[k:]), lattice_index=gcd(*f))
+    return SurjectionToZ(lattice_map=f, lift_values=tuple(row[k:]))
 
 
 def chain_verdict(group, surjection):
@@ -464,7 +453,7 @@ def fraction_kernel_generators(group, surj):
     new_gens_by_element = {}
     for idx, lam in zip(kernel_holonomy, corrections):
         elem = group.elements[idx]
-        shifted = vec_add(elem.translation, frac_vector(lam))
+        shifted = vec_add(translation_of(elem), frac_vector(lam))
         projected = _apply_rows(proj, shifted)
         coords = rational_solve(bmat, projected)
         assert coords is not None, "projected translation is outside the kernel sublattice span"
@@ -617,7 +606,7 @@ def test_kernel_matches_fraction_oracle_with_lift_corrections():
     s = g.holonomy_generator_indices()[0]
     for f, phi in (((1, 1, 0), 1), ((-1, -1, 0), -1), ((1, 3, 0), 2), ((3, 1, 0), 2)):
         lift_values = tuple(phi if i == s else 0 for i in range(2))
-        surj = SurjectionToZ(f, lift_values, lattice_index=1)
+        surj = SurjectionToZ(f, lift_values)
         step = assert_kernel_matches_fraction_oracle(g, surj)
         assert any(step.lift_corrections[s])
         assert_chain_matches_fraction_oracle(step.kernel_group)
@@ -633,10 +622,10 @@ def test_kernel_rejects_lift_values_that_break_the_homomorphism_property():
         swap = [[int(j == (1 - i if i < 2 else i)) for j in range(dim)] for i in range(dim)]
         g = build_group(dim, [AffineGen.of(swap, (F(1, 2), F(1, 2)) + (F(0),) * (dim - 2))])
         s = g.holonomy_generator_indices()[0]
-        genuine = int(sum(a * b for a, b in zip(f, g.elements[s].translation)))
+        genuine = int(sum(a * b for a, b in zip(f, translation_of(g.elements[s]))))
         for phi in (genuine, genuine - 1, genuine + 2):
             lift_values = tuple(phi if i == s else 0 for i in range(2))
-            surj = SurjectionToZ(f, lift_values, lattice_index=1)
+            surj = SurjectionToZ(f, lift_values)
             if phi == genuine:
                 assert calabi_kernel(g, surj).kernel_holonomy == (0, s)
                 continue
@@ -996,7 +985,7 @@ def test_kernel_generators_are_written_in_lowest_terms():
         for step in is_connective(group).chain:
             for g in step.kernel_group.generators:
                 assert gcd(g.denominator, *g.shift) == 1
-                assert AffineGen(g.matrix, g.translation) == g
+                assert AffineGen(g.matrix, translation_of(g)) == g
                 reduced += g.denominator < stage.denominator
             stage = step.kernel_group
     assert reduced > 0

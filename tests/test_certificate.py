@@ -27,7 +27,7 @@ from bieberbach.finite import _closure
 from bieberbach.groupfile import document_to_group, group_to_document
 from bieberbach.linalg import IntMatrix, smith_normal_form
 from test_build_oracle import full_cocycle
-from oracles import corpus_items, from_columns, rational_solve, vec_add
+from oracles import corpus_items, from_columns, rational_solve, translation_of, vec_add
 from test_calabi import seeded_chain_groups
 from test_invariants import full_element_h1
 
@@ -148,7 +148,7 @@ def verify_step(stage, step):
         check(len(found) == 1, "kernel matrix is not the restriction of one kernel element")
         s, lam = kernel_holonomy[found[0]], corrections[found[0]]
         check(
-            bmat.apply(t) == vec_add(stage.elements[s].translation, lam),
+            bmat.apply(t) == vec_add(translation_of(stage.elements[s]), lam),
             "kernel translation is not the corrected lift",
         )
         lifted.append(s)
@@ -343,7 +343,7 @@ def kernel_generator(stage, step, s, lam):
     bmat = from_columns(basis, rows=stage.dim)
     elem = stage.elements[s]
     cols = [rational_solve(bmat, elem.matrix.apply(v)) for v in basis]
-    t = rational_solve(bmat, vec_add(elem.translation, lam)) or (0,) * len(basis)
+    t = rational_solve(bmat, vec_add(translation_of(elem), lam)) or (0,) * len(basis)
     return {
         "matrix": [[int(col[i]) for col in cols] for i in range(len(basis))],
         "translation": [str(x) for x in t],

@@ -110,7 +110,7 @@ def test_coprime_class_enumerates_no_lattice(monkeypatch):
     (S3) reads its tree off element orders, without the lattice."""
     lattices = count_lattice_enumerations(monkeypatch)
     s3 = semidirect_cyclic(3, 2, 2)
-    assert finite.in_coprime_class(s3).orders() == (3, 2)
+    assert finite.in_coprime_class(s3) == (3, 2)
     assert not lattices.seen
 
 

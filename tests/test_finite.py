@@ -8,13 +8,12 @@ import pytest
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.crystal import AffineGen, ClosureBudgetExceeded, build_group
 from bieberbach.finite import (
-    CoprimeTree, all_subgroups, finite_group_from_holonomy, in_coprime_class, is_primitive,
-    structure_name
+    all_subgroups, finite_group_from_holonomy, in_coprime_class, is_primitive, structure_name
 )
 from oracles import (
     coprime_split_properties, cyclic_group, direct_product, finite_group, has_normal_complement,
     hw_group, inverses, is_cyclic, quotient_group, random_signed_permutation, semidirect_cyclic,
-    subgroup_as_group, sylow_subgroup
+    subgroup_as_group, subgroups, sylow_subgroup
 )
 from test_invariants import signed_permutation_group
 
@@ -140,7 +139,7 @@ def test_semidirect_requires_action():
 # ---------------------------------------------------------------- subgroups
 
 def test_subgroups_klein_four():
-    subs = all_subgroups(klein_four())
+    subs = subgroups(klein_four())
     assert len(subs) == 5
     assert brute_force_subgroups(klein_four()) == {s.elements for s in subs}
     assert all(s.is_normal for s in subs)
@@ -149,7 +148,7 @@ def test_subgroups_klein_four():
 def test_subgroups_c4():
     subs = all_subgroups(cyclic_group(4))
     assert len(subs) == 3
-    assert brute_force_subgroups(cyclic_group(4)) == {s.elements for s in subs}
+    assert brute_force_subgroups(cyclic_group(4)) == set(subs)
 
 
 def test_subgroups_trivial():
@@ -158,7 +157,7 @@ def test_subgroups_trivial():
 
 
 def test_subgroups_s3_oracle():
-    subs = all_subgroups(s3())
+    subs = subgroups(s3())
     assert brute_force_subgroups(s3()) == {s.elements for s in subs}
     assert len(subs) == 6  # 1, three C2, C3, S3
     normal_orders = sorted(s.order for s in subs if s.is_normal)
@@ -202,7 +201,7 @@ def test_subgroup_lattice_matches_all_joins_oracle():
         groups.append(finite_group_from_holonomy(h))
     assert max(g.order for g in groups) >= 16
     for g in groups:
-        assert {s.elements for s in all_subgroups(g)} == all_joins_lattice(g)
+        assert set(all_subgroups(g)) == all_joins_lattice(g)
 
 
 # ---------------------------------------------------------------- sylow
@@ -250,7 +249,7 @@ def test_normal_complement_whole_group():
 
 def test_normal_complement_klein_four():
     g = klein_four()
-    some_c2 = next(s for s in all_subgroups(g) if s.order == 2)
+    some_c2 = next(s for s in subgroups(g) if s.order == 2)
     ok, witness = has_normal_complement(g, some_c2)
     assert ok and witness.order == 2
 
@@ -294,7 +293,7 @@ def primitive_via_quotients(g):
         if q > 1:
             sylow_orders.add(q)
         p += 1
-    for sub in all_subgroups(g):
+    for sub in subgroups(g):
         if sub.is_normal:
             quot, _ = quotient_group(g, sub.elements)
             if quot.order in sylow_orders and is_cyclic(quot):
@@ -319,8 +318,8 @@ def lattice_in_coprime_class(group):
     """`in_coprime_class` before the cyclic-Sylow test: every group
     that is not cyclic searches the subgroup lattice."""
     if is_cyclic(group):
-        return CoprimeTree(normal_part=None, complement_order=group.order)
-    subs = all_subgroups(group)
+        return (group.order,)
+    subs = subgroups(group)
     for comp in subs:
         m = comp.order
         if m == 1 or m == group.order:
@@ -338,9 +337,9 @@ def lattice_in_coprime_class(group):
                 continue
             if normal.elements & comp.elements != {0}:
                 continue
-            sub_tree = lattice_in_coprime_class(subgroup_as_group(group, normal.elements))
-            if sub_tree is not None:
-                return CoprimeTree(normal_part=sub_tree, complement_order=m)
+            inner = lattice_in_coprime_class(subgroup_as_group(group, normal.elements))
+            if inner is not None:
+                return inner + (m,)
     return None
 
 
@@ -365,15 +364,11 @@ def test_primitivity_matches_quotient_criterion():
 # ---------------------------------------------------------------- coprime class
 
 def test_coprime_class_cyclic_leaf():
-    tree = in_coprime_class(cyclic_group(12))
-    assert tree is not None and tree.orders() == (12,)
+    assert in_coprime_class(cyclic_group(12)) == (12,)
 
 
 def test_coprime_class_s3():
-    tree = in_coprime_class(s3())
-    assert tree is not None
-    assert sorted(tree.orders()) == [2, 3]
-    assert tree.complement_order == 2
+    assert in_coprime_class(s3()) == (3, 2)
 
 
 def test_coprime_class_klein_four_rejected():
@@ -381,8 +376,8 @@ def test_coprime_class_klein_four_rejected():
 
 
 def test_coprime_class_frobenius20():
-    tree = in_coprime_class(semidirect_cyclic(5, 4, 2))
-    assert tree is not None and sorted(tree.orders()) == [4, 5]
+    orders = in_coprime_class(semidirect_cyclic(5, 4, 2))
+    assert orders is not None and sorted(orders) == [4, 5]
 
 
 def coprime_class_corpus():
@@ -407,7 +402,7 @@ def test_coprime_class_implies_not_primitive():
 
 def coprime_split_parts(g):
     """Find (K, C) making g an internal coprime semidirect product."""
-    subs = all_subgroups(g)
+    subs = subgroups(g)
     for k in subs:
         if not k.is_normal:
             continue
@@ -466,7 +461,7 @@ def test_split_properties_corpus_order_24():
 
 def test_split_precondition_violations():
     g = klein_four()
-    subs = all_subgroups(g)
+    subs = subgroups(g)
     a = next(s for s in subs if s.order == 2)
     b = next(s for s in subs if s.order == 2 and s.elements != a.elements)
     with pytest.raises(ValueError):

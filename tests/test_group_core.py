@@ -34,7 +34,7 @@ from bieberbach.crystal import (
 from bieberbach.finite import FiniteGroup, finite_group_from_holonomy
 from bieberbach.groupfile import document_to_group, group_to_document
 from bieberbach.linalg import IntMatrix
-from oracles import corpus_items, inverses
+from oracles import corpus_items, inverses, translation_of
 from test_build_oracle import diagonal_z2_7, random_rotation_generator, s5_group
 from test_crystal import oracle_corpus, rank_duality_draws
 
@@ -64,11 +64,11 @@ def matrix_build_group(dim, gens, closure_budget=10_000) -> MatrixGroup:
         if g.matrix.rows != dim:
             raise ValueError(f"generator of dim {g.matrix.rows} in a dim-{dim} group")
 
-    q = lcm(*(x.denominator for g in gens for x in g.translation))
+    q = lcm(*(x.denominator for g in gens for x in translation_of(g)))
     gen_pairs = [  # each generator's columns, and its translation times q
         (
             tuple(zip(*g.matrix.entries)),
-            tuple(x.numerator * (q // x.denominator) % q for x in g.translation),
+            tuple(x.numerator * (q // x.denominator) % q for x in translation_of(g)),
         )
         for g in gens
     ]

@@ -18,7 +18,8 @@ from bieberbach.invariants import (
 )
 from bieberbach.linalg import IntMatrix, integer_kernel, smith_normal_form
 from oracles import (
-    from_columns, hermite_normal_form, hw_group, klein_bottle, random_signed_permutation, torus
+    from_columns, hermite_normal_form, hw_group, klein_bottle, random_signed_permutation, torus,
+    translation_of
 )
 from test_build_oracle import full_cocycle, random_rotation_generator
 
@@ -257,7 +258,7 @@ def test_presentation_kills_full_element_relations_with_denominator(q):
             continue
         assert_presentation_kills_full_element_relations(g)
         built += 1
-        denominators.update(x.denominator for e in g.elements for x in e.translation)
+        denominators.update(x.denominator for e in g.elements for x in translation_of(e))
     assert built >= 15
     assert q in denominators
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from bieberbach.crystal import AffineGen
 from bieberbach.linalg import (
     IntMatrix, determinant, integer_kernel, smith_columns, smith_divisors,
     smith_normal_form, solve_mod_p
@@ -469,3 +470,16 @@ def test_public_constructor_still_validates():
     with pytest.raises(ValueError):
         IntMatrix([[1, 2]], cols=3)
     assert type(IntMatrix([[Fraction(4, 2), True]]).entries[0][0]) is int
+
+
+def test_float_entries_are_rejected():
+    """A float is never read as an integer, not even an integral one: its
+    value may already be rounded (1e16 + 1 is 10**16), and nan or inf has
+    none.  The same holds for an affine element's matrix."""
+    for x in (1.0, -0.0, 1e16 + 1, float("nan"), float("inf")):
+        with pytest.raises(TypeError, match="float"):
+            IntMatrix([[x]])
+        with pytest.raises(TypeError, match="float"):
+            IntMatrix([[1, 0], [0, x]])
+        with pytest.raises(TypeError, match="float"):
+            AffineGen.of([[x]], (0,))

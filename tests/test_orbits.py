@@ -194,7 +194,6 @@ def fraction_orbit_data(chi, group):
         character=chi,
         orbit=tuple(sorted(orbit)),
         stabilizer=tuple(stabilizer),
-        index=len(orbit),
     )
 
 
@@ -234,6 +233,6 @@ def test_orbit_data_matches_the_fraction_oracle():
 def test_orbit_data_in_dimension_zero():
     g = build_group(0, [], name="point")
     assert orbit_data((), g) == fraction_orbit_data((), g)
-    assert orbit_data((), g) == StabilizerRecord(character=(), orbit=((),), stabilizer=(0,), index=1)
+    assert orbit_data((), g) == StabilizerRecord(character=(), orbit=((),), stabilizer=(0,))
 
 

@@ -27,6 +27,7 @@ from bieberbach.catalog import catalog_get
 from bieberbach.cli import AnalysisReport
 from bieberbach.crystal import AffineGen, build_group, torsion_witness
 from bieberbach.invariants import abelianization, relation_matrix
+from oracles import translation_of
 
 
 def real_bott_group(n, seed=7):
@@ -50,7 +51,7 @@ def block_diagonal(g, before, after):
     rows = [[int(r == c) for c in range(dim)] for r in range(dim)]
     for r, row in enumerate(g.matrix.entries):
         rows[before + r][before : before + k] = row
-    return AffineGen.of(rows, (0,) * before + g.translation + (0,) * after)
+    return AffineGen.of(rows, (0,) * before + translation_of(g) + (0,) * after)
 
 
 def hw_times_bott(n, seed=7):

@@ -130,9 +130,9 @@ def test_coprime_class_matches_the_subgroup_lattice_on_cyclic_extensions():
     ]
     split = 0
     for d in groups:
-        tree = in_coprime_class(d)
-        assert tree == lattice_in_coprime_class(d), d.order
-        split += tree is not None and tree.normal_part is not None
+        orders = in_coprime_class(d)
+        assert orders == lattice_in_coprime_class(d), d.order
+        split += orders is not None and len(orders) > 1
     assert len(groups) >= 500 and split >= 60
 
 
@@ -169,8 +169,7 @@ def test_subgroup_closure_matches_all_products_on_the_coprime_candidates():
 def test_coprime_class_of_agl_1_61_past_the_order_budget():
     """AGL(1, 61) = Z/61 x| Z/60, of order 3660: its normal Hall subgroups
     are found by counting elements, not by all |S|^2 products."""
-    tree = in_coprime_class(semidirect_cyclic(61, 60, 2))
-    assert tree is not None and tree.orders() == (61, 5, 4, 3)
+    assert in_coprime_class(semidirect_cyclic(61, 60, 2)) == (61, 5, 4, 3)
 
 
 # ------------------------------------------------ G/G' off the Cayley graph

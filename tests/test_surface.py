@@ -6,11 +6,13 @@ A definition is a top-level function or class, or a function in a class
 body (a method, property, class or static method; dunders aside).  It
 counts as reached when its name appears in code, outside its own
 definition, in a `src/bieberbach` module (the package `__init__` aside,
-since it only re-exports) or in a `perfbench/*.py` file.  Docstrings and
-comments hold no names, so a mention there does not count.  Names are
-matched without their class: a call to `IntMatrix.identity` also counts
-as a use of a member `identity` of any other class, so such a collision
-is found by reading, not by this lint.
+since it only re-exports) or in a `perfbench/*.py` file: as any name for
+a top-level definition, and only as an attribute (`.name`) for a class
+member, so a local variable of the same name does not reach it.
+Docstrings and comments hold no names, so a mention there does not
+count.  Attributes are matched without their class: a call to
+`IntMatrix.identity` also counts as a use of a member `identity` of any
+other class, so such a collision is found by reading, not by this lint.
 """
 
 import ast
@@ -33,7 +35,7 @@ PUBLIC_API = set(
     AbelianInvariants FixedLattice FixedTorusSubgroup TooManyFixedPoints abelianization
     fixed_lattice fixed_torus character_count
     Character StabilizerRecord character orbit_data
-    FiniteGroup Subgroup CoprimeTree finite_group_from_holonomy all_subgroups is_primitive
+    FiniteGroup finite_group_from_holonomy all_subgroups is_primitive
     in_coprime_class structure_name
     GroupFileError document_to_group group_to_document load_group
     SurjectionToZ CalabiStep PolyZSeries ConnectivityReport NotTorsionFree surjection_to_Z
@@ -66,6 +68,13 @@ def names_in(nodes) -> Counter:
     return out
 
 
+def attributes_in(nodes) -> Counter:
+    """How often each attribute name (`.name`) appears in code."""
+    return Counter(
+        sub.attr for node in nodes for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+    )
+
+
 def top_level_definitions(tree: ast.Module):
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -90,13 +99,19 @@ def unreached_definitions() -> list[str]:
     modules = source_modules()
     del modules["__init__"]
     perfbench = [parsed(path) for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    used = names_in(perfbench + list(modules.values()))
+    trees = perfbench + list(modules.values())
+    used = names_in(trees)
+    used_attributes = attributes_in(trees)
     unreached = []
     for name, tree in modules.items():
         for label, node in definitions(tree):
-            # the name on a def or class line is no name node, so the uses
-            # outside a definition are the uses everywhere less those inside
-            if (name, label) not in ENTRY_POINTS and used[node.name] == names_in([node])[node.name]:
+            # a class member is reached only as an attribute; the name on a
+            # def or class line is no name node, so the uses outside a
+            # definition are the uses everywhere less those inside
+            member = "." in label
+            inside = (attributes_in if member else names_in)([node])[node.name]
+            everywhere = (used_attributes if member else used)[node.name]
+            if (name, label) not in ENTRY_POINTS and everywhere == inside:
                 unreached.append(f"{name}.{label}")
     return unreached
 
@@ -151,8 +166,8 @@ def imported_modules(tree: ast.Module) -> set[str]:
 def test_the_integer_modules_import_no_fractions():
     """Linear algebra, the Calabi peel and the finite groups run in
     integers: they import no `fractions` and name no `Fraction`, which
-    enters at the boundary (group files, characters, the fixed torus,
-    `AffineGen`'s constructor and its `translation`)."""
+    enters at the boundary (group files, characters, the fixed torus's
+    points and `AffineGen`'s constructor)."""
     modules = source_modules()
     for name in INTEGER_MODULES:
         assert "fractions" not in imported_modules(modules[name]), name
@@ -179,7 +194,7 @@ def test_no_test_oracle_is_defined_or_named_in_the_library():
 
 
 def test_the_package_exports_its_public_api_and_no_module():
-    assert len(bieberbach.__all__) == len(set(bieberbach.__all__)) == 52
+    assert len(bieberbach.__all__) == len(set(bieberbach.__all__)) == 50
     assert set(bieberbach.__all__) == PUBLIC_API
     for name in bieberbach.__all__:
         assert not isinstance(getattr(bieberbach, name), types.ModuleType), name
