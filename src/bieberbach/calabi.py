@@ -13,9 +13,17 @@ corrected lifts of a greedy generating set of the kernel holonomy only
 (at most log2 |H| of them), so each kernel's closure is |H| x log2 |H|.
 Once a stage has trivial holonomy it is the lattice Z^m, and the rest of
 the chain is written in closed form: each peel takes the first
-coordinate, with no Smith form and no closure.  A surjection stores only
-its values; the index of the lattice's image, gcd(f), is read off them,
-so no record can carry one that disagrees.
+coordinate, and each kernel is the lattice one dimension down, with no
+Smith form and no closure.  A surjection stores only its values; the
+index of the lattice's image, gcd(f), is read off them, so no record can
+carry one that disagrees.
+
+The chain is its own torsion test.  A chain down to dimension 0 shows
+the group poly-Z, hence torsion free.  A torsion element lies in the
+kernel of every map to Z and is no translation, so a group with torsion
+never reaches a stage with trivial holonomy; the peels are well defined
+on it (`CalabiStep`), so its chain stalls.  The input is tested for
+torsion only there, to tell a core from a group with torsion.
 """
 
 from __future__ import annotations
@@ -240,23 +248,32 @@ def _kernel_name(name: str) -> str:
     return f"{name}.ker" if name else "ker"
 
 
+def _lattice(dim: int, name: str) -> CrystalGroup:
+    """The lattice Z^dim as `build_group(dim, (), name=name)` closes it:
+    the identity alone, with no generators and no edges."""
+    identity = AffineGen._trusted(IntMatrix.identity(dim), (0,) * dim, 1)
+    return CrystalGroup(
+        name=name, dim=dim, generators=(), elements=(identity,), edges=((),), edge_cocycle=((),)
+    )
+
+
 def _lattice_tail(stage: CrystalGroup) -> tuple[CalabiStep, ...]:
     """The rest of the chain from a stage with trivial holonomy, the
     lattice Z^m, in closed form: the peels `surjection_to_Z` and
     `calabi_kernel` would make.  The fixed dual lattice is all of Z^m, so
     each peel's surjection is the first coordinate, its sublattice basis
     the other unit vectors, and its kernel the lattice one dimension
-    down, with no generators."""
+    down (`_lattice`)."""
     steps = []
     name = stage.name
     for m in range(stage.dim, 0, -1):
-        units = [tuple(int(i == j) for i in range(m)) for j in range(m)]
+        units = IntMatrix.identity(m).entries
         name = _kernel_name(name)
         steps.append(
             CalabiStep(
                 surjection=SurjectionToZ(units[0], (0,)),
-                kernel_group=build_group(m - 1, (), name=name),
-                sublattice_basis=tuple(units[1:]),
+                kernel_group=_lattice(m - 1, name),
+                sublattice_basis=units[1:],
                 kernel_holonomy=(0,),
                 lift_corrections=((0,) * m,),
             )
@@ -267,16 +284,20 @@ def _lattice_tail(stage: CrystalGroup) -> tuple[CalabiStep, ...]:
 def is_connective(group: CrystalGroup) -> ConnectivityReport:
     """Connectivity verdict with a certificate.  Iterates surjection +
     kernel while the stage has holonomy, until a stage with finite first
-    homology (the core: not connective) or a stage with trivial holonomy.
-    That stage is the lattice Z^m, and `_lattice_tail` writes its m peels
-    down to dimension 0 in closed form (a full poly-Z chain: connective)."""
-    if not is_torsion_free(group):
-        raise NotTorsionFree(f"group {group.name!r} has torsion")
+    homology or a stage with trivial holonomy.  The latter is the lattice
+    Z^m, and `_lattice_tail` writes its m peels down to dimension 0 in
+    closed form (a full poly-Z chain: connective, and so torsion free).
+    At the former the input is tested for torsion, the only place the
+    test runs: a group with torsion always stalls (see the module
+    docstring) and raises NotTorsionFree, and a torsion-free one has
+    reached its core (not connective)."""
     steps: list[CalabiStep] = []
     stage = group
     while stage.holonomy_order > 1:  # a dimension-0 stage has trivial holonomy
         surj = surjection_to_Z(stage)
         if surj is None:
+            if not is_torsion_free(group):
+                raise NotTorsionFree(f"group {group.name!r} has torsion")
             chain = tuple(steps)
             return ConnectivityReport(
                 connective=False, certificate=None, core=stage, chain=chain

@@ -61,8 +61,7 @@ class AffineGen:
             raise ValueError("matrix must be square")
         if len(translation) != matrix.rows:
             raise ValueError("translation dim does not match matrix")
-        if abs(determinant(matrix)) != 1:
-            raise ValueError("matrix is not invertible over Z (|det| != 1)")
+        check_unimodular(matrix)
         q = lcm(*(x.denominator for x in translation))
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(
@@ -85,6 +84,13 @@ class AffineGen:
     def of(cls, matrix_rows, translation) -> AffineGen:
         translation = tuple(translation)
         return cls(IntMatrix(matrix_rows, cols=len(translation)), translation)
+
+
+def check_unimodular(matrix: IntMatrix) -> None:
+    """Raise ValueError unless the square `matrix` has determinant +-1:
+    the one check of `AffineGen`'s constructor and of group files."""
+    if abs(determinant(matrix)) != 1:
+        raise ValueError("matrix is not invertible over Z (|det| != 1)")
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,7 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
             raise ValueError(f"generator of dim {g.matrix.rows} in a dim-{dim} group")
 
     q = lcm(*(g.denominator for g in gens))
-    orbit = [tuple(int(r == c) for c in range(dim)) for r in range(dim)]
+    orbit = list(IntMatrix.identity(dim).entries)
     orbit_index = {row: r for r, row in enumerate(orbit)}
     actions = [  # each generator's rows, its translation times q, and
         # its images and dots on the orbit rows reached so far

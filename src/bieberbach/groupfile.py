@@ -16,6 +16,12 @@ digits and an optional "/digits", with surrounding whitespace allowed
 (JSON integers are also accepted).  Decimal and exponent notation are
 rejected: this tool never touches floats.  A dimension above
 MAX_DIMENSION is rejected.
+
+A document is read straight into integers: each matrix entry is checked
+once, each translation entry is parsed to a (numerator, denominator)
+pair in lowest terms, and each generator is written over the lcm of its
+denominators, with no `Fraction` built.  `parse_rational` gives the same
+parse as a `Fraction`, for characters.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .crystal import AffineGen, CrystalGroup, build_group
+from .crystal import AffineGen, CrystalGroup, build_group, check_unimodular
+from .linalg import IntMatrix
 
 
 MAX_DIMENSION = 64  # a group starts from a dim x dim matrix: bound the memory
@@ -36,11 +43,13 @@ class GroupFileError(ValueError):
     """Malformed group document."""
 
 
-def parse_rational(value) -> Fraction:
+def parse_ratio(value) -> tuple[int, int]:
+    """An exact rational entry as (numerator, denominator) in lowest
+    terms, the denominator >= 1, with no `Fraction` built."""
     if isinstance(value, bool):
         raise GroupFileError(f"not a rational: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value), 1
     if isinstance(value, float):
         raise GroupFileError(
             f"decimal notation rejected ({value!r}); write an exact rational like \"1/2\""
@@ -50,11 +59,17 @@ def parse_rational(value) -> Fraction:
         if not _RATIONAL.fullmatch(text):
             raise GroupFileError(f"not an exact rational: {value!r}")
         numerator, _, denominator = text.partition("/")
-        try:
-            return Fraction(int(numerator), int(denominator or 1))
-        except ZeroDivisionError as exc:
-            raise GroupFileError(f"not an exact rational: {value!r}") from exc
+        x, q = int(numerator), int(denominator or 1)
+        if q == 0:
+            raise GroupFileError(f"not an exact rational: {value!r}")
+        g = gcd(x, q)
+        return x // g, q // g
     raise GroupFileError(f"not a rational: {value!r}")
+
+
+def parse_rational(value) -> Fraction:
+    """`parse_ratio`'s value as a `Fraction`, for characters."""
+    return Fraction(*parse_ratio(value))
 
 
 def format_rational(value: Fraction) -> str:
@@ -103,11 +118,15 @@ def document_to_group(doc) -> CrystalGroup:
             raise GroupFileError(
                 f"generator {pos}: 'translation' must have {dim} entries"
             )
-        shift = tuple(parse_rational(x) for x in translation)
+        ratios = [parse_ratio(x) for x in translation]
+        checked = IntMatrix._trusted(tuple(map(tuple, matrix)), dim)
         try:
-            gens.append(AffineGen.of(matrix, shift))
+            check_unimodular(checked)
         except ValueError as exc:
             raise GroupFileError(f"generator {pos}: {exc}") from exc
+        # over the lcm of denominators in lowest terms, as `AffineGen` writes it
+        q = lcm(*(d for _, d in ratios))
+        gens.append(AffineGen._trusted(checked, tuple(x * (q // d) for x, d in ratios), q))
     return build_group(dim, gens, name=name)
 
 

@@ -19,6 +19,7 @@ torsion test).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add, mul, sub
 
 
@@ -70,6 +71,7 @@ class IntMatrix:
         return m
 
     @classmethod
+    @lru_cache(maxsize=128)  # immutable, so one per size serves every caller
     def identity(cls, n: int) -> IntMatrix:
         return cls._trusted(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 

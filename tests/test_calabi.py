@@ -1,10 +1,13 @@
 import random
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
+import bieberbach.calabi as calabi
+import bieberbach.crystal as crystal
 from bieberbach.calabi import (
     NotTorsionFree,
     SurjectionToZ,
@@ -17,7 +20,9 @@ from bieberbach.calabi import (
     surjection_to_Z,
 )
 from bieberbach.catalog import catalog_get, catalog_list
-from bieberbach.crystal import AffineGen, CrystalError, build_group, is_torsion_free
+from bieberbach.crystal import (
+    AffineGen, CrystalError, CrystalGroup, build_group, is_torsion_free
+)
 from bieberbach.finite import _closure, finite_group_from_holonomy, in_coprime_class
 from bieberbach.groupfile import document_to_group
 from bieberbach.invariants import abelianization, dual_action_smith, fixed_lattice, fixed_torus
@@ -701,6 +706,25 @@ def test_lattice_tail_matches_the_general_peel_on_integer_translation_lattices()
             )
 
 
+def test_each_closed_form_tail_kernel_is_the_closure_of_no_generators(monkeypatch):
+    """`_lattice_tail` closes nothing: each kernel Z^m, m = 8 down to 0,
+    is written in closed form and equals `build_group(m, (), name=...)`
+    field for field."""
+    lattice = torus(9)
+    closures = []
+    monkeypatch.setattr(calabi, "build_group", lambda *args, **kw: closures.append(args))
+    tail = _lattice_tail(lattice)
+    monkeypatch.undo()
+    assert closures == []
+    assert [step.kernel_group.dim for step in tail] == list(range(8, -1, -1))
+    for step in tail:
+        kernel = step.kernel_group
+        closed = build_group(kernel.dim, (), name=kernel.name)
+        for field in fields(CrystalGroup):
+            assert getattr(kernel, field.name) == getattr(closed, field.name), field.name
+    assert tail[-1].kernel_group.name == "torus_9" + ".ker" * 9
+
+
 def test_generating_subset_matches_the_table_oracle_on_signed_permutation_groups():
     """The incremental closure against closures afresh over the table,
     on non-abelian holonomy of order up to 48, for the whole group and for
@@ -813,6 +837,73 @@ def test_decompose_rejects_torsion():
     g = build_group(3, [x], name="torsion")
     with pytest.raises(NotTorsionFree):
         is_connective(g)
+
+
+def count_torsion_tests(monkeypatch):
+    """The groups `is_connective` tests for torsion, and the arguments of
+    every `norm_solution` call, one per prime-order cyclic subgroup that
+    a torsion test reaches."""
+    tested, solves = [], []
+    test, solve = calabi.is_torsion_free, crystal.norm_solution
+
+    def testing(group):
+        tested.append(group)
+        return test(group)
+
+    def solving(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(calabi, "is_torsion_free", testing)
+    monkeypatch.setattr(crystal, "norm_solution", solving)
+    return tested, solves
+
+
+def test_the_torsion_test_runs_only_at_a_stall_and_only_on_the_input(monkeypatch):
+    """A chain down to dimension 0 shows the group torsion free, so on
+    every connective group of the catalog and of the seed-1 `connective`
+    corpus `is_connective` tests nothing; at a stall it tests the input
+    once, and no stage."""
+    groups = [catalog_get(key).group for key in catalog_list()]
+    groups = [build_group(g.dim, g.generators, name=g.name) for g in groups]  # nothing memoised
+    groups += [document_to_group(item.doc) for item in corpus_items("connective")]
+    tested, solves = count_torsion_tests(monkeypatch)
+    verdicts = []
+    for group in groups:
+        tested.clear()
+        solves.clear()
+        report = is_connective(group)
+        verdicts.append(report.connective)
+        if report.connective:
+            assert tested == [] and solves == [], group.name
+        else:
+            assert len(tested) == 1 and tested[0] is group, group.name
+    assert verdicts.count(True) >= 91 and verdicts.count(False) >= 11
+
+
+def torsion_corpus_docs():
+    """The documents of the groups with torsion in the seed-1 and seed-2
+    `analyze` corpora, as their generator labels them."""
+    return [
+        item.doc
+        for seed in (1, 2)
+        for item in corpus_items("analyze", seed)
+        if not item.expect["torsion_free"]
+    ]
+
+
+def test_a_group_with_torsion_stalls_and_tests_only_the_input(monkeypatch):
+    """Every group with torsion of the seed-1 and seed-2 `analyze` corpora
+    raises `NotTorsionFree` after its chain stalls, with the input the
+    one group tested."""
+    groups = [document_to_group(doc) for doc in torsion_corpus_docs()]
+    tested, _ = count_torsion_tests(monkeypatch)
+    for group in groups:
+        tested.clear()
+        with pytest.raises(NotTorsionFree, match=re.escape(f"group {group.name!r} has torsion")):
+            is_connective(group)
+        assert len(tested) == 1 and tested[0] is group, group.name
+    assert len(groups) >= 20
 
 
 # ---------------------------------------------------------------- verdicts

@@ -9,6 +9,7 @@ import bieberbach.cli as cli
 import bieberbach.groupfile as groupfile
 from bieberbach.cli import format_abelian, main
 from test_build_oracle import permutation_matrix
+from test_calabi import torsion_corpus_docs
 from test_computed_once import count_lattice_enumerations
 from test_group_core import count_tables
 
@@ -272,6 +273,24 @@ def test_orbits_char_entries_parse_like_translations(hw_file, capsys):
     """Whitespace, signs and entries >= 1 are accepted and reduced mod 1."""
     doc = run_json(capsys, ["orbits", hw_file, "--char", " -1/4, 5/4 ,+2"])
     assert doc == run_json(capsys, ["orbits", hw_file, "--char", "3/4,1/4,0"])
+
+
+@pytest.mark.parametrize(
+    "argv", [["connective"], ["connective", "--certificate", "--format", "json"], ["decompose"]]
+)
+def test_connectivity_commands_reject_every_corpus_group_with_torsion(tmp_path, capsys, argv):
+    """The chain of a group with torsion stalls and only then is the
+    input tested: the command still exits 2 with the one error line and
+    prints nothing else."""
+    docs = torsion_corpus_docs()
+    assert len(docs) >= 20
+    for pos, doc in enumerate(docs):
+        path = tmp_path / f"{pos}.json"
+        path.write_text(json.dumps(doc))
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: NotTorsionFree: group {doc['name']!r} has torsion\n"
 
 
 # ---------------------------------------------------------------- one parser

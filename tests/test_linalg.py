@@ -50,6 +50,16 @@ def random_matrix(rng, rows, cols, lo=-5, hi=5) -> IntMatrix:
 
 # ---------------------------------------------------------------- SNF
 
+def test_the_identity_is_made_once_per_size():
+    """`IntMatrix.identity` is immutable and cached: one object per size,
+    equal to the checked constructor's identity."""
+    for n in range(9):
+        assert IntMatrix.identity(n) is IntMatrix.identity(n)
+        assert IntMatrix.identity(n) == IntMatrix(
+            [[int(i == j) for j in range(n)] for i in range(n)], cols=n
+        )
+
+
 def test_snf_identity():
     snf = smith_normal_form(IntMatrix.identity(2))
     assert snf.divisors == (1, 1)

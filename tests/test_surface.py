@@ -68,6 +68,63 @@ def names_in(nodes) -> Counter:
     return out
 
 
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def parameters(args: ast.arguments) -> list[ast.arg]:
+    return [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+
+
+def bound_names(func) -> set[str]:
+    """The names a function binds itself: its parameters and the names it
+    assigns, less those it declares global or nonlocal.  What a nested
+    function binds is that function's own."""
+    bound, declared = {a.arg for a in parameters(func.args)}, set()
+    stack = list(func.body) if isinstance(func.body, list) else [func.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bound.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        if not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+    return bound - declared
+
+
+def names_read_in(nodes) -> Counter:
+    """`names_in`, less each name read inside a function that binds that
+    name itself (a parameter or a local).  A name a function reads but
+    does not bind still counts, as do module-scope names, imported names
+    and attributes.  A function's decorators, defaults and annotations
+    are read where it is defined."""
+    out = Counter()
+
+    def visit(node, bound):
+        if isinstance(node, FUNCTIONS):
+            args = node.args
+            outer = [*getattr(node, "decorator_list", ()), *args.defaults, *args.kw_defaults]
+            outer += [getattr(node, "returns", None), *(a.annotation for a in parameters(args))]
+            for part in filter(None, outer):
+                visit(part, bound)
+            inner = bound_names(node)
+            for part in node.body if isinstance(node.body, list) else [node.body]:
+                visit(part, inner)
+            return
+        if isinstance(node, ast.Name):
+            out[node.id] += node.id not in bound
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, bound)
+
+    for node in nodes:
+        visit(node, frozenset())
+    return out
+
+
 def attributes_in(nodes) -> Counter:
     """How often each attribute name (`.name`) appears in code."""
     return Counter(
@@ -185,12 +242,41 @@ def test_the_calabi_peel_reads_no_cayley_graph():
 def test_no_test_oracle_is_defined_or_named_in_the_library():
     """The slow predecessors live in `tests/oracles.py` only: no library
     module defines, imports or calls one (no Hermite form, no Smith
-    solve, no subgroup-lattice splitting)."""
+    solve, no subgroup-lattice splitting).  A parameter or local that
+    shares an oracle's name is no call of it (`names_read_in`)."""
     oracles = {node.name for node in top_level_definitions(parsed(ROOT / "tests" / "oracles.py"))}
     assert "hermite_normal_form" in oracles and "solve_integer_linear" in oracles
     for name, tree in source_modules().items():
         defined = {node.name for node in top_level_definitions(tree)}
-        assert not oracles & (defined | set(names_in([tree]))), name
+        assert not oracles & (defined | set(+names_read_in([tree]))), name
+
+
+def test_the_oracle_lint_skips_only_the_names_a_function_binds_itself():
+    tree = ast.parse(
+        "from oracles import imported\n"
+        "module_scope = 1\n"
+        "def binds(parameter, *rest, keyword=default_read, **options):\n"
+        "    local = parameter\n"
+        "    for loop_target in rest:\n"
+        "        local += loop_target\n"
+        "    return local, free_read(options), keyword, module.attribute\n"
+        "def outer():\n"
+        "    closed_over = 1\n"
+        "    def inner(parameter):\n"
+        "        global declared\n"
+        "        declared = parameter\n"
+        "        return closed_over\n"
+        "    return inner, (lambda lam: lam)\n"
+    )
+    read = names_read_in([tree])
+    unread = ("parameter", "rest", "keyword", "options", "local", "loop_target", "lam")
+    assert {name: read[name] for name in unread} == dict.fromkeys(unread, 0)
+    # a read of a name the function does not bind, at any depth, still counts
+    counted = ("imported", "module_scope", "default_read", "free_read", "attribute", "closed_over")
+    assert {name: read[name] for name in counted} == dict.fromkeys(counted, 1)
+    assert read["module"] == 1 and read["declared"] == 1 and read["inner"] == 1
+    # names_in, the reach lint's count, still counts every bare name
+    assert names_in([tree])["parameter"] == 2
 
 
 def test_the_package_exports_its_public_api_and_no_module():
