@@ -15,8 +15,11 @@ Once a stage has trivial holonomy it is the lattice Z^m, and the rest of
 the chain is written in closed form: each peel takes the first
 coordinate, and each kernel is the lattice one dimension down, with no
 Smith form and no closure.  A surjection stores only its values; the
-index of the lattice's image, gcd(f), is read off them, so no record can
-carry one that disagrees.
+index d of the lattice's image, gcd(f), and the kernel holonomy, the s
+with d | phi(s), are read off them.  A step stores only its surjection,
+the basis its peel chose and the kernel group; the sublattice basis and
+the lift corrections are read off the basis when a certificate is
+written.  So no record can carry a value that disagrees with its map.
 
 The chain is its own torsion test.  A chain down to dimension 0 shows
 the group poly-Z, hence torsion free.  A torsion element lies in the
@@ -58,12 +61,23 @@ class SurjectionToZ:
         """The index of the image of the lattice inside Z."""
         return gcd(*self.lattice_map)
 
+    @property
+    def kernel_holonomy(self) -> tuple[int, ...]:
+        """The holonomy elements s with a lift in the kernel: the index d
+        divides phi(s)."""
+        d = self.lattice_index
+        return tuple(s for s, x in enumerate(self.lift_values) if x % d == 0)
+
 
 @dataclass(frozen=True)
 class CalabiStep:
-    """One peel: the surjection, the kernel group in its own standard
-    form, and the data tying the two together (sublattice basis inside
-    the parent lattice, surviving holonomy, lift corrections).
+    """One peel: the surjection f, the basis of the peel, and the kernel
+    group in its own standard form.  The basis is unimodular: its first
+    vector w has f . w = d, the lattice index, and the others are a basis
+    of ker(f), the kernel's lattice inside the parent's
+    (`sublattice_basis`).  Each kernel holonomy element s has the lift
+    correction -phi(s)/d w (`lift_corrections`), which moves its lift
+    into the kernel.
 
     `vasquez_applied` is always False.  A Vasquez pass would be needed
     only if a non-identity element restricted to the identity on ker(f);
@@ -73,11 +87,19 @@ class CalabiStep:
     certificate documents and the benchmark's trace carry it."""
 
     surjection: SurjectionToZ
+    basis: tuple[tuple[int, ...], ...]
     kernel_group: CrystalGroup
-    sublattice_basis: tuple[tuple[int, ...], ...]
-    kernel_holonomy: tuple[int, ...]
-    lift_corrections: tuple[tuple[int, ...], ...]
     vasquez_applied: ClassVar[bool] = False
+
+    @property
+    def sublattice_basis(self) -> tuple[tuple[int, ...], ...]:
+        return self.basis[1:]
+
+    @property
+    def lift_corrections(self) -> tuple[tuple[int, ...], ...]:
+        w, phi = self.basis[0], self.surjection.lift_values
+        d = self.surjection.lattice_index
+        return tuple(tuple(-phi[s] // d * x for x in w) for s in self.surjection.kernel_holonomy)
 
 
 @dataclass(frozen=True)
@@ -150,11 +172,12 @@ def _check_surjection(group: CrystalGroup, surj: SurjectionToZ) -> None:
 
 def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
     """Kernel of the surjection as a standard-form group of dimension
-    k - 1, together with the bookkeeping for re-verification: the kernel
-    holonomy and a lift correction for each of its elements, and as the
-    kernel's generators the corrected lifts of the greedy generating set
-    of the kernel holonomy (`_generating_subset`).  With the lattice
-    ker(f), which stays implicit, those lifts generate the kernel.
+    k - 1, with the peel's basis (w, then a basis of ker(f)), from which
+    the step reads the lift corrections when a certificate is written.
+    The kernel's generators are the corrected lifts of the greedy
+    generating set of the kernel holonomy (`_generating_subset`).  With
+    the lattice ker(f), which stays implicit, those lifts generate the
+    kernel.
 
     The surjection is checked first (`_check_surjection`), so
     phi(s) = f . t_s for each representative translation t_s, and each
@@ -169,26 +192,16 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
     """
     _check_surjection(group, surj)
     k = group.dim
-    f = surj.lattice_map
-    d = surj.lattice_index
     # u f V = (d, 0, ..., 0): the first column of V, times the unit u,
     # solves f.w = d, and the other columns are a basis of ker(f)
-    v, v_inv, u = row_smith_basis(f)
+    v, v_inv, u = row_smith_basis(surj.lattice_map)
     w, *basis = v.transpose().entries
     w = tuple(u * x for x in w)
     kernel_rows = v_inv.entries[1:]  # the kernel coordinates
 
-    kernel_holonomy = tuple(
-        i for i in range(group.holonomy_order) if surj.lift_values[i] % d == 0
-    )
-    # d divides each kernel lift value, so each correction is a multiple of w
-    corrections = [
-        tuple(-surj.lift_values[idx] // d * x for x in w) for idx in kernel_holonomy
-    ]
-
     q = group.denominator
     gens = []
-    for idx in _generating_subset(group, kernel_holonomy):
+    for idx in _generating_subset(group, surj.kernel_holonomy):
         elem = group.elements[idx]
         cols = tuple(zip(*elem.matrix.entries))
         # f A = f, so A keeps ker(f): the block V^-1[1:] A V[:, 1:] of A in
@@ -206,14 +219,7 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
             )
         )
 
-    kernel_group = build_group(k - 1, gens, name=_kernel_name(group.name))
-    return CalabiStep(
-        surjection=surj,
-        kernel_group=kernel_group,
-        sublattice_basis=tuple(basis),
-        kernel_holonomy=kernel_holonomy,
-        lift_corrections=tuple(corrections),
-    )
+    return CalabiStep(surj, (w, *basis), build_group(k - 1, gens, name=_kernel_name(group.name)))
 
 
 def _generating_subset(group: CrystalGroup, members: tuple[int, ...]) -> list[int]:
@@ -261,23 +267,14 @@ def _lattice_tail(stage: CrystalGroup) -> tuple[CalabiStep, ...]:
     """The rest of the chain from a stage with trivial holonomy, the
     lattice Z^m, in closed form: the peels `surjection_to_Z` and
     `calabi_kernel` would make.  The fixed dual lattice is all of Z^m, so
-    each peel's surjection is the first coordinate, its sublattice basis
-    the other unit vectors, and its kernel the lattice one dimension
-    down (`_lattice`)."""
+    each peel's surjection is the first coordinate, its basis the unit
+    vectors, and its kernel the lattice one dimension down (`_lattice`)."""
     steps = []
     name = stage.name
     for m in range(stage.dim, 0, -1):
         units = IntMatrix.identity(m).entries
         name = _kernel_name(name)
-        steps.append(
-            CalabiStep(
-                surjection=SurjectionToZ(units[0], (0,)),
-                kernel_group=_lattice(m - 1, name),
-                sublattice_basis=units[1:],
-                kernel_holonomy=(0,),
-                lift_corrections=((0,) * m,),
-            )
-        )
+        steps.append(CalabiStep(SurjectionToZ(units[0], (0,)), units, _lattice(m - 1, name)))
     return tuple(steps)
 
 
@@ -317,7 +314,7 @@ def step_document(step: CalabiStep) -> dict:
         "lift_values": list(step.surjection.lift_values),
         "lattice_index": step.surjection.lattice_index,
         "sublattice_basis": [list(v) for v in step.sublattice_basis],
-        "kernel_holonomy": list(step.kernel_holonomy),
+        "kernel_holonomy": list(step.surjection.kernel_holonomy),
         "lift_corrections": [list(v) for v in step.lift_corrections],
         "vasquez_applied": step.vasquez_applied,
         "kernel": group_to_document(step.kernel_group),

@@ -37,7 +37,6 @@ class ExpectedInvariants:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    key: str
     group: CrystalGroup
     expected: ExpectedInvariants
 
@@ -118,10 +117,7 @@ def _entries() -> dict[str, CatalogEntry]:
         _dim3_c2c2_connective(),
         ExpectedInvariants(1, (2, 2), 1, (2, 2), True, 4, "Z/2 + Z/2"),
     )
-    return {
-        key: CatalogEntry(key=key, group=grp, expected=exp)
-        for key, (grp, exp) in groups.items()
-    }
+    return {key: CatalogEntry(grp, exp) for key, (grp, exp) in groups.items()}
 
 
 def catalog_list() -> list[str]:

@@ -161,10 +161,10 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """U * M * V = D with U, V unimodular and D in Smith normal form."""
+    """U * M * V = D with U, V unimodular and D in Smith normal form, the
+    divisors on its diagonal."""
 
     U: IntMatrix
-    D: IntMatrix
     V: IntMatrix
     divisors: tuple[int, ...]
 
@@ -264,7 +264,6 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     divisors = _smith_eliminate(a, r, c)
     return SmithForm(
         U=IntMatrix._trusted(tuple(tuple(row[c:]) for row in a[:r]), r),
-        D=IntMatrix._trusted(tuple(tuple(row[:c]) for row in a[:r]), c),
         V=IntMatrix._trusted(tuple(map(tuple, a[r:])), c),
         divisors=divisors,
     )

@@ -197,6 +197,14 @@ def minor_gcd_divisors(m: IntMatrix) -> tuple[int, ...]:
     return tuple(out)
 
 
+def smith_diagonal(m: IntMatrix, divisors) -> IntMatrix:
+    """The Smith form D of `m`, of its shape: the divisors on the
+    diagonal and zeros elsewhere."""
+    return IntMatrix(
+        [[divisors[i] if i == j else 0 for j in range(m.cols)] for i in range(m.rows)], cols=m.cols
+    )
+
+
 def frac_vector(entries) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in entries)
 

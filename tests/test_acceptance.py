@@ -26,7 +26,7 @@ from bieberbach.orbits import orbit_data
 from oracles import (
     brute_force_torsion, coprime_split_properties, cyclic_group, fraction_stabilizer_classes,
     from_columns, is_cyclic, minor_gcd_divisors, random_signed_permutation, rational_solve,
-    semidirect_cyclic, subgroups
+    semidirect_cyclic, smith_diagonal, subgroups
 )
 
 
@@ -266,7 +266,7 @@ def test_oracle_equivalence():
         snf = smith_normal_form(m)
         if snf.divisors != minor_gcd_divisors(m):
             failures.append(f"trial {trial}: SNF divisors disagree with minors oracle")
-        if snf.U * m * snf.V != snf.D:
+        if snf.U * m * snf.V != smith_diagonal(m, snf.divisors):
             failures.append(f"trial {trial}: U M V != D")
         basis = integer_kernel(m)
         for vec in basis:

@@ -26,7 +26,9 @@ from bieberbach.crystal import (
 from bieberbach.finite import _closure, finite_group_from_holonomy, in_coprime_class
 from bieberbach.groupfile import document_to_group
 from bieberbach.invariants import abelianization, dual_action_smith, fixed_lattice, fixed_torus
-from bieberbach.linalg import IntMatrix, integer_kernel, row_smith_basis, smith_normal_form
+from bieberbach.linalg import (
+    IntMatrix, determinant, integer_kernel, row_smith_basis, smith_normal_form
+)
 from oracles import (
     corpus_items, frac_vector, from_columns, greedy_generating_subset, hermite_normal_form,
     hw_group, inverses, invert_unimodular, klein_bottle, rational_solve, solve_integer_linear,
@@ -34,6 +36,7 @@ from oracles import (
 )
 from test_build_oracle import full_cocycle
 from test_invariants import presentation_map, signed_permutation_group
+from test_scale import hw_times_bott, real_bott_group
 
 
 F = Fraction
@@ -85,7 +88,7 @@ def test_kernel_klein_bottle_is_Z():
     step = calabi_kernel(g, surjection_to_Z(g))
     assert step.kernel_group.dim == 1
     assert step.kernel_group.holonomy_order == 1
-    assert step.kernel_holonomy == (0,)
+    assert step.surjection.kernel_holonomy == (0,)
     assert step.sublattice_basis == ((0, 1),)
     assert not step.vasquez_applied
 
@@ -104,18 +107,53 @@ def test_kernel_c4_screw():
     assert step.kernel_group.holonomy_order == 1  # D -> Z/4 is injective
 
 
+def dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def assert_step_bookkeeping(stage, step):
+    """What a step derives from its surjection and its basis: the basis
+    is unimodular, its first vector w has f . w = d and the others span
+    ker(f); the kernel holonomy is {s : d | phi(s)}; each correction is
+    -phi(s)/d w and corrects the lift value; and the kernel holonomy
+    acts faithfully on ker(f)."""
+    surj, (w, *rest) = step.surjection, step.basis
+    f, phi, d = surj.lattice_map, surj.lift_values, surj.lattice_index
+    assert abs(determinant(IntMatrix(step.basis))) == 1, stage.name
+    assert dot(f, w) == d
+    assert step.sublattice_basis == tuple(rest)
+    assert all(dot(f, b) == 0 for b in step.sublattice_basis)
+    kernel_holonomy = surj.kernel_holonomy
+    assert kernel_holonomy == tuple(s for s in range(stage.holonomy_order) if phi[s] % d == 0)
+    corrections = step.lift_corrections
+    assert corrections == tuple(tuple(-phi[s] // d * x for x in w) for s in kernel_holonomy)
+    assert [dot(f, lam) for lam in corrections] == [-phi[s] for s in kernel_holonomy]
+    # no kernel element but the identity acts trivially on ker(f) (`CalabiStep`)
+    assert (step.kernel_group.dim, step.kernel_group.holonomy_order) == (
+        stage.dim - 1, len(kernel_holonomy)
+    )
+
+
 def test_kernel_validity_properties():
     for g in (klein_bottle(), torus(3), c4_screw()):
-        surj = surjection_to_Z(g)
-        step = calabi_kernel(g, surj)
-        kernel = step.kernel_group
-        assert kernel.dim == g.dim - 1
-        assert is_torsion_free(kernel)
-        assert g.holonomy_order % kernel.holonomy_order == 0
-        # lift corrections really correct the lift values
-        f = surj.lattice_map
-        for idx, lam in zip(step.kernel_holonomy, step.lift_corrections):
-            assert sum(a * b for a, b in zip(f, lam)) == -surj.lift_values[idx]
+        step = calabi_kernel(g, surjection_to_Z(g))
+        assert_step_bookkeeping(g, step)
+        assert is_torsion_free(step.kernel_group)
+        assert g.holonomy_order % step.kernel_group.holonomy_order == 0
+    # every step of every chain (whose corrections are all zero; the hand-made
+    # surjections below have nonzero ones): the catalog, the seeded groups,
+    # the seed-1 `analyze` and `connective` corpora and two order-128 groups
+    groups = [catalog_get(key).group for key in catalog_list()] + seeded_chain_groups()
+    groups += torsion_free_corpus_groups(seeds=(1,))
+    groups += [real_bott_group(8), hw_times_bott(6)]
+    steps = 0
+    for group in groups:
+        stage = group
+        for step in is_connective(group).chain:
+            assert_step_bookkeeping(stage, step)
+            stage = step.kernel_group
+            steps += 1
+    assert steps >= 900
 
 
 def test_lift_corrections_match_per_element_solves():
@@ -132,13 +170,14 @@ def test_lift_corrections_match_per_element_solves():
         lift_values = tuple(phi if i == s else 0 for i in range(2))
         step = calabi_kernel(g, SurjectionToZ(f, lift_values))
         row = IntMatrix([f], cols=3)
-        assert step.kernel_holonomy == (0, 1)
+        assert step.surjection.kernel_holonomy == (0, 1)
         assert step.lift_corrections == tuple(
-            solve_integer_linear(row, (-lift_values[i],))[0] for i in step.kernel_holonomy
+            solve_integer_linear(row, (-lift_values[i],))[0] for i in (0, 1)
         )
         assert any(step.lift_corrections[s])
         assert step.sublattice_basis == tuple(integer_kernel(row))
         assert is_torsion_free(step.kernel_group)
+        assert_step_bookkeeping(g, step)
 
 
 def test_kernel_rejects_a_lattice_map_that_is_not_invariant():
@@ -318,11 +357,11 @@ def chain_verdict(group, surjection):
     return True, length
 
 
-def torsion_free_corpus_groups():
-    """The torsion-free groups of the seed-1 and seed-2 `analyze` and
-    `connective` corpora, each built afresh."""
+def torsion_free_corpus_groups(seeds=(1, 2)):
+    """The torsion-free groups of the `analyze` and `connective` corpora
+    of these seeds, each built afresh."""
     for workload in ("analyze", "connective"):
-        for seed in (1, 2):
+        for seed in seeds:
             for item in corpus_items(workload, seed):
                 group = document_to_group(item.doc)
                 if is_torsion_free(group):
@@ -632,7 +671,7 @@ def test_kernel_rejects_lift_values_that_break_the_homomorphism_property():
             lift_values = tuple(phi if i == s else 0 for i in range(2))
             surj = SurjectionToZ(f, lift_values)
             if phi == genuine:
-                assert calabi_kernel(g, surj).kernel_holonomy == (0, s)
+                assert calabi_kernel(g, surj).surjection.kernel_holonomy == (0, s)
                 continue
             with pytest.raises(AssertionError, match="homomorphism property"):
                 calabi_kernel(g, surj)
@@ -749,7 +788,7 @@ def test_every_kernel_has_at_most_log2_of_its_holonomy_order_generators():
     generators = elements = 0
     for group in groups + list(torsion_free_corpus_groups()):
         for step in is_connective(group).chain:
-            count, order = len(step.kernel_group.generators), len(step.kernel_holonomy)
+            count, order = len(step.kernel_group.generators), len(step.surjection.kernel_holonomy)
             assert count <= (order - 1).bit_length(), group.name  # ceil(log2 order)
             generators += count
             elements += order - 1
@@ -982,7 +1021,7 @@ def test_kernel_validity_across_catalog():
         assert is_torsion_free(step.kernel_group), key
         # the surviving holonomy is a subgroup of the parent holonomy,
         # and the kernel's holonomy is a quotient of it
-        surviving = set(step.kernel_holonomy)
+        surviving = set(step.surjection.kernel_holonomy)
         assert 0 in surviving
         for i in surviving:
             for j in surviving:

@@ -7,7 +7,10 @@ import pytest
 
 import bieberbach.cli as cli
 import bieberbach.groupfile as groupfile
+from bieberbach.calabi import CalabiStep
+from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.cli import format_abelian, main
+from oracles import corpus_items
 from test_build_oracle import permutation_matrix
 from test_calabi import torsion_corpus_docs
 from test_computed_once import count_lattice_enumerations
@@ -74,6 +77,39 @@ def test_certificate_text_builds_the_document_once(torus2_file, capsys, monkeypa
     out = capsys.readouterr().out
     assert out.startswith("CONNECTIVE; poly-Z chain of length 2\n{")
     assert len(built) == 1
+
+
+def test_lift_corrections_are_read_only_into_a_certificate(tmp_path, capsys, monkeypatch):
+    """A step reads its lift corrections off its basis when a certificate
+    is written, and at no other time: `analyze --format json` and the
+    text `decompose` read none, and `connective --certificate --format
+    json` one per step of the chain it prints.  On the catalog and the
+    seed-1 `analyze` and `connective` corpora."""
+    reads = []
+    corrections = CalabiStep.lift_corrections
+    counted = property(lambda step: reads.append(step) or corrections.fget(step))
+    monkeypatch.setattr(CalabiStep, "lift_corrections", counted)
+    catalog = [groupfile.group_to_document(catalog_get(key).group) for key in catalog_list()]
+    analyzed = catalog + [item.doc for item in corpus_items("analyze", 1)]
+    torsion_free = catalog + [item.doc for item in corpus_items("connective", 1)]
+    path = tmp_path / "group.json"
+
+    def run(doc, *argv):
+        path.write_text(json.dumps(doc))
+        assert main([argv[0], str(path), *argv[1:]]) == 0
+        return capsys.readouterr().out
+
+    for doc in analyzed:
+        run(doc, "analyze", "--format", "json")
+    for doc in torsion_free:
+        run(doc, "decompose")
+    assert reads == []
+    steps = 0
+    for doc in torsion_free:
+        certificate = json.loads(run(doc, "connective", "--certificate", "--format", "json"))
+        steps += len(certificate["certificate"]["chain"])
+        assert len(reads) == steps
+    assert steps >= 400
 
 
 def test_analyze_json_torus(torus2_file, capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.crystal import AffineGen, CrystalError, build_group
+from bieberbach.groupfile import document_to_group
 from bieberbach.invariants import (
     MAX_FIXED_POINTS,
     TooManyFixedPoints,
@@ -18,8 +19,8 @@ from bieberbach.invariants import (
 )
 from bieberbach.linalg import IntMatrix, integer_kernel, smith_normal_form
 from oracles import (
-    from_columns, hermite_normal_form, hw_group, klein_bottle, random_signed_permutation, torus,
-    translation_of
+    corpus_items, from_columns, hermite_normal_form, hw_group, klein_bottle,
+    random_signed_permutation, torus, translation_of
 )
 from test_build_oracle import full_cocycle, random_rotation_generator
 
@@ -392,13 +393,27 @@ def test_fixed_torus_points_match_brute_force():
 
 # ---------------------------------------------------------------- rank chain
 
+def rank_chain(g) -> int:
+    """The rank of H1, which must equal the centre's and the fixed
+    torus's (a theorem; `analyze` does not check it at run time)."""
+    r1 = abelianization(g).rank
+    r2 = fixed_lattice(g).rank
+    r3 = fixed_torus(g).rank
+    assert r1 == r2 == r3, g.name
+    return r1
+
+
 def test_rank_chain_on_catalog_style_groups():
+    """The small groups, then every group of the seed-1 corpora of the
+    benchmark's three workloads, whose generator knows its fixed rank."""
     groups = [hw_group(), klein_bottle(), torus(1), torus(2), torus(3), torus(4)]
     for g in groups:
-        r1 = abelianization(g).rank
-        r2 = fixed_lattice(g).rank
-        r3 = fixed_torus(g).rank
-        assert r1 == r2 == r3
+        rank_chain(g)
+    for workload in ("analyze", "lattice", "connective"):
+        items = corpus_items(workload, 1)
+        assert len(items) >= 89
+        for item in items:
+            assert rank_chain(document_to_group(item.doc)) == item.expect["fixed_rank"]
 
 
 def test_rank_chain_randomized_signed_permutations():
@@ -406,10 +421,7 @@ def test_rank_chain_randomized_signed_permutations():
     for _ in range(40):
         dim = rng.randint(2, 6)
         g = signed_permutation_group(rng, dim)
-        r1 = abelianization(g).rank
-        r2 = fixed_lattice(g).rank
-        r3 = fixed_torus(g).rank
-        assert r1 == r2 == r3
+        rank_chain(g)
         # generator-based and all-element presentations agree
         assert_matches_full_element_oracles(g, h1=g.holonomy_order <= 16)
 

@@ -1,6 +1,7 @@
 """The library's surface, read with the standard library's `ast` (no lint
 package is needed): what `src/bieberbach` defines is what the commands
-and the benchmark run, and the package exports exactly its public API.
+and the benchmark run, the package exports exactly its public API, and
+each record stores exactly its pinned fields (`STORED_FIELDS`).
 
 A definition is a top-level function or class, or a function in a class
 body (a method, property, class or static method; dunders aside).  It
@@ -16,6 +17,8 @@ other class, so such a collision is found by reading, not by this lint.
 """
 
 import ast
+import dataclasses
+import importlib
 import types
 from collections import Counter
 from pathlib import Path
@@ -43,6 +46,38 @@ PUBLIC_API = set(
     CatalogEntry ExpectedInvariants UnknownKey catalog_list catalog_get
     """.split()
 )
+
+# The fields each dataclass of `src/bieberbach` stores, by module.  A
+# record stores no field its other fields determine (a derived value is
+# a property), so a change here says what the new field holds that the
+# others do not.  `AnalysisReport`, `ConnectivityReport` and `PolyZSeries`
+# still hold derived values, which the benchmark's replica builds.
+STORED_FIELDS = {
+    "calabi.SurjectionToZ": ("lattice_map", "lift_values"),
+    "calabi.CalabiStep": ("surjection", "basis", "kernel_group"),
+    "calabi.PolyZSeries": ("steps",),
+    "calabi.ConnectivityReport": ("connective", "certificate", "core", "chain"),
+    "catalog.ExpectedInvariants": (
+        "h1_rank", "h1_torsion", "torus_rank", "torus_components", "connective",
+        "holonomy_order", "holonomy_id",
+    ),
+    "catalog.CatalogEntry": ("group", "expected"),
+    "cli.AnalysisReport": (
+        "group", "torsion_free", "h1_rank", "h1_torsion", "center_rank", "center_basis",
+        "torus_rank", "torus_components", "torus_points", "characters", "holonomy_order",
+        "holonomy_id", "holonomy_primitive", "coprime_class", "connectivity",
+    ),
+    "crystal.AffineGen": ("matrix", "shift", "denominator"),
+    "crystal.TorsionWitness": ("element", "correction", "order"),
+    "crystal.CrystalGroup": ("name", "dim", "generators", "elements", "edges", "edge_cocycle"),
+    "finite.FiniteGroup": ("edges",),
+    "invariants.AbelianInvariants": ("rank", "torsion"),
+    "invariants.FixedLattice": ("basis",),
+    "invariants.FixedTorusSubgroup": ("component_orders", "tangent_basis", "points"),
+    "linalg.SmithForm": ("U", "V", "divisors"),
+    "linalg.SmithColumns": ("V", "divisors"),
+    "orbits.StabilizerRecord": ("character", "orbit", "stabilizer"),
+}
 
 
 def parsed(path: Path) -> ast.Module:
@@ -277,6 +312,23 @@ def test_the_oracle_lint_skips_only_the_names_a_function_binds_itself():
     assert read["module"] == 1 and read["declared"] == 1 and read["inner"] == 1
     # names_in, the reach lint's count, still counts every bare name
     assert names_in([tree])["parameter"] == 2
+
+
+def stored_fields() -> dict[str, tuple[str, ...]]:
+    """`module.Class` -> the names of its `dataclasses.fields`, for each
+    dataclass a `src/bieberbach` module defines."""
+    out = {}
+    for stem in source_modules():
+        module = importlib.import_module(f"bieberbach.{stem}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+                if obj.__module__ == module.__name__:
+                    out[f"{stem}.{name}"] = tuple(f.name for f in dataclasses.fields(obj))
+    return out
+
+
+def test_every_record_stores_the_pinned_fields():
+    assert stored_fields() == STORED_FIELDS
 
 
 def test_the_package_exports_its_public_api_and_no_module():
