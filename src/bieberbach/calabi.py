@@ -21,12 +21,15 @@ the basis its peel chose and the kernel group; the sublattice basis and
 the lift corrections are read off the basis when a certificate is
 written.  So no record can carry a value that disagrees with its map.
 
-The chain is its own torsion test.  A chain down to dimension 0 shows
+The chain is the one torsion test.  A chain down to dimension 0 shows
 the group poly-Z, hence torsion free.  A torsion element lies in the
 kernel of every map to Z and is no translation, so a group with torsion
 never reaches a stage with trivial holonomy; the peels are well defined
-on it (`CalabiStep`), so its chain stalls.  The input is tested for
-torsion only there, to tell a core from a group with torsion.
+on it (`CalabiStep`), so its chain stalls.  At a stall at stage C the
+quotient of the input by C is poly-Z, hence torsion free, so every
+torsion element of the input lies in C: the input is torsion free iff C
+is.  So only the stall stage is tested for torsion, to tell a core from
+a group with torsion.
 """
 
 from __future__ import annotations
@@ -284,16 +287,16 @@ def is_connective(group: CrystalGroup) -> ConnectivityReport:
     homology or a stage with trivial holonomy.  The latter is the lattice
     Z^m, and `_lattice_tail` writes its m peels down to dimension 0 in
     closed form (a full poly-Z chain: connective, and so torsion free).
-    At the former the input is tested for torsion, the only place the
-    test runs: a group with torsion always stalls (see the module
-    docstring) and raises NotTorsionFree, and a torsion-free one has
-    reached its core (not connective)."""
+    At the former the stall stage, not the input, is tested for torsion,
+    the only place the test runs: the input has torsion iff that stage
+    has (see the module docstring), and then NotTorsionFree names the
+    input; a torsion-free input has reached its core (not connective)."""
     steps: list[CalabiStep] = []
     stage = group
     while stage.holonomy_order > 1:  # a dimension-0 stage has trivial holonomy
         surj = surjection_to_Z(stage)
         if surj is None:
-            if not is_torsion_free(group):
+            if not is_torsion_free(stage):
                 raise NotTorsionFree(f"group {group.name!r} has torsion")
             chain = tuple(steps)
             return ConnectivityReport(

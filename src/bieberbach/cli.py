@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import prod
 
 from .calabi import (
     ConnectivityReport,
@@ -22,7 +23,7 @@ from .calabi import (
     is_connective,
 )
 from .catalog import UnknownKey, catalog_get, catalog_list
-from .crystal import CrystalError, CrystalGroup, is_torsion_free
+from .crystal import CrystalError, CrystalGroup
 from .finite import in_coprime_class, is_primitive, structure_name
 from .groupfile import (
     GroupFileError,
@@ -32,6 +33,8 @@ from .groupfile import (
     parse_rational,
 )
 from .invariants import (
+    MAX_FIXED_POINTS,
+    TooManyFixedPoints,
     abelianization,
     character_count,
     fixed_lattice,
@@ -96,15 +99,17 @@ class AnalysisReport:
 
     @classmethod
     def compute(cls, group: CrystalGroup) -> AnalysisReport:
-        torsion_free = is_torsion_free(group)
+        try:
+            report = is_connective(group)  # the chain is the one torsion test
+        except NotTorsionFree:
+            report = None
         ab = abelianization(group)
         fl = fixed_lattice(group)
         ft = fixed_torus(group)
         d = group.holonomy
-        report = is_connective(group) if torsion_free else None
         return cls(
             group=group,
-            torsion_free=torsion_free,
+            torsion_free=report is not None,
             h1_rank=ab.rank,
             h1_torsion=ab.torsion,
             center_rank=fl.rank,
@@ -290,6 +295,11 @@ def cmd_center(args) -> int:
 def cmd_fixed_torus(args) -> int:
     group = _load(args)
     ft = fixed_torus(group)
+    if ft.rank == 0 and ft.points is None:  # too many points to list
+        raise TooManyFixedPoints(
+            f"the fixed torus has {prod(ft.component_orders)} points,"
+            f" more than the limit {MAX_FIXED_POINTS}"
+        )
     doc = {
         "rank": ft.rank,
         "component_orders": list(ft.component_orders),

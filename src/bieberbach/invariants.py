@@ -64,7 +64,9 @@ class FixedTorusSubgroup:
     """Fixed subgroup of the dual torus: a torus spanned by the integer
     vectors `tangent_basis`, times a finite group with the given cyclic
     component orders.  When the rank is 0 the full (finite) fixed-point
-    list is enumerated, up to MAX_FIXED_POINTS points."""
+    list is enumerated, up to MAX_FIXED_POINTS points; beyond that
+    `points` is None, and the count is the product of the component
+    orders."""
 
     component_orders: tuple[int, ...]
     tangent_basis: tuple[tuple[int, ...], ...]
@@ -141,8 +143,7 @@ def fixed_torus(group: CrystalGroup) -> FixedTorusSubgroup:
     turns that congruence into independent 1-dimensional conditions:
     zero divisors contribute torus directions, divisors >= 2 contribute
     finite cyclic components.  A finite fixed subgroup of more than
-    MAX_FIXED_POINTS points raises TooManyFixedPoints before any is
-    listed.
+    MAX_FIXED_POINTS points is counted, not listed: its `points` is None.
     """
     k = group.dim
     snf = dual_action_smith(group)
@@ -150,12 +151,7 @@ def fixed_torus(group: CrystalGroup) -> FixedTorusSubgroup:
     tangent = tuple(snf.V.column(j) for j, d in enumerate(divisors) if d == 0)
 
     points = None
-    if not tangent:
-        count = prod(divisors)
-        if count > MAX_FIXED_POINTS:
-            raise TooManyFixedPoints(
-                f"the fixed torus has {count} points, more than the limit {MAX_FIXED_POINTS}"
-            )
+    if not tangent and prod(divisors) <= MAX_FIXED_POINTS:
         q = lcm(*divisors)  # the points V (c_i / d_i) mod 1, times q
         ranges = [range(0, q, q // d) for d in divisors]
         pts = sorted(tuple(x % q for x in snf.V.apply(c)) for c in itertools.product(*ranges))

@@ -21,7 +21,7 @@ from bieberbach.calabi import (
 )
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.crystal import (
-    AffineGen, CrystalError, CrystalGroup, build_group, is_torsion_free
+    AffineGen, CrystalError, CrystalGroup, build_group, is_torsion_free, torsion_witness
 )
 from bieberbach.finite import _closure, finite_group_from_holonomy, in_coprime_class
 from bieberbach.groupfile import document_to_group
@@ -879,45 +879,59 @@ def test_decompose_rejects_torsion():
 
 
 def count_torsion_tests(monkeypatch):
-    """The groups `is_connective` tests for torsion, and the arguments of
-    every `norm_solution` call, one per prime-order cyclic subgroup that
-    a torsion test reaches."""
-    tested, solves = [], []
-    test, solve = calabi.is_torsion_free, crystal.norm_solution
+    """The groups tested for torsion (each `torsion_witness` call, through
+    `is_torsion_free` too), the stages at which `surjection_to_Z` finds no
+    surjection (the stall stages), and the arguments of every
+    `norm_solution` call, one per prime-order cyclic subgroup that a
+    torsion test reaches."""
+    tested, stalls, solves = [], [], []
+    test, surject, solve = crystal.torsion_witness, calabi.surjection_to_Z, crystal.norm_solution
 
     def testing(group):
         tested.append(group)
         return test(group)
 
+    def surjecting(group):
+        surj = surject(group)
+        if surj is None:
+            stalls.append(group)
+        return surj
+
     def solving(*args):
         solves.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(calabi, "is_torsion_free", testing)
+    monkeypatch.setattr(crystal, "torsion_witness", testing)
+    monkeypatch.setattr(calabi, "surjection_to_Z", surjecting)
     monkeypatch.setattr(crystal, "norm_solution", solving)
-    return tested, solves
+    return tested, stalls, solves
 
 
-def test_the_torsion_test_runs_only_at_a_stall_and_only_on_the_input(monkeypatch):
+def test_the_torsion_test_runs_only_at_a_stall_and_only_on_the_core(monkeypatch):
     """A chain down to dimension 0 shows the group torsion free, so on
     every connective group of the catalog and of the seed-1 `connective`
-    corpus `is_connective` tests nothing; at a stall it tests the input
-    once, and no stage."""
+    corpus `is_connective` tests nothing; at a stall it tests the core
+    once, and nothing else.  `hw_times_bott(4)` stalls after 4 peels, at
+    the Hantzsche-Wendt core, so there the core is not the input."""
     groups = [catalog_get(key).group for key in catalog_list()]
     groups = [build_group(g.dim, g.generators, name=g.name) for g in groups]  # nothing memoised
     groups += [document_to_group(item.doc) for item in corpus_items("connective")]
-    tested, solves = count_torsion_tests(monkeypatch)
+    groups.append(hw_times_bott(4))
+    tested, stalls, solves = count_torsion_tests(monkeypatch)
     verdicts = []
     for group in groups:
         tested.clear()
+        stalls.clear()
         solves.clear()
         report = is_connective(group)
         verdicts.append(report.connective)
         if report.connective:
-            assert tested == [] and solves == [], group.name
+            assert tested == stalls == solves == [], group.name
         else:
-            assert len(tested) == 1 and tested[0] is group, group.name
-    assert verdicts.count(True) >= 91 and verdicts.count(False) >= 11
+            assert len(tested) == 1 and tested[0] is report.core, group.name
+            assert stalls == tested, group.name
+    assert verdicts.count(True) >= 91 and verdicts.count(False) >= 12
+    assert len(report.chain) == 4 and report.core.dim == 3  # hw_times_bott(4), the last
 
 
 def torsion_corpus_docs():
@@ -931,18 +945,57 @@ def torsion_corpus_docs():
     ]
 
 
-def test_a_group_with_torsion_stalls_and_tests_only_the_input(monkeypatch):
+def test_a_group_with_torsion_stalls_and_tests_only_the_core(monkeypatch):
     """Every group with torsion of the seed-1 and seed-2 `analyze` corpora
-    raises `NotTorsionFree` after its chain stalls, with the input the
-    one group tested."""
+    raises `NotTorsionFree`, naming the input, after its chain stalls,
+    with the stall stage the one group tested.  The input's own
+    `torsion_witness` is the oracle for the verdict."""
     groups = [document_to_group(doc) for doc in torsion_corpus_docs()]
-    tested, _ = count_torsion_tests(monkeypatch)
+    assert all(torsion_witness(group) is not None for group in groups)
+    tested, stalls, _ = count_torsion_tests(monkeypatch)
+    peeled = 0
     for group in groups:
         tested.clear()
+        stalls.clear()
         with pytest.raises(NotTorsionFree, match=re.escape(f"group {group.name!r} has torsion")):
             is_connective(group)
-        assert len(tested) == 1 and tested[0] is group, group.name
-    assert len(groups) >= 20
+        assert len(tested) == 1 and stalls == tested, group.name
+        peeled += tested[0].dim < group.dim
+    assert len(groups) >= 20 and peeled >= 4
+
+
+def all_corpus_groups():
+    """The catalog, then seeds 1-3 of the three benchmark corpora."""
+    groups = [catalog_get(key).group for key in catalog_list()]
+    groups = [build_group(g.dim, g.generators, name=g.name) for g in groups]  # nothing memoised
+    for workload in ("analyze", "lattice", "connective"):
+        for seed in (1, 2, 3):
+            groups += [document_to_group(item.doc) for item in corpus_items(workload, seed)]
+    return groups
+
+
+def test_the_chain_has_torsion_exactly_when_the_input_does(monkeypatch):
+    """At a stall at stage C the quotient of the input by C is poly-Z, so
+    every torsion element of the input lies in C: testing C alone decides
+    the input.  On 884 groups `is_connective` tests only the stall stage,
+    and raises NotTorsionFree exactly when the input's `torsion_witness`
+    finds an element of finite order."""
+    groups = all_corpus_groups()
+    has_torsion = [torsion_witness(group) is not None for group in groups]
+    tested, stalls, _ = count_torsion_tests(monkeypatch)
+    verdicts = []
+    for group in groups:
+        tested.clear()
+        stalls.clear()
+        try:
+            verdicts.append("connective" if is_connective(group).connective else "core")
+        except NotTorsionFree:
+            verdicts.append("torsion")
+        assert tested == stalls and len(stalls) == (verdicts[-1] != "connective"), group.name
+    for group, torsion, verdict in zip(groups, has_torsion, verdicts):
+        assert torsion == (verdict == "torsion"), group.name
+    split = (verdicts.count("connective"), verdicts.count("core"), verdicts.count("torsion"))
+    assert len(groups) == 884 and split == (478, 70, 336)
 
 
 # ---------------------------------------------------------------- verdicts

@@ -12,7 +12,7 @@ from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.cli import format_abelian, main
 from oracles import corpus_items
 from test_build_oracle import permutation_matrix
-from test_calabi import torsion_corpus_docs
+from test_calabi import count_torsion_tests, torsion_corpus_docs
 from test_computed_once import count_lattice_enumerations
 from test_group_core import count_tables
 
@@ -110,6 +110,37 @@ def test_lift_corrections_are_read_only_into_a_certificate(tmp_path, capsys, mon
         steps += len(certificate["certificate"]["chain"])
         assert len(reads) == steps
     assert steps >= 400
+
+
+def test_analyze_tests_for_torsion_only_at_a_stall_and_only_on_the_core(
+    tmp_path, capsys, monkeypatch
+):
+    """`analyze` reads torsion off the Calabi chain: a chain down to
+    dimension 0 makes no `torsion_witness` call, and a stall makes one,
+    on the stall stage, which is the reported core when the group is
+    torsion free.  On the catalog and the seed-1 `analyze` corpus."""
+    tested, stalls, _ = count_torsion_tests(monkeypatch)
+    reports = []
+    to_document = cli.AnalysisReport.to_document
+    monkeypatch.setattr(
+        cli.AnalysisReport, "to_document", lambda report: reports.append(report) or to_document(report)
+    )
+    catalog = [groupfile.group_to_document(catalog_get(key).group) for key in catalog_list()]
+    path = tmp_path / "group.json"
+    verdicts = []
+    for doc in catalog + [item.doc for item in corpus_items("analyze", 1)]:
+        path.write_text(json.dumps(doc))
+        tested.clear()
+        stalls.clear()
+        out = run_json(capsys, ["analyze", str(path)])
+        report = reports[-1]
+        chain = report.connectivity
+        assert report.torsion_free == (chain is not None) == out["torsion_free"]
+        verdicts.append("torsion" if chain is None else "connective" if chain.connective else "core")
+        assert tested == stalls and len(stalls) == (verdicts[-1] != "connective"), doc["name"]
+        if verdicts[-1] == "core":
+            assert tested[0] is chain.core
+    assert tuple(map(verdicts.count, ("connective", "core", "torsion"))) == (73, 13, 14)
 
 
 def test_analyze_json_torus(torus2_file, capsys):
@@ -412,11 +443,7 @@ def test_torsion_input_connective_errors(tmp_path, capsys):
     assert "connective: n/a" in out
 
 
-@pytest.mark.parametrize("argv", [["fixed-torus", "--format", "json"], ["analyze"]])
-def test_a_fixed_torus_of_2_to_the_20_points_is_an_input_error(tmp_path, capsys, argv):
-    """-I in dimension 20 fixes 2^20 points of the dual torus: they are
-    counted, not listed (listing 2^18 took 25 s and 60 MB of JSON)."""
-    k = 20
+def minus_one_file(tmp_path, k):
     minus_one = [[-int(i == j) for j in range(k)] for i in range(k)]
     path = tmp_path / "minus_one.json"
     path.write_text(
@@ -428,6 +455,15 @@ def test_a_fixed_torus_of_2_to_the_20_points_is_an_input_error(tmp_path, capsys,
             }
         )
     )
+    return path
+
+
+@pytest.mark.parametrize("argv", [["fixed-torus", "--format", "json"], ["fixed-torus"]])
+def test_a_fixed_torus_of_2_to_the_20_points_is_an_input_error(tmp_path, capsys, argv):
+    """-I in dimension 20 fixes 2^20 points of the dual torus: they are
+    counted, not listed (listing 2^18 took 25 s and 60 MB of JSON), and
+    `fixed-torus`, whose output is the list, refuses them."""
+    path = minus_one_file(tmp_path, 20)
     start = time.perf_counter()
     assert main([argv[0], str(path), *argv[1:]]) == 2
     elapsed = time.perf_counter() - start
@@ -436,6 +472,25 @@ def test_a_fixed_torus_of_2_to_the_20_points_is_an_input_error(tmp_path, capsys,
         "error: TooManyFixedPoints: the fixed torus has 1048576 points,"
         " more than the limit 4096\n",
     )
+    assert elapsed < 2.0
+
+
+def test_analyze_counts_a_fixed_torus_of_2_to_the_20_points_without_listing_them(
+    tmp_path, capsys
+):
+    """`analyze` reports the rest of the group with `"points": null`: the
+    count is the product of the component orders.  It exited 2, as
+    `fixed-torus` does, for all of -I in dimension 13 to 64."""
+    path = minus_one_file(tmp_path, 20)
+    start = time.perf_counter()
+    doc = run_json(capsys, ["analyze", str(path)])
+    assert main(["analyze", str(path)]) == 0
+    elapsed = time.perf_counter() - start
+    text = capsys.readouterr().out
+    assert doc["fixed_torus"] == {"rank": 0, "component_orders": [2] * 20, "points": None}
+    assert (doc["torsion_free"], doc["connectivity"], doc["characters"]) == (False, None, 2**21)
+    assert f"fixed torus: rank 0, components {' x '.join(['2'] * 20)}\n" in text
+    assert "point" not in text
     assert elapsed < 2.0
 
 

@@ -10,7 +10,6 @@ from bieberbach.crystal import AffineGen, CrystalError, build_group
 from bieberbach.groupfile import document_to_group
 from bieberbach.invariants import (
     MAX_FIXED_POINTS,
-    TooManyFixedPoints,
     abelianization,
     character_count,
     fixed_lattice,
@@ -355,7 +354,9 @@ def test_fixed_torus_klein():
 
 
 def test_fixed_torus_lists_at_most_max_fixed_points():
-    """-I on Z^k fixes the 2^k half-lattice points of the dual torus."""
+    """-I on Z^k fixes the 2^k half-lattice points of the dual torus.
+    Past MAX_FIXED_POINTS they are counted, by the component orders, and
+    not listed."""
     def minus_one(k):
         rows = [[-int(i == j) for j in range(k)] for i in range(k)]
         return build_group(k, [AffineGen.of(rows, (0,) * k)])
@@ -363,8 +364,8 @@ def test_fixed_torus_lists_at_most_max_fixed_points():
     assert 2**12 == MAX_FIXED_POINTS
     ft = fixed_torus(minus_one(12))
     assert ft.component_orders == (2,) * 12 and len(set(ft.points)) == 2**12
-    with pytest.raises(TooManyFixedPoints, match="has 8192 points, more than the limit 4096"):
-        fixed_torus(minus_one(13))
+    ft = fixed_torus(minus_one(13))
+    assert (ft.rank, ft.component_orders, ft.points) == (0, (2,) * 13, None)
 
 
 def test_fixed_torus_points_satisfy_congruence():

@@ -1,5 +1,5 @@
-"""Invariants at scale: real Bott groups of holonomy order 512 and 2048,
-and Hantzsche-Wendt x Bott(10), of order 2048.
+"""Invariants at scale: real Bott groups of holonomy order 512 to 8192,
+and Hantzsche-Wendt x Bott(n), of order 2048 and 8192.
 
 A real Bott group (Kamishima-Masuda, "Cohomological rigidity of real
 Bott manifolds", AGT 2009) is built in closed form from an n x n
@@ -16,8 +16,10 @@ chain peels the n Bott coordinates and stalls at the Hantzsche-Wendt
 core, whose H1 is finite: it is not connective.
 """
 
+import functools
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -143,4 +145,42 @@ def test_analysis_at_order_2048(make_group):
     report.to_document()
     elapsed = time.perf_counter() - start
     assert report.torsion_free and report.connectivity.connective == (group.dim == 12)
+    assert elapsed < 2.0
+
+
+@functools.cache
+def order_8192_group(family):
+    """Each order-8192 group is built once per module (`hw_times_bott(12)`
+    alone takes about 0.7 s); a test reads a fresh copy, `replace(...)`,
+    which shares the elements but nothing computed on them."""
+    return real_bott_group(14) if family == "real_bott_14" else hw_times_bott(12)
+
+
+@pytest.mark.parametrize("family", ["real_bott_14", "hw_x_real_bott_12"])
+def test_analysis_at_order_8192(family):
+    """The whole `analyze` report reads torsion off the Calabi chain.
+    With its own torsion test of the input first, and the chain testing
+    the input again at a stall, it took 1.60-1.64 s (real_bott_14) and
+    1.58-1.60 s (hw_x_real_bott_12) on 2 CPUs, CPython 3.11; testing the
+    core alone, 1.09-1.22 s and 1.02-1.10 s."""
+    group = replace(order_8192_group(family))
+    assert group.holonomy_order == 8192
+    start = time.perf_counter()
+    report = AnalysisReport.compute(group)
+    report.to_document()
+    elapsed = time.perf_counter() - start
+    assert report.torsion_free and report.connectivity.connective == (group.dim == 14)
+    assert elapsed < 2.0
+
+
+def test_hw_times_bott_12_stalls_at_the_hantzsche_wendt_core():
+    """Not connective after 12 peels.  Testing the order-8192 input for
+    torsion at the stall took the chain to 1.07-1.09 s (2 CPUs, CPython
+    3.11); testing the order-4 core, 0.52-0.54 s."""
+    group = replace(order_8192_group("hw_x_real_bott_12"))
+    start = time.perf_counter()
+    report = is_connective(group)
+    elapsed = time.perf_counter() - start
+    assert not report.connective and len(report.chain) == 12
+    assert report.core.dim == 3 and report.core.holonomy_order == 4
     assert elapsed < 2.0

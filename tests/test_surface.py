@@ -274,6 +274,19 @@ def test_the_calabi_peel_reads_no_cayley_graph():
     assert used["edges"] == used["edge_cocycle"] == 0
 
 
+def test_only_the_calabi_chain_decides_torsion():
+    """The chain is the one torsion test: it tests its stall stage, and
+    `analyze` reads its verdict off the chain.  So no module but `crystal`,
+    which defines them, and `calabi` names `torsion_witness` or
+    `is_torsion_free`; the package `__init__` only re-exports them."""
+    modules = source_modules()
+    assert names_in([modules["calabi"]])["is_torsion_free"] > 0
+    for name, tree in modules.items():
+        if name not in ("crystal", "calabi", "__init__"):
+            used = names_in([tree])
+            assert used["torsion_witness"] == used["is_torsion_free"] == 0, name
+
+
 def test_no_test_oracle_is_defined_or_named_in_the_library():
     """The slow predecessors live in `tests/oracles.py` only: no library
     module defines, imports or calls one (no Hermite form, no Smith
