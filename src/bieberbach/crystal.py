@@ -152,7 +152,13 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
     indices, and one `IntMatrix` is made per element at the end.  Each
     edge's cocycle is the quotient by q of the sum reduced to its shift;
     every edge lands on its element's shift, so by induction along the
-    closure every defect is integral.
+    closure every defect is integral.  When q = 1 every shift and every
+    cocycle is zero, and none is computed.
+    The identity is multiplied by every generator, which checks that a
+    repeated matrix repeats its translation mod Z^k and that an identity
+    matrix has an integral one; every other element only by the first
+    generator with each distinct non-identity matrix, since the others
+    act as it does, or trivially.
     Raises ClosureBudgetExceeded or HolonomyNotFaithful when the input is
     not crystallographic in standard form.
     """
@@ -166,15 +172,10 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
     q = lcm(*(g.denominator for g in gens))
     orbit = list(IntMatrix.identity(dim).entries)
     orbit_index = {row: r for r, row in enumerate(orbit)}
-    actions = [  # each generator's rows, its translation times q, and
-        # its images and dots on the orbit rows reached so far
-        (
-            g.matrix.entries,
-            tuple(x * (q // g.denominator) % q for x in g.shift),
-            {},
-            {},
-        )
-        for g in gens
+    actions = [  # each generator's position and rows, its translation
+        # times q, and its images and dots on the orbit rows reached so far
+        (pos, g.matrix.entries, tuple(x * (q // g.denominator) % q for x in g.shift), {}, {})
+        for pos, g in enumerate(gens)
     ]
 
     def extend(rows, u, image, dot, key):
@@ -193,23 +194,30 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
                 image[o] = orbit_index.setdefault(new, len(orbit))
                 if image[o] == len(orbit):
                     orbit.append(new)
-                dot[o] = sum(map(mul, row, u))
+                if q > 1:
+                    dot[o] = sum(map(mul, row, u))
 
+    zero = (0,) * dim
     keys = [tuple(range(dim))]  # each element's matrix, as orbit rows
-    shifts = [(0,) * dim]
+    shifts = [zero]
     index_of = {keys[0]: 0}
-    right: list[list[int]] = []  # right[i][g]: element i times generator g
-    defects: list[list[tuple[int, ...]]] = []  # defects[i][g]: the cocycle of that edge
+    right: list[tuple[int, ...]] = []  # right[i][j]: element i times holonomy generator j
+    defects: list[tuple[tuple[int, ...], ...]] = []  # defects[i][j]: the cocycle of that edge
+    active = actions  # the identity meets every generator
     for i, (key, t) in enumerate(zip(keys, shifts)):  # both lists grow as we go
         row, defect_row = [], []
-        for pos, (rows, u, image, dot) in enumerate(actions):
+        for pos, rows, u, image, dot in active:
             try:
                 mat = tuple(map(image.__getitem__, key))
             except KeyError:
                 extend(rows, u, image, dot, key)
                 mat = tuple(map(image.__getitem__, key))
-            total = list(map(add, map(dot.__getitem__, key), t))
-            shift = tuple(map(q.__rmod__, total))
+            if q > 1:
+                total = list(map(add, map(dot.__getitem__, key), t))
+                shift = tuple(map(q.__rmod__, total))
+                defect_row.append(tuple(map(q.__rfloordiv__, total)))
+            else:
+                shift = zero
             idx = index_of.get(mat)
             if idx is None:
                 idx = index_of[mat] = len(keys)
@@ -225,12 +233,14 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
                     "holonomy matrix; the lattice is not maximal abelian"
                 )
             row.append(idx)
-            defect_row.append(tuple(map(q.__rfloordiv__, total)))
-        right.append(row)
-        defects.append(defect_row)
+        if i == 0:  # the first input generator with each holonomy generator's matrix
+            positions = [row.index(g) for g in dict.fromkeys(row) if g != 0]
+            active = [actions[pos] for pos in positions]
+            row = [row[pos] for pos in positions]
+        right.append(tuple(row))
+        if q > 1:  # the identity's defects, like its row, for the holonomy generators only
+            defects.append(tuple(defect_row if i else map(defect_row.__getitem__, positions)))
 
-    # the first input generator with each holonomy generator's matrix
-    positions = [right[0].index(g) for g in dict.fromkeys(right[0]) if g != 0]
     elements = tuple(
         AffineGen._trusted(IntMatrix._trusted(tuple(map(orbit.__getitem__, key)), dim), shift, q)
         for key, shift in zip(keys, shifts)
@@ -240,8 +250,8 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
         dim=dim,
         generators=gens,
         elements=elements,
-        edges=tuple(tuple(row[pos] for pos in positions) for row in right),
-        edge_cocycle=tuple(tuple(row[pos] for pos in positions) for row in defects),
+        edges=tuple(right),
+        edge_cocycle=tuple(defects) if q > 1 else ((zero,) * len(positions),) * len(keys),
     )
 
 

@@ -276,6 +276,70 @@ def test_random_rotations_build_or_fail_like_the_matrix_build(q):
     assert None in outcomes and HolonomyNotFaithful in outcomes
 
 
+# ---------------------------------------------------------------- repeated and identity generators
+
+def moved(g, vector):
+    """g with `vector` added to its translation."""
+    return AffineGen(g.matrix, tuple(x + v for x, v in zip(translation_of(g), vector)))
+
+
+def test_a_repeat_moved_by_a_lattice_vector_builds_like_the_matrix_build():
+    x, y = catalog_get("hw").group.generators
+    for gens in ([x, y, moved(x, (1, -2, 3))], [x, moved(y, (0, 0, -1)), y]):
+        group = assert_builds_alike(3, gens)
+        assert group is not None and group.holonomy_order == 4
+        assert len(group.holonomy_generator_indices()) == 2
+
+
+def test_a_repeat_moved_by_a_half_is_not_faithful_like_the_matrix_build():
+    x, y = catalog_get("hw").group.generators
+    gens = [x, y, moved(x, (F(1, 2), 0, 0))]
+    assert assert_builds_alike(3, gens) is None
+    with pytest.raises(HolonomyNotFaithful) as caught:
+        build_group(3, gens)
+    assert str(caught.value) == (
+        "element 1 and element 0 times generator 2 share a holonomy matrix; "
+        "the lattice is not maximal abelian"
+    )
+
+
+def lattice_translation(vector):
+    k = len(vector)
+    return AffineGen.of([[int(r == c) for c in range(k)] for r in range(k)], vector)
+
+
+def integral_b3():
+    """The dim-3 signed permutations (order 48), on generators with
+    nonzero integral translations, so q = 1."""
+    return [
+        AffineGen.of([[0, 0, 1], [1, 0, 0], [0, 1, 0]], (1, -2, 0)),
+        AffineGen.of([[-1, 0, 0], [0, 1, 0], [0, 0, 1]], (3, 0, 7)),
+        AffineGen.of([[0, 1, 0], [1, 0, 0], [0, 0, 1]], (0, 0, -1)),
+    ]
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_identity_matrix_generators_build_like_the_matrix_build(q):
+    """Lattice translations before, between and after the other
+    generators of `integral_b3` (q = 1) or of the Hantzsche-Wendt group
+    (q = 2) change nothing."""
+    others = integral_b3() if q == 1 else list(catalog_get("hw").group.generators)
+    e1, e2, e3 = (lattice_translation(v) for v in [(1, 0, 0), (0, -2, 5), (0, 0, 0)])
+    plain = build_group(3, others)
+    a, b = others[0], others[1:]
+    for gens in ([e1, *others], [a, e2, *b], [*others, e3], [e1, a, e2, *b, e3]):
+        group = assert_builds_alike(3, gens)
+        assert group is not None and group.denominator == q
+        assert group.elements == plain.elements and group.edges == plain.edges
+
+
+def test_integral_translations_give_zero_shifts_and_cocycles_like_the_matrix_build():
+    group = assert_builds_alike(3, integral_b3())
+    assert group is not None and group.holonomy_order == 48 and group.denominator == 1
+    assert all(e.shift == (0, 0, 0) for e in group.elements)
+    assert {c for row in group.edge_cocycle for c in row} == {(0, 0, 0)}
+
+
 # ---------------------------------------------------------------- no n x n table
 
 def signed_permutations_4():
