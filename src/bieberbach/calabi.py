@@ -35,7 +35,6 @@ a group with torsion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from math import gcd
 from operator import mul
 from typing import ClassVar
@@ -226,30 +225,15 @@ def calabi_kernel(group: CrystalGroup, surj: SurjectionToZ) -> CalabiStep:
 
 
 def _generating_subset(group: CrystalGroup, members: tuple[int, ...]) -> list[int]:
-    """A greedy generating set of the holonomy subgroup `members`, which
-    lists the identity first: walked in order, an element not yet reached
-    becomes a generator.  The reached elements are closed as each one
-    joins: the subgroup reached before it is multiplied by it on the
-    right, and each element reached after that by every generator.  Each
-    generator at least doubles the reached subgroup, so there are at most
-    log2 |members| of them, found with O(|members| |gens|) products."""
-    times = group.holonomy.times
-    gens: list[int] = []
-    reached, seen = [0], {0}
+    """A greedy generating set of the holonomy subgroup `members`: walked
+    in order, an element joins when the subgroup the earlier ones
+    generate (`FiniteGroup.subgroup`) misses it.  By Lagrange each one at
+    least doubles that subgroup, so there are at most log2 |members|."""
+    holonomy, gens, reached = group.holonomy, [], frozenset({0})
     for s in members:
-        if s in seen:
-            continue
-        gens.append(s)
-        start = len(reached)
-        for x in reached[:start]:  # a coset of the reached subgroup, all new
-            reached.append(times(x, s))
-        seen.update(reached[start:])
-        for x in islice(reached, start, None):  # the list grows as we go
-            for g in gens:
-                y = times(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    reached.append(y)
+        if s not in reached:
+            gens.append(s)
+            reached = holonomy.subgroup(gens)
     return gens
 
 
@@ -262,7 +246,7 @@ def _lattice(dim: int, name: str) -> CrystalGroup:
     the identity alone, with no generators and no edges."""
     identity = AffineGen._trusted(IntMatrix.identity(dim), (0,) * dim, 1)
     return CrystalGroup(
-        name=name, dim=dim, generators=(), elements=(identity,), edges=((),), edge_cocycle=((),)
+        name=name, generators=(), elements=(identity,), edges=((),), edge_cocycle=((),)
     )
 
 

@@ -286,9 +286,12 @@ def cmd_center(args) -> int:
     group = _load(args)
     fl = fixed_lattice(group)
     doc = {"rank": fl.rank, "basis": [list(v) for v in fl.basis]}
-    text = [f"center rank: {fl.rank}"]
-    text.extend(f"  basis: ({', '.join(map(str, v))})" for v in fl.basis)
-    _emit(doc, args.format, lambda: "\n".join(text))
+
+    def text() -> str:
+        basis = "".join(f"\n  basis: ({', '.join(map(str, v))})" for v in fl.basis)
+        return f"center rank: {fl.rank}{basis}"
+
+    _emit(doc, args.format, text)
     return 0
 
 
@@ -306,16 +309,17 @@ def cmd_fixed_torus(args) -> int:
         "tangent_basis": [_rat_list(v) for v in ft.tangent_basis],
         "points": None if ft.points is None else [_rat_list(p) for p in ft.points],
     }
-    text = [
-        f"fixed torus rank: {ft.rank}",
-        "components: "
-        + (" x ".join(str(d) for d in ft.component_orders) if ft.component_orders else "none"),
-    ]
-    if ft.points is not None:
-        # additive coordinates mod 1; an entry 1/2 is the character value -1
-        text.append(f"points ({len(ft.points)}):")
-        text.extend(f"  ({', '.join(_rat_list(p))})" for p in ft.points)
-    _emit(doc, args.format, lambda: "\n".join(text))
+
+    def text() -> str:
+        components = " x ".join(map(str, ft.component_orders)) or "none"
+        lines = [f"fixed torus rank: {ft.rank}", f"components: {components}"]
+        if ft.points is not None:
+            # additive coordinates mod 1; an entry 1/2 is the character value -1
+            lines.append(f"points ({len(ft.points)}):")
+            lines.extend(f"  ({', '.join(p)})" for p in doc["points"])
+        return "\n".join(lines)
+
+    _emit(doc, args.format, text)
     return 0
 
 
@@ -370,15 +374,21 @@ def cmd_holonomy(args) -> int:
     group = _load(args)
     d = group.holonomy
     doc: dict = {"order": d.order, "structure": structure_name(d)}
-    lines = [f"holonomy order {d.order}: {doc['structure']}"]
     if args.primitivity:
         doc["primitive"] = is_primitive(d)
-        lines.append(f"primitive: {'yes' if doc['primitive'] else 'no'}")
     if args.coprime_class:
         orders = in_coprime_class(d)
         doc["coprime_class"] = _coprime_document(orders)
-        lines.append(f"coprime class: {_coprime_text(orders)}")
-    _emit(doc, args.format, lambda: "\n".join(lines))
+
+    def text() -> str:
+        lines = [f"holonomy order {d.order}: {doc['structure']}"]
+        if args.primitivity:
+            lines.append(f"primitive: {'yes' if doc['primitive'] else 'no'}")
+        if args.coprime_class:
+            lines.append(f"coprime class: {_coprime_text(orders)}")
+        return "\n".join(lines)
+
+    _emit(doc, args.format, text)
     return 0
 
 
@@ -396,14 +406,18 @@ def cmd_orbits(args) -> int:
         "stabilizer_elements": list(record.stabilizer),
         "stabilizer_order": len(record.stabilizer),
     }
-    lines = [
-        f"character: ({', '.join(_rat_list(record.character))})",
-        f"orbit size: {record.index}",
-        f"stabilizer order: {len(record.stabilizer)}"
-        f" (elements {', '.join(map(str, record.stabilizer))})",
-    ]
-    lines.extend(f"  orbit point: ({', '.join(_rat_list(p))})" for p in record.orbit)
-    _emit(doc, args.format, lambda: "\n".join(lines))
+
+    def text() -> str:
+        lines = [
+            f"character: ({', '.join(doc['character'])})",
+            f"orbit size: {record.index}",
+            f"stabilizer order: {len(record.stabilizer)}"
+            f" (elements {', '.join(map(str, record.stabilizer))})",
+        ]
+        lines.extend(f"  orbit point: ({', '.join(p)})" for p in doc["orbit"])
+        return "\n".join(lines)
+
+    _emit(doc, args.format, text)
     return 0
 
 

@@ -111,11 +111,15 @@ class CrystalGroup:
     finite group on that graph."""
 
     name: str
-    dim: int
     generators: tuple[AffineGen, ...]
     elements: tuple[AffineGen, ...]
     edges: tuple[tuple[int, ...], ...]
     edge_cocycle: tuple[tuple[tuple[int, ...], ...], ...]
+
+    @property
+    def dim(self) -> int:
+        """The lattice rank k, the size of the first element's matrix."""
+        return self.elements[0].matrix.rows
 
     @property
     def holonomy_order(self) -> int:
@@ -158,7 +162,8 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
     repeated matrix repeats its translation mod Z^k and that an identity
     matrix has an integral one; every other element only by the first
     generator with each distinct non-identity matrix, since the others
-    act as it does, or trivially.
+    act as it does, or trivially.  After the identity's row, a generator
+    whose trace shows infinite order fails at once, as the budget would.
     Raises ClosureBudgetExceeded or HolonomyNotFaithful when the input is
     not crystallographic in standard form.
     """
@@ -237,6 +242,8 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
             positions = [row.index(g) for g in dict.fromkeys(row) if g != 0]
             active = [actions[pos] for pos in positions]
             row = [row[pos] for pos in positions]
+            if any(_has_infinite_order(gens[pos].matrix) for pos in positions):
+                raise ClosureBudgetExceeded(f"holonomy closure exceeded {closure_budget} elements")
         right.append(tuple(row))
         if q > 1:  # the identity's defects, like its row, for the holonomy generators only
             defects.append(tuple(defect_row if i else map(defect_row.__getitem__, positions)))
@@ -247,12 +254,21 @@ def build_group(dim: int, gens, name: str = "", closure_budget: int = 10_000) ->
     )
     return CrystalGroup(
         name=name,
-        dim=dim,
         generators=gens,
         elements=elements,
         edges=tuple(right),
         edge_cocycle=tuple(defects) if q > 1 else ((zero,) * len(positions),) * len(keys),
     )
+
+
+def _has_infinite_order(matrix: IntMatrix) -> bool:
+    """Whether the trace shows that the k x k `matrix`, not I, has infinite
+    order: a matrix of finite order is diagonalizable with roots of unity
+    for eigenvalues, so |tr A| <= k, with equality only at A = +-I."""
+    k, rows = matrix.rows, matrix.entries
+    if abs(sum(rows[r][r] for r in range(k))) < k:
+        return False
+    return rows != tuple(tuple(-x for x in row) for row in IntMatrix.identity(k).entries)
 
 
 def norm_solution(norm: IntMatrix, b, p: int) -> tuple[int, ...] | None:
@@ -293,11 +309,9 @@ def torsion_witness(group: CrystalGroup) -> TorsionWitness | None:
         p = holonomy.orders[s]
         if s in seen or any(p % d == 0 for d in range(2, p)):
             continue
-        powers = [0, s]
-        while len(powers) < p:
-            powers.append(holonomy.times(powers[-1], s))
-        seen.update(powers)
-        rows = zip(*(elements[x].matrix.entries for x in powers))
+        cyclic = holonomy.subgroup((s,))
+        seen |= cyclic
+        rows = zip(*(elements[x].matrix.entries for x in cyclic))
         norm = IntMatrix._trusted(tuple(tuple(map(sum, zip(*r))) for r in rows), group.dim)
         minus_v = [-y // q for y in norm.apply(elem.shift)]  # N_s t_s is integral
         lam = norm_solution(norm, minus_v, p)

@@ -7,10 +7,12 @@ edges, for the crystallographic group's H1.  Element orders and G/G'
 decide Hiller-Sah primitivity and recognize iterated coprime
 semidirect products of cyclic groups, at any order, as the tuple of
 their cyclic orders: by P. Hall's theorem each level's normal Hall
-subgroup is found by a count, with no closure (`_coprime_tree`).  Only
-the subgroup lattice `all_subgroups`, a tuple of element sets, reads
-the n x n table; it is brute force on purpose, and no command calls it
-(the benchmark's probe times it).
+subgroup is found by a count, with no closure (`_coprime_tree`).  One
+walk of the graph closes a subgroup on a seed (`FiniteGroup.subgroup`):
+the Calabi kernels, the torsion test and the subgroup lattice
+`all_subgroups` all close their subgroups with it.  The lattice, a tuple
+of element sets, is brute force on purpose, and no command calls it (the
+benchmark's probe times it).
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ def computed_once(func):
 class FiniteGroup:
     """A finite group as the Cayley graph of a generating set:
     `edges[x][j]` is x g_j, and element 0 is the identity.  Everything
-    else is read off the graph on first use."""
+    else is read off the graph on first use, and a subgroup is closed by
+    walking it (`subgroup`); there is no n x n table."""
 
     edges: tuple[tuple[int, ...], ...]
 
@@ -95,18 +98,18 @@ class FiniteGroup:
             orders.append(order)
         return tuple(orders)
 
-    @cached_property
-    def table(self) -> tuple[tuple[int, ...], ...]:
-        """The n x n multiplication table: t = s g_j on its tree edge, so
-        x t = (x s) g_j, one edge per entry."""
-        edges, tree = self.edges, self.spanning_tree
-        rows = []
-        for x in range(self.order):
-            row = [x] * self.order
-            for s, j, t in tree:
-                row[t] = edges[row[s]][j]
-            rows.append(tuple(row))
-        return tuple(rows)
+    def subgroup(self, seed) -> frozenset[int]:
+        """The subgroup `seed` generates: everything reached from the
+        identity by right multiplication with seed elements (`times`).  In
+        a finite group each inverse is a positive power, so that is all."""
+        reached, walk, times = {0}, [0], self.times
+        for x in walk:  # grows as we go
+            for s in seed:
+                y = times(x, s)
+                if y not in reached:
+                    reached.add(y)
+                    walk.append(y)
+        return frozenset(reached)
 
     def tree_lifts(self, labels, k: int) -> tuple[tuple[int, ...], ...]:
         """Each element's lift x_t over k label coordinates, then one
@@ -156,42 +159,26 @@ def finite_group_from_holonomy(group) -> FiniteGroup:
     return group.holonomy
 
 
-def _closure(table, seed) -> frozenset[int]:
-    """The subgroup generated by `seed`: everything reached from the
-    identity by right multiplication with seed elements (in a finite
-    group each inverse is a positive power)."""
-    out = {0}
-    frontier = [0]
-    while frontier:
-        new = []
-        for x in frontier:
-            row = table[x]
-            for g in seed:
-                z = row[g]
-                if z not in out:
-                    out.add(z)
-                    new.append(z)
-        frontier = new
-    return frozenset(out)
-
-
 @computed_once
 def all_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
     """Every subgroup, as the set of its elements: the joins of cyclic
-    subgroups closed under pairwise join.  Deterministic order: by
+    subgroups closed under pairwise join, each join closed on the seeds
+    of its two parts, not on their elements.  Deterministic order: by
     (order, sorted elements).  Enumerated once per group object."""
     found: set[frozenset[int]] = set()
-    fresh = {frozenset({0})} | {_closure(group.table, {g}) for g in range(group.order)}
+    fresh = {group.subgroup((g,)): (g,) for g in range(group.order)}  # each one's seed
     # Round r joins two subgroups new in round r - 1 (round 0: the cyclic
     # ones).  That finds all: a subgroup whose shortest generating list has
     # k entries, 2^(r-1) < k <= 2^r, joins the subgroups spanned by its
     # first and by its last 2^(r-1) entries.  Each needs all of them (else
     # the list would shorten), so by induction each was new in round r - 1.
     while fresh:
-        found |= fresh
-        pairs = itertools.combinations(fresh, 2)
-        # a nested pair's join is one of them
-        fresh = {_closure(group.table, a | b) for a, b in pairs if not (a <= b or b <= a)} - found
+        found.update(fresh)
+        joins = {}
+        for (a, x), (b, y) in itertools.combinations(fresh.items(), 2):
+            if not (a <= b or b <= a):  # a nested pair's join is one of them
+                joins.setdefault(group.subgroup(x + y), x + y)
+        fresh = {join: seed for join, seed in joins.items() if join not in found}
     return tuple(sorted(found, key=lambda s: (len(s), sorted(s))))
 
 

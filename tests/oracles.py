@@ -1,6 +1,7 @@
 """Test oracles, each kept once: the slow predecessors of the library's
 fast paths (the Hermite form, rational and Smith solves, rational
 vectors and translations, element normal forms and products, the
+multiplication table and the subgroup closure over it, the
 table-verified finite group, normality of its subgroups and their
 Sylow, quotient and coprime-split checks), the brute-force torsion and
 gcd-of-minors checks, the exhaustive (Z/2)^2 search behind the
@@ -19,7 +20,7 @@ from math import gcd
 from pathlib import Path
 
 from bieberbach.crystal import AffineGen, CrystalError, CrystalGroup, build_group, is_torsion_free
-from bieberbach.finite import FiniteGroup, _closure, _prime_factors, all_subgroups
+from bieberbach.finite import FiniteGroup, _prime_factors, all_subgroups, computed_once
 from bieberbach.invariants import abelianization
 from bieberbach.linalg import IntMatrix, _as_int, determinant, smith_normal_form
 
@@ -283,6 +284,40 @@ def brute_force_torsion(group, box=4):
 
 # ---------------------------------------------------------------- finite groups
 
+@computed_once
+def mult_table(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The n x n multiplication table, built once per group object: t =
+    s g_j on its spanning-tree edge, so x t = (x s) g_j, one edge per
+    entry."""
+    edges, tree = group.edges, group.spanning_tree
+    rows = []
+    for x in range(group.order):
+        row = [x] * group.order
+        for s, j, t in tree:
+            row[t] = edges[row[s]][j]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _closure(table, seed) -> frozenset[int]:
+    """The subgroup generated by `seed`, over a multiplication table:
+    everything reached from the identity by right multiplication with
+    seed elements (in a finite group each inverse is a positive power)."""
+    out = {0}
+    frontier = [0]
+    while frontier:
+        new = []
+        for x in frontier:
+            row = table[x]
+            for g in seed:
+                z = row[g]
+                if z not in out:
+                    out.add(z)
+                    new.append(z)
+        frontier = new
+    return frozenset(out)
+
+
 def finite_group(table) -> FiniteGroup:
     """Verify a multiplication table as a group law, and return its
     Cayley graph on the generating set that Light's test checks: its
@@ -332,7 +367,7 @@ def greedy_generating_subset(group: FiniteGroup, members) -> tuple[int, ...]:
     for s in members:
         if s not in reached:
             gens.append(s)
-            reached = _closure(group.table, gens)
+            reached = _closure(mult_table(group), gens)
     return tuple(gens)
 
 
@@ -378,7 +413,7 @@ class Subgroup:
 
 
 def is_normal(group: FiniteGroup, elems: frozenset[int]) -> bool:
-    t = group.table  # gH = Hg for every g
+    t = mult_table(group)  # gH = Hg for every g
     return all({t[g][x] for x in elems} == {t[x][g] for x in elems} for g in range(group.order))
 
 
@@ -413,8 +448,8 @@ def has_normal_complement(group: FiniteGroup, part: Subgroup) -> tuple[bool, Sub
 def subgroup_as_group(group: FiniteGroup, elems: frozenset[int]) -> FiniteGroup:
     """The subgroup on its own table (element 0 stays the identity)."""
     ordered = [0] + sorted(e for e in elems if e != 0)
-    index = {e: i for i, e in enumerate(ordered)}
-    table = [[index[group.table[a][b]] for b in ordered] for a in ordered]
+    index, mult = {e: i for i, e in enumerate(ordered)}, mult_table(group)
+    table = [[index[mult[a][b]] for b in ordered] for a in ordered]
     return finite_group(table)
 
 
@@ -425,7 +460,7 @@ def quotient_group(
     element index -> coset index)."""
     if not is_normal(group, normal):
         raise ValueError("quotient by a non-normal subgroup")
-    coset_of = [-1] * group.order
+    coset_of, mult = [-1] * group.order, mult_table(group)
     reps = []
     for g in range(group.order):
         if coset_of[g] != -1:
@@ -433,10 +468,10 @@ def quotient_group(
         idx = len(reps)
         reps.append(g)
         for x in normal:
-            coset_of[group.table[g][x]] = idx
+            coset_of[mult[g][x]] = idx
     # identity coset must be index 0: rep 0 is the identity element
     table = [
-        [coset_of[group.table[reps[a]][reps[b]]] for b in range(len(reps))]
+        [coset_of[mult[reps[a]][reps[b]]] for b in range(len(reps))]
         for a in range(len(reps))
     ]
     return finite_group(table), tuple(coset_of)
@@ -474,7 +509,7 @@ def coprime_split_properties(
     if K.elements & C.elements != {0}:
         raise ValueError("parts intersect nontrivially")
 
-    checks = []
+    checks, mult = [], mult_table(group)
     for sub in subgroups(group):
         if not sub.is_normal:
             continue
@@ -488,7 +523,7 @@ def coprime_split_properties(
         )
         mk = sub.elements & K.elements
         mc = sub.elements & C.elements
-        products = {group.table[x][y] for x in mk for y in mc}
+        products = {mult[x][y] for x in mk for y in mc}
         subgroup_ok = products == sub.elements
         checks.append(
             SplitCheck(

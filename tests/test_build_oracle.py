@@ -33,8 +33,8 @@ from bieberbach.crystal import (
 )
 from bieberbach.linalg import IntMatrix
 from oracles import (
-    affine_product, inverses, random_signed_permutation, reconstruct_element, translation_of,
-    vec_add, vec_mod1, vec_sub
+    affine_product, inverses, mult_table, random_signed_permutation, reconstruct_element,
+    translation_of, vec_add, vec_mod1, vec_sub
 )
 
 
@@ -56,7 +56,7 @@ def full_cocycle(group):
     q = lcm(*(x.denominator for e in es for x in translation_of(e)))
     shifts = [tuple(x.numerator * (q // x.denominator) for x in translation_of(e)) for e in es]
     rows = []
-    for s, (e, t_s, products) in enumerate(zip(es, shifts, group.holonomy.table)):
+    for s, (e, t_s, products) in enumerate(zip(es, shifts, mult_table(group.holonomy))):
         row = []
         for t, (t_t, st) in enumerate(zip(shifts, products)):
             defect = [a + b - c for a, b, c in zip(e.matrix.apply(t_t), t_s, shifts[st])]
@@ -159,13 +159,13 @@ def fraction_build_group(
             )
         seen_matrices[mat] = idx
 
-    mult_table = []
+    rows = []
     for i in range(n):
         row = []
         for j in range(n):
             row.append(index_of[compose(pairs[i], pairs[j])])
-        mult_table.append(tuple(row))
-    mult = tuple(mult_table)
+        rows.append(tuple(row))
+    mult = tuple(rows)
 
     inverse = [0] * n
     for i in range(n):
@@ -233,9 +233,9 @@ def assert_same_group(old, new):
         assert (mine.matrix, translation_of(mine)) == (e.matrix, translation_of(e))
         assert new.holonomy.orders[perm[i]] == old.orders[i]
         assert new_inverses[perm[i]] == perm[old.inverse[i]]
-    n = old.holonomy_order
+    n, mult = old.holonomy_order, mult_table(new.holonomy)
     for i, j in itertools.product(range(n), repeat=2):
-        assert new.holonomy.table[perm[i]][perm[j]] == perm[old.mult[i][j]]
+        assert mult[perm[i]][perm[j]] == perm[old.mult[i][j]]
     new_index = {e.matrix: i for i, e in enumerate(new.elements)}
     images = tuple(new_index[g.matrix] for g in new.generators)
     assert images == tuple(perm[x] for x in old.generator_images)
@@ -407,7 +407,7 @@ def diagonal_z2_7():
 
 def check_group_axioms(g, samples):
     n = g.holonomy_order
-    mult, inverse = g.holonomy.table, inverses(g.holonomy)
+    mult, inverse = mult_table(g.holonomy), inverses(g.holonomy)
     identity = g.elements[0]
     assert identity.matrix == IntMatrix.identity(g.dim)
     assert translation_of(identity) == (F(0),) * g.dim

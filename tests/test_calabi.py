@@ -23,16 +23,16 @@ from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.crystal import (
     AffineGen, CrystalError, CrystalGroup, build_group, is_torsion_free, torsion_witness
 )
-from bieberbach.finite import _closure, finite_group_from_holonomy, in_coprime_class
+from bieberbach.finite import finite_group_from_holonomy, in_coprime_class
 from bieberbach.groupfile import document_to_group
 from bieberbach.invariants import abelianization, dual_action_smith, fixed_lattice, fixed_torus
 from bieberbach.linalg import (
     IntMatrix, determinant, integer_kernel, row_smith_basis, smith_normal_form
 )
 from oracles import (
-    corpus_items, frac_vector, from_columns, greedy_generating_subset, hermite_normal_form,
-    hw_group, inverses, invert_unimodular, klein_bottle, rational_solve, solve_integer_linear,
-    torus, translation_of, vec_add
+    _closure, corpus_items, frac_vector, from_columns, greedy_generating_subset,
+    hermite_normal_form, hw_group, inverses, invert_unimodular, klein_bottle, mult_table,
+    rational_solve, solve_integer_linear, torus, translation_of, vec_add
 )
 from test_build_oracle import full_cocycle
 from test_invariants import presentation_map, signed_permutation_group
@@ -227,7 +227,7 @@ def all_pairs_check_surjection(group, surj):
     for s in range(n):
         for t in range(n):
             tau = cocycle[s][t]
-            if phi[s] + phi[t] - phi[group.holonomy.table[s][t]] != sum(
+            if phi[s] + phi[t] - phi[mult_table(group.holonomy)[s][t]] != sum(
                 a * b for a, b in zip(f, tau)
             ):
                 raise AssertionError("lift values break the homomorphism property")
@@ -772,7 +772,7 @@ def test_generating_subset_matches_the_table_oracle_on_signed_permutation_groups
     nonabelian = 0
     for _ in range(60):
         g = signed_permutation_group(rng, rng.randint(2, 4))
-        table, n = g.holonomy.table, g.holonomy_order
+        table, n = mult_table(g.holonomy), g.holonomy_order
         nonabelian += any(table[x][y] != table[y][x] for x in range(n) for y in range(n))
         pair = [rng.randrange(n), rng.randrange(n)]
         for members in (tuple(range(n)), tuple(sorted(_closure(table, pair)))):
@@ -1078,7 +1078,7 @@ def test_kernel_validity_across_catalog():
         assert 0 in surviving
         for i in surviving:
             for j in surviving:
-                assert g.holonomy.table[i][j] in surviving, key
+                assert mult_table(g.holonomy)[i][j] in surviving, key
         assert len(surviving) % step.kernel_group.holonomy_order == 0, key
         assert g.holonomy_order % len(surviving) == 0, key
 

@@ -23,11 +23,12 @@ from bieberbach.calabi import NotTorsionFree, connectivity_document, is_connecti
 from bieberbach.catalog import catalog_get, catalog_list
 from bieberbach.cli import main
 from bieberbach.crystal import AffineGen, build_group
-from bieberbach.finite import _closure
 from bieberbach.groupfile import document_to_group, group_to_document
 from bieberbach.linalg import IntMatrix, smith_normal_form
 from test_build_oracle import full_cocycle
-from oracles import corpus_items, from_columns, rational_solve, translation_of, vec_add
+from oracles import (
+    _closure, corpus_items, from_columns, mult_table, rational_solve, translation_of, vec_add
+)
 from test_calabi import seeded_chain_groups
 from test_invariants import full_element_h1
 
@@ -82,7 +83,7 @@ def verify_step(stage, step):
     cocycle = full_cocycle(stage)
     check(
         all(
-            phi[s] + phi[t] - phi[stage.holonomy.table[s][t]] == dot(f, cocycle[s][t])
+            phi[s] + phi[t] - phi[mult_table(stage.holonomy)[s][t]] == dot(f, cocycle[s][t])
             for s in range(n)
             for t in range(n)
         ),
@@ -154,7 +155,7 @@ def verify_step(stage, step):
         lifted.append(s)
     check(len(set(lifted)) == len(lifted), "two kernel generators lift one element")
     check(
-        _closure(stage.holonomy.table, lifted) == set(kernel_holonomy),
+        _closure(mult_table(stage.holonomy), lifted) == set(kernel_holonomy),
         "kernel generators do not generate the kernel holonomy",
     )
 
@@ -401,7 +402,7 @@ def test_kernel_generators_that_miss_part_of_the_kernel_holonomy_are_rejected():
                 if kernel_generator(stage, step, s, step["lift_corrections"][pos_s]) == g
             ]
             assert len(lifted) == len(gens)
-            spare = max(_closure(stage.holonomy.table, lifted[:-1]) - set(lifted[:-1]))
+            spare = max(_closure(mult_table(stage.holonomy), lifted[:-1]) - set(lifted[:-1]))
             lam = step["lift_corrections"][kernel_holonomy.index(spare)]
             swapped = gens[:-1] + [kernel_generator(stage, step, spare, lam)]
             bad = edited(cert, ("chain", pos, "kernel", "generators"), swapped)

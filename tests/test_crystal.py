@@ -15,7 +15,7 @@ from bieberbach.groupfile import document_to_group, group_to_document
 from bieberbach.linalg import IntMatrix
 from oracles import (
     NotInGroup, affine_identity, affine_product, brute_force_torsion, corpus_items,
-    element_normal_form, hw_group, inverses, klein_bottle, random_signed_permutation,
+    element_normal_form, hw_group, inverses, klein_bottle, mult_table, random_signed_permutation,
     reconstruct_element, solve_integer_linear, torus, translation_of
 )
 from test_build_oracle import full_cocycle, random_rotation_generator
@@ -116,12 +116,12 @@ def test_cocycle_identity_rows():
 def test_cocycle_associativity():
     # tau(s,t) + tau(st,u) = A(s) tau(t,u) + tau(s,tu), for all triples
     for g in (hw_group(), klein_bottle()):
-        n = g.holonomy_order
+        n, mult = g.holonomy_order, mult_table(g.holonomy)
         c = full_cocycle(g)
         for s, t, u in itertools.product(range(n), repeat=3):
-            left = tuple(a + b for a, b in zip(c[s][t], c[g.holonomy.table[s][t]][u]))
+            left = tuple(a + b for a, b in zip(c[s][t], c[mult[s][t]][u]))
             right = tuple(
-                a + b for a, b in zip(g.elements[s].matrix.apply(c[t][u]), c[s][g.holonomy.table[t][u]])
+                a + b for a, b in zip(g.elements[s].matrix.apply(c[t][u]), c[s][mult[t][u]])
             )
             assert left == right
 
@@ -129,7 +129,7 @@ def test_cocycle_associativity():
 def test_mult_table_is_group():
     g = hw_group()
     n = g.holonomy_order
-    mult, inverse = g.holonomy.table, inverses(g.holonomy)
+    mult, inverse = mult_table(g.holonomy), inverses(g.holonomy)
     for i in range(n):
         assert mult[0][i] == i and mult[i][0] == i
         assert mult[i][inverse[i]] == 0
@@ -268,7 +268,7 @@ def test_torsion_agrees_with_brute_force():
     assert [is_torsion_free(g) for g in groups[-2:]] == [False, True]
     w = torsion_witness(quarter)
     s = quarter.holonomy_generator_indices()[0]
-    assert w.order == 2 and w.element == quarter.elements[quarter.holonomy.table[s][s]]
+    assert w.order == 2 and w.element == quarter.elements[mult_table(quarter.holonomy)[s][s]]
     assert_witness_is_torsion(quarter, w)
 
 

@@ -10,10 +10,11 @@ from bieberbach.crystal import AffineGen, ClosureBudgetExceeded, build_group
 from bieberbach.finite import (
     all_subgroups, finite_group_from_holonomy, in_coprime_class, is_primitive, structure_name
 )
+from bieberbach.groupfile import document_to_group
 from oracles import (
-    coprime_split_properties, cyclic_group, direct_product, finite_group, has_normal_complement,
-    hw_group, inverses, is_cyclic, quotient_group, random_signed_permutation, semidirect_cyclic,
-    subgroup_as_group, subgroups, sylow_subgroup
+    _closure, coprime_split_properties, corpus_items, cyclic_group, direct_product, finite_group,
+    has_normal_complement, hw_group, inverses, is_cyclic, mult_table, quotient_group,
+    random_signed_permutation, semidirect_cyclic, subgroup_as_group, subgroups, sylow_subgroup
 )
 from test_invariants import signed_permutation_group
 
@@ -31,13 +32,13 @@ def klein_four():
 
 def brute_force_subgroups(g):
     """Oracle: test every subset containing the identity."""
-    out = set()
+    out, t = set(), mult_table(g)
     n = g.order
     rest = [i for i in range(n) if i != 0]
     for r in range(len(rest) + 1):
         for combo in itertools.combinations(rest, r):
             subset = frozenset(combo) | {0}
-            if all(g.table[a][b] in subset for a in subset for b in subset):
+            if all(t[a][b] in subset for a in subset for b in subset):
                 out.add(subset)
     return out
 
@@ -77,8 +78,8 @@ def test_from_holonomy_equals_the_verified_table():
             continue
     for g in groups:
         trusted = finite_group_from_holonomy(g)
-        verified = finite_group(trusted.table)
-        assert verified.table == trusted.table, g.name
+        verified = finite_group(mult_table(trusted))
+        assert mult_table(verified) == mult_table(trusted), g.name
         assert verified.orders == trusted.orders, g.name
         assert inverses(verified) == inverses(trusted), g.name
 
@@ -107,10 +108,11 @@ def test_constructors_give_the_tables_of_their_group_laws():
     factors = [cyclic_group(1), cyclic_group(4), s3(), klein_four(), semidirect_cyclic(5, 4, 2)]
     for g, h in itertools.product(factors, repeat=2):
         elems = [(a, b) for a in range(g.order) for b in range(h.order)]
-        table = law_table(elems, lambda p, q: (g.table[p[0]][q[0]], h.table[p[1]][q[1]]))
+        g_mult, h_mult = mult_table(g), mult_table(h)
+        table = law_table(elems, lambda p, q: (g_mult[p[0]][q[0]], h_mult[p[1]][q[1]]))
         groups.append((direct_product(g, h), table))
     for d, table in groups:
-        assert d.table == table == finite_group(table).table
+        assert mult_table(d) == table == mult_table(finite_group(table))
 
 
 def test_bad_tables_rejected():
@@ -167,13 +169,13 @@ def test_subgroups_s3_oracle():
 def all_products_closure(g, seed):
     """Oracle for the subgroup generated by `seed`: close the set under
     products in both orders with every element found so far."""
-    out = set(seed) | {0}
+    out, t = set(seed) | {0}, mult_table(g)
     frontier = list(out)
     while frontier:
         new = []
         for x in frontier:
             for y in list(out):
-                for z in (g.table[x][y], g.table[y][x]):
+                for z in (t[x][y], t[y][x]):
                     if z not in out:
                         out.add(z)
                         new.append(z)
@@ -190,6 +192,25 @@ def all_joins_lattice(g):
         if new <= found:
             return found
         found |= new
+
+
+def test_subgroup_closure_matches_the_table_oracle():
+    """`FiniteGroup.subgroup`, a walk of the Cayley graph, against the
+    closure over the n x n table: every cyclic subgroup, and the subgroup
+    of every prefix of the holonomy generators, on the catalog and the
+    seed-1 corpora of all three workloads."""
+    groups = [catalog_get(key).group for key in catalog_list()]
+    for workload in ("analyze", "connective", "lattice"):
+        groups += [document_to_group(item.doc) for item in corpus_items(workload)]
+    for group in groups:
+        g, gens = group.holonomy, group.holonomy_generator_indices()
+        table = mult_table(g)
+        for s in range(g.order):
+            assert g.subgroup((s,)) == _closure(table, (s,)), group.name
+        for k in range(len(gens) + 1):
+            assert g.subgroup(gens[:k]) == _closure(table, gens[:k]), group.name
+        assert len(g.subgroup(gens)) == g.order
+    assert len(groups) > 300 and max(group.holonomy_order for group in groups) >= 48
 
 
 def test_subgroup_lattice_matches_all_joins_oracle():

@@ -5,10 +5,11 @@ and the commands that never build the n x n table.
 it multiplies full matrices on every Cayley-graph edge, and reads the
 n x n multiplication table, the inverses and the element orders off
 that table eagerly.  The library holds each matrix as its rows' indices
-in the orbit of the unit rows, keeps only the Cayley graph, and reads
-the tables off it on first use.  Both close breadth first in the same
-order, so every field must agree index for index, and both must reject
-the same inputs with the same error and message.
+in the orbit of the unit rows and keeps only the Cayley graph; the test
+oracle reads the table off it (`oracles.mult_table`).  Both close
+breadth first in the same order, so every field must agree index for
+index, and both must reject the same inputs with the same error and
+message.
 """
 
 import itertools
@@ -16,7 +17,6 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from operator import mul
 
@@ -34,7 +34,7 @@ from bieberbach.crystal import (
 from bieberbach.finite import FiniteGroup, finite_group_from_holonomy
 from bieberbach.groupfile import document_to_group, group_to_document
 from bieberbach.linalg import IntMatrix
-from oracles import corpus_items, inverses, translation_of
+from oracles import corpus_items, inverses, mult_table, translation_of
 from test_build_oracle import diagonal_z2_7, random_rotation_generator, s5_group
 from test_crystal import oracle_corpus, rank_duality_draws
 
@@ -150,7 +150,7 @@ def assert_same_fields(old: MatrixGroup, new):
     assert new.edges == tuple(tuple(row[g] for g in gens) for row in old.mult)
     assert new.edge_cocycle == old.edge_cocycle
     assert new.holonomy.orders == old.orders
-    assert new.holonomy.table == old.mult
+    assert mult_table(new.holonomy) == old.mult
     assert inverses(new.holonomy) == old.inverse
 
 
@@ -350,19 +350,32 @@ def signed_permutations_4():
     return build_group(4, [AffineGen.of(m, (0,) * 4) for m in (cycle, swap, flip)], name="b4")
 
 
-def count_tables(monkeypatch) -> list:
-    """Counts the n x n tables built, one entry per group object."""
-    built = []
-    build_table = FiniteGroup.table.func
+def record_finite_groups(monkeypatch) -> list:
+    """Records each `FiniteGroup` made from here on."""
+    made = []
+    init = FiniteGroup.__init__
 
-    def counting_build(group):
-        built.append(group)
-        return build_table(group)
+    def recording_init(group, *args, **kwargs):
+        init(group, *args, **kwargs)
+        made.append(group)
 
-    table = cached_property(counting_build)
-    table.__set_name__(FiniteGroup, "table")
-    monkeypatch.setattr(FiniteGroup, "table", table)
-    return built
+    monkeypatch.setattr(FiniteGroup, "__init__", recording_init)
+    return made
+
+
+def tables_held(groups) -> list:
+    """The n x n tables, n rows of n entries, among the values each group
+    of order n >= 2 stores or has cached.  Its Cayley graph has fewer
+    than n generators, so `edges` is no such table."""
+    return [
+        value
+        for group in groups
+        if group.order > 1
+        for value in vars(group).values()
+        if isinstance(value, tuple)
+        and len(value) == group.order
+        and all(isinstance(row, tuple) and len(row) == group.order for row in value)
+    ]
 
 
 def table_free_inputs():
@@ -381,8 +394,8 @@ def test_group_commands_build_no_multiplication_table(monkeypatch, tmp_path, cap
     """Every command, the finite layer's `validate`, `analyze`,
     `decompose` and `holonomy --primitivity --coprime-class` included,
     reads the Cayley graph, its spanning tree, the orders walked along it
-    and G/G' off one Smith form; none builds the n x n table."""
-    built = count_tables(monkeypatch)
+    and G/G' off one Smith form; none leaves an n x n table on a group."""
+    made, recorded = record_finite_groups(monkeypatch), 0
     inputs = table_free_inputs()
     for pos, (doc, char) in enumerate(inputs):
         path = tmp_path / f"{pos}.json"
@@ -403,20 +416,25 @@ def test_group_commands_build_no_multiplication_table(monkeypatch, tmp_path, cap
             for fmt in ("text", "json"):
                 code = main([argv[0], str(path), *argv[1:], "--format", fmt])
                 assert code in (0, 2), (doc["name"], argv, fmt)
+                assert not tables_held(made), (doc["name"], argv, fmt)
+                recorded += len(made)
+                made.clear()
     capsys.readouterr()
-    assert len(inputs) > 300 and not built
+    assert len(inputs) > 300 and recorded > len(inputs)
 
 
-def test_tables_are_built_once_on_demand(monkeypatch):
-    built = count_tables(monkeypatch)
+def test_tables_are_built_once_on_demand():
+    """The library keeps no n x n table; the test oracle builds one on
+    demand, once per group object, and stores it on the group, where
+    `tables_held` finds it."""
     group = signed_permutations_4()
     finite = finite_group_from_holonomy(group)
     assert finite is group.holonomy and finite.edges is group.edges
-    assert finite.orders.count(1) == 1 and not built
-    table = finite.table
-    assert len(built) == 1
+    assert finite.orders.count(1) == 1 and not tables_held([finite])
+    table = mult_table(finite)
+    assert tables_held([finite]) == [table]
     n, inverse = group.holonomy_order, inverses(finite)
     for s, t in itertools.product(range(0, n, 7), range(0, n, 11)):
-        assert finite.table[s][t] == finite.times(s, t)
+        assert mult_table(finite)[s][t] == finite.times(s, t)
         assert table[s][inverse[s]] == 0
-    assert finite.table is table and len(built) == 1
+    assert mult_table(finite) is table

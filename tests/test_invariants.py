@@ -18,7 +18,7 @@ from bieberbach.invariants import (
 )
 from bieberbach.linalg import IntMatrix, integer_kernel, smith_normal_form
 from oracles import (
-    corpus_items, from_columns, hermite_normal_form, hw_group, klein_bottle,
+    corpus_items, from_columns, hermite_normal_form, hw_group, klein_bottle, mult_table,
     random_signed_permutation, torus, translation_of
 )
 from test_build_oracle import full_cocycle, random_rotation_generator
@@ -79,7 +79,7 @@ def full_element_relation_matrix(g):
             col = [-x for x in cocycle[s][t]] + [0] * n
             col[k + s] += 1
             col[k + t] += 1
-            col[k + g.holonomy.table[s][t]] -= 1
+            col[k + mult_table(g.holonomy)[s][t]] -= 1
             columns.append(col)
     return from_columns(columns, rows=k + n)
 
@@ -112,7 +112,7 @@ def cayley_graph_relation_matrix(group):
             col = [-x for x in cocycle[s][g]] + [0] * n
             col[k + s] += 1
             col[k + g] += 1
-            col[k + group.holonomy.table[s][g]] -= 1
+            col[k + mult_table(group.holonomy)[s][g]] -= 1
             columns.append(col)
 
     # duplicate and zero relations do not change the quotient
@@ -283,7 +283,7 @@ def test_presentation_kills_full_element_relations_on_nonabelian_holonomy():
         except CrystalError:
             continue
         n = g.holonomy_order
-        mult = g.holonomy.table
+        mult = mult_table(g.holonomy)
         abelian = all(mult[i][j] == mult[j][i] for i in range(n) for j in range(n))
         if not abelian and any(any(tau) for row in full_cocycle(g) for tau in row):
             groups.append(g)

@@ -20,8 +20,8 @@ from bieberbach.groupfile import document_to_group
 from bieberbach.invariants import abelianization, relation_matrix
 from bieberbach.linalg import IntMatrix, smith_normal_form
 from oracles import (
-    corpus_items, cyclic_group, direct_product, from_columns, inverses, is_cyclic, quotient_group,
-    semidirect_cyclic, subgroup_as_group, sylow_subgroup
+    corpus_items, cyclic_group, direct_product, from_columns, inverses, is_cyclic, mult_table,
+    quotient_group, semidirect_cyclic, subgroup_as_group, sylow_subgroup
 )
 from test_build_oracle import assert_edge_cocycle_is_full, diagonal_z2_7, s5_group
 from test_cli import large_holonomy_documents
@@ -183,7 +183,7 @@ def larger_holonomies():
 def commutator_closure_index(d):
     """|G/G'| as `is_primitive` computed it before G/G' came off the
     Cayley graph: the closure of all n^2 commutators."""
-    t, inv, n = d.table, inverses(d), d.order
+    t, inv, n = mult_table(d), inverses(d), d.order
     commutators = {t[t[inv[a]][inv[b]]][t[a][b]] for a in range(n) for b in range(n)}
     return n // len(all_products_closure(d, commutators))
 
@@ -192,8 +192,8 @@ def quotient_loop_factors(d):
     """`abelian_invariant_factors` before the Smith form: None after an
     n^2 commutativity scan; else split off the cyclic subgroup of an
     element of largest order and repeat on the verified quotient table."""
-    n = d.order
-    if any(d.table[i][j] != d.table[j][i] for i in range(n) for j in range(n)):
+    n, t = d.order, mult_table(d)
+    if any(t[i][j] != t[j][i] for i in range(n) for j in range(n)):
         return None
     factors = []
     while d.order > 1:

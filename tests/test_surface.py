@@ -69,7 +69,7 @@ STORED_FIELDS = {
     ),
     "crystal.AffineGen": ("matrix", "shift", "denominator"),
     "crystal.TorsionWitness": ("element", "correction", "order"),
-    "crystal.CrystalGroup": ("name", "dim", "generators", "elements", "edges", "edge_cocycle"),
+    "crystal.CrystalGroup": ("name", "generators", "elements", "edges", "edge_cocycle"),
     "finite.FiniteGroup": ("edges",),
     "invariants.AbelianInvariants": ("rank", "torsion"),
     "invariants.FixedLattice": ("basis",),
@@ -285,6 +285,21 @@ def test_only_the_calabi_chain_decides_torsion():
         if name not in ("crystal", "calabi", "__init__"):
             used = names_in([tree])
             assert used["torsion_witness"] == used["is_torsion_free"] == 0, name
+
+
+def test_one_subgroup_closure_and_no_multiplication_table():
+    """`FiniteGroup.subgroup` is the one subgroup closure, a walk of the
+    Cayley graph: no module reads a `.table` attribute (the n x n table is
+    the test oracle `oracles.mult_table`) or defines a function
+    `_closure`, and the Calabi kernels (`calabi`), the torsion test
+    (`crystal`) and the subgroup lattice (`finite`) call `.subgroup`."""
+    modules = source_modules()
+    for name, tree in modules.items():
+        assert attributes_in([tree])["table"] == 0, name
+        functions = {n.name for n in ast.walk(tree) if isinstance(n, FUNCTIONS[:2])}
+        assert "_closure" not in functions, name
+    for name in ("calabi", "crystal", "finite"):
+        assert attributes_in([modules[name]])["subgroup"] > 0, name
 
 
 def test_no_test_oracle_is_defined_or_named_in_the_library():
