@@ -38,7 +38,6 @@ from .invariants import (
 from .orbits import (
     Character,
     StabilizerRecord,
-    character,
     orbit_data,
 )
 from .finite import (
@@ -81,7 +80,7 @@ __all__ = [
     "torsion_witness",
     "AbelianInvariants", "FixedLattice", "FixedTorusSubgroup", "TooManyFixedPoints",
     "abelianization", "fixed_lattice", "fixed_torus", "character_count",
-    "Character", "StabilizerRecord", "character", "orbit_data",
+    "Character", "StabilizerRecord", "orbit_data",
     "FiniteGroup", "finite_group_from_holonomy",
     "all_subgroups", "is_primitive", "in_coprime_class", "structure_name",
     "GroupFileError", "document_to_group", "group_to_document", "load_group",

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import prod
+from math import lcm, prod
 
 from .calabi import (
     ConnectivityReport,
@@ -27,6 +27,7 @@ from .crystal import CrystalError, CrystalGroup
 from .finite import in_coprime_class, is_primitive, structure_name
 from .groupfile import (
     GroupFileError,
+    _format_ratio,
     format_rational,
     group_to_document,
     load_group,
@@ -55,6 +56,11 @@ def format_abelian(rank: int, torsion) -> str:
 
 def _rat_list(vec) -> list[str]:
     return [format_rational(x) for x in vec]
+
+
+def _ratio_list(shifts, q: int) -> list[str]:
+    """Each integer shift over q, written as "p/q" or "n"."""
+    return [_format_ratio(x, q) for x in shifts]
 
 
 def _coprime_text(orders: tuple[int, ...] | None) -> str:
@@ -298,24 +304,26 @@ def cmd_center(args) -> int:
 def cmd_fixed_torus(args) -> int:
     group = _load(args)
     ft = fixed_torus(group)
-    if ft.rank == 0 and ft.points is None:  # too many points to list
+    shifts = ft.point_shifts
+    if ft.rank == 0 and shifts is None:  # too many points to list
         raise TooManyFixedPoints(
             f"the fixed torus has {prod(ft.component_orders)} points,"
             f" more than the limit {MAX_FIXED_POINTS}"
         )
+    q = lcm(*ft.component_orders)
     doc = {
         "rank": ft.rank,
         "component_orders": list(ft.component_orders),
-        "tangent_basis": [_rat_list(v) for v in ft.tangent_basis],
-        "points": None if ft.points is None else [_rat_list(p) for p in ft.points],
+        "tangent_basis": [_ratio_list(v, 1) for v in ft.tangent_basis],
+        "points": None if shifts is None else [_ratio_list(p, q) for p in shifts],
     }
 
     def text() -> str:
         components = " x ".join(map(str, ft.component_orders)) or "none"
         lines = [f"fixed torus rank: {ft.rank}", f"components: {components}"]
-        if ft.points is not None:
+        if shifts is not None:
             # additive coordinates mod 1; an entry 1/2 is the character value -1
-            lines.append(f"points ({len(ft.points)}):")
+            lines.append(f"points ({len(shifts)}):")
             lines.extend(f"  ({', '.join(p)})" for p in doc["points"])
         return "\n".join(lines)
 
@@ -394,14 +402,17 @@ def cmd_holonomy(args) -> int:
 
 def cmd_orbits(args) -> int:
     group = _load(args)
+    # a blank --char is the empty character, the one character of Z^0
+    parts = args.char.split(",") if args.char.strip() else ()
     try:
-        chi = tuple(parse_rational(part) for part in args.char.split(","))
+        chi = tuple(parse_rational(part) for part in parts)
     except GroupFileError as exc:
         raise GroupFileError(f"bad character {args.char!r}: {exc}") from exc
     record = orbit_data(chi, group)
+    q = record.denominator
     doc = {
-        "character": _rat_list(record.character),
-        "orbit": [_rat_list(p) for p in record.orbit],
+        "character": _ratio_list(record.shift, q),
+        "orbit": [_ratio_list(p, q) for p in record.orbit_shifts],
         "orbit_size": record.index,
         "stabilizer_elements": list(record.stabilizer),
         "stabilizer_order": len(record.stabilizer),
@@ -438,9 +449,10 @@ def cmd_catalog(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use: parsing
-    leaves it unchanged, so every `main` call shares it."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and, by name, each command's parser, built once on
+    first use: parsing leaves them unchanged, so every `main` call shares
+    them."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format",
@@ -454,9 +466,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact analysis of crystallographic/Bieberbach groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     def add(name, func, help_text, with_file=True):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = commands[name] = sub.add_parser(name, parents=[common], help=help_text)
         if with_file:
             p.add_argument("file", help="group file (JSON)")
         p.set_defaults(func=func)
@@ -478,11 +491,32 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("catalog", cmd_catalog, "built-in example groups", with_file=False)
     p.add_argument("action", choices=("list", "show", "export"))
     p.add_argument("key", nargs="?", help="catalog key for show/export")
-    return parser
+    return parser, commands
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser, with every command as a subparser."""
+    return _parsers()[0]
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, with one parse: a command line
+    that starts with a command goes to that command's own parser.  The
+    full parser runs only where it prints the help or a usage error: no
+    command, an unknown one, or arguments its parser leaves over."""
+    full, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return full.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -6,6 +6,11 @@ tree of the generators' Cayley graph), the fixed lattice of the
 holonomy action, and the fixed subgroup of the dual torus.  For valid
 groups the three ranks agree; the test suite checks that equality
 rather than assuming it.
+
+The points of a finite fixed torus are integer shifts over one
+denominator, the lcm of its component orders, so none of this module's
+computations builds a `Fraction`; `FixedTorusSubgroup.points` is a
+`Fraction` view of those shifts.
 """
 
 from __future__ import annotations
@@ -64,17 +69,25 @@ class FixedTorusSubgroup:
     """Fixed subgroup of the dual torus: a torus spanned by the integer
     vectors `tangent_basis`, times a finite group with the given cyclic
     component orders.  When the rank is 0 the full (finite) fixed-point
-    list is enumerated, up to MAX_FIXED_POINTS points; beyond that
-    `points` is None, and the count is the product of the component
-    orders."""
+    list is enumerated, up to MAX_FIXED_POINTS points, as sorted integer
+    shifts over q = lcm(component orders); beyond that `point_shifts` is
+    None, and the count is the product of the component orders."""
 
     component_orders: tuple[int, ...]
     tangent_basis: tuple[tuple[int, ...], ...]
-    points: tuple[tuple[Fraction, ...], ...] | None
+    point_shifts: tuple[tuple[int, ...], ...] | None
 
     @property
     def rank(self) -> int:
         return len(self.tangent_basis)
+
+    @property
+    def points(self) -> tuple[tuple[Fraction, ...], ...] | None:
+        """The points as `Fraction`s mod 1, or None when they are not listed."""
+        if self.point_shifts is None:
+            return None
+        q = lcm(*self.component_orders)
+        return tuple(tuple(Fraction(x, q) for x in p) for p in self.point_shifts)
 
 
 def _action_matrices(group: CrystalGroup) -> list[IntMatrix]:
@@ -143,23 +156,24 @@ def fixed_torus(group: CrystalGroup) -> FixedTorusSubgroup:
     turns that congruence into independent 1-dimensional conditions:
     zero divisors contribute torus directions, divisors >= 2 contribute
     finite cyclic components.  A finite fixed subgroup of more than
-    MAX_FIXED_POINTS points is counted, not listed: its `points` is None.
+    MAX_FIXED_POINTS points is counted, not listed: its `point_shifts`
+    is None.
     """
     k = group.dim
     snf = dual_action_smith(group)
     divisors = list(snf.divisors) + [0] * (k - len(snf.divisors))
     tangent = tuple(snf.V.column(j) for j, d in enumerate(divisors) if d == 0)
 
-    points = None
+    shifts = None
     if not tangent and prod(divisors) <= MAX_FIXED_POINTS:
         q = lcm(*divisors)  # the points V (c_i / d_i) mod 1, times q
         ranges = [range(0, q, q // d) for d in divisors]
         pts = sorted(tuple(x % q for x in snf.V.apply(c)) for c in itertools.product(*ranges))
-        points = tuple(tuple(Fraction(x, q) for x in p) for p in pts)
+        shifts = tuple(pts)
     return FixedTorusSubgroup(
         component_orders=tuple(d for d in divisors if d >= 2),
         tangent_basis=tangent,
-        points=points,
+        point_shifts=shifts,
     )
 
 

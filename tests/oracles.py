@@ -1,8 +1,8 @@
 """Test oracles, each kept once: the slow predecessors of the library's
 fast paths (the Hermite form, rational and Smith solves, rational
-vectors and translations, element normal forms and products, the
-multiplication table and the subgroup closure over it, the
-table-verified finite group, normality of its subgroups and their
+vectors, characters and translations, element normal forms and
+products, the multiplication table and the subgroup closure over it,
+the table-verified finite group, normality of its subgroups and their
 Sylow, quotient and coprime-split checks), the brute-force torsion and
 gcd-of-minors checks, the exhaustive (Z/2)^2 search behind the
 catalog's frozen entry, the small groups several test modules build,
@@ -221,6 +221,17 @@ def vec_sub(a, b):
 def vec_mod1(vec) -> tuple[Fraction, ...]:
     """Reduce a rational vector into [0, 1)^k."""
     return tuple(Fraction(x) % 1 for x in vec)
+
+
+def character(entries) -> tuple[Fraction, ...]:
+    """A character's entries, ints and `Fraction`s, reduced into [0, 1) as
+    `Fraction`s; any other entry (a float, a string) raises TypeError.
+    The library reduces a character in integers over one denominator."""
+    entries = tuple(entries)
+    for x in entries:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"character entry {x!r} is not an int or a Fraction")
+    return vec_mod1(entries)
 
 
 # ---------------------------------------------------------------- crystallographic elements

@@ -369,6 +369,47 @@ def test_orbits_char_entries_parse_like_translations(hw_file, capsys):
     assert doc == run_json(capsys, ["orbits", hw_file, "--char", "3/4,1/4,0"])
 
 
+@pytest.fixture
+def point_file(tmp_path):
+    path = tmp_path / "pt.json"
+    path.write_text(json.dumps({"name": "pt", "dimension": 0, "generators": []}))
+    return str(path)
+
+
+@pytest.mark.parametrize("char", ["", "  "], ids=["empty", "blank"])
+def test_a_blank_char_is_the_character_of_z0(point_file, capsys, char):
+    """The one character of Z^0 is empty, and a blank `--char` writes it:
+    its orbit is itself and the trivial holonomy fixes it.  It exited 2
+    with `bad character ''`."""
+    assert main(["orbits", point_file, "--char", char]) == 0
+    assert capsys.readouterr() == (
+        "character: ()\n"
+        "orbit size: 1\n"
+        "stabilizer order: 1 (elements 0)\n"
+        "  orbit point: ()\n",
+        "",
+    )
+    assert run_json(capsys, ["orbits", point_file, "--char", char]) == {
+        "character": [],
+        "orbit": [[]],
+        "orbit_size": 1,
+        "stabilizer_elements": [0],
+        "stabilizer_order": 1,
+    }
+
+
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["text", "json"])
+@pytest.mark.parametrize("char", ["", "  "], ids=["empty", "blank"])
+def test_a_blank_char_against_a_positive_dimension_is_a_dimension_mismatch(
+    hw_file, capsys, char, fmt
+):
+    assert main(["orbits", hw_file, "--char", char, *fmt]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: ValueError: character of dim 0 against a dim-3 group\n",
+    )
+
+
 @pytest.mark.parametrize(
     "argv", [["connective"], ["connective", "--certificate", "--format", "json"], ["decompose"]]
 )
@@ -413,6 +454,92 @@ def test_the_shared_parser_keeps_no_options_between_calls(hw_file, torus2_file, 
     assert "certificate" not in doc and doc["connective"] is True
     assert "primitive" in run_json(capsys, ["holonomy", hw_file, "--primitivity"])
     assert "primitive" not in run_json(capsys, ["holonomy", hw_file])
+
+
+def run_main(monkeypatch, capsys, argv, reference=False):
+    """(exit code, stdout, stderr) of `main(argv)`.  The `reference` main
+    parses every command line with the full parser,
+    `build_parser().parse_args(argv)`, as `main` once did."""
+    with monkeypatch.context() as patch:
+        if reference:
+            patch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return (code, *capsys.readouterr())
+
+
+USAGE_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bogus"],
+    ["--format", "json", "analyze", "FILE"],
+    ["analyze"],
+    ["analyze", "FILE", "extra"],
+    ["analyze", "FILE", "--bogus"],
+    ["orbits", "FILE"],
+    ["--format", "xml"],
+    ["analyze", "FILE", "--format", "xml"],
+    ["analyze", "-h"],
+    ["analyze", "FILE", "--form", "json"],
+    ["analyze", "--", "FILE"],
+    ["catalog"],
+    ["catalog", "show"],
+    ["catalog", "bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
+def test_each_command_line_is_parsed_as_the_full_parser_parses_it(
+    hw_file, capsys, monkeypatch, argv
+):
+    """Help, usage errors and the commands themselves give the exit code,
+    stdout and stderr of the reference main, which runs the full parser
+    on every command line."""
+    argv = [hw_file if word == "FILE" else word for word in argv]
+    got = run_main(monkeypatch, capsys, argv)
+    assert got == run_main(monkeypatch, capsys, argv, reference=True)
+    assert got[0] in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fixed-torus", "f.json", "--format", "json"],
+        ["orbits", "--char", "1/4,0,0", "f.json"],
+        ["connective", "--cert", "f.json"],
+        ["holonomy", "f.json", "--coprime-class", "--primitivity", "--format", "text"],
+        ["catalog", "show", "hw"],
+        ["catalog", "list", "--format", "json"],
+        ["analyze", "--", "-f.json"],
+    ],
+    ids=" ".join,
+)
+def test_a_command_parser_gives_the_namespace_of_the_full_parser(argv):
+    assert cli._parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize(
+    "argv", [["fixed-torus", "--format", "json"], ["orbits", "--char", "1/4,0,0"]]
+)
+def test_a_valid_command_line_is_parsed_once_by_its_command_parser(
+    hw_file, capsys, monkeypatch, argv
+):
+    """The full parser calls `parse_known_args` on itself and then on the
+    command's parser; `main` calls only the command's parser."""
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert main([argv[0], hw_file, *argv[1:]]) == 0
+    capsys.readouterr()
+    assert calls == [f"bieberbach {argv[0]}"]
 
 
 def test_the_shared_parser_survives_a_usage_error(hw_file, capsys):
@@ -513,18 +640,63 @@ def string_leaves(value) -> int:
 
 @pytest.mark.parametrize("argv", [["fixed-torus"], ["orbits", "--char", "1/4,0,0"]])
 def test_json_output_formats_each_printed_rational_once(hw_file, capsys, monkeypatch, argv):
-    """`--format json` builds no text form: `format_rational` runs once
+    """`--format json` builds no text form: `_format_ratio` runs once
     per rational the document prints, the only strings in it.  The text
     form, built eagerly, formatted every point a second time."""
     calls = []
 
-    def counting(value):
-        calls.append(value)
-        return groupfile.format_rational(value)
+    def counting(x, q):
+        calls.append((x, q))
+        return groupfile._format_ratio(x, q)
 
-    monkeypatch.setattr(cli, "format_rational", counting)
+    monkeypatch.setattr(cli, "_format_ratio", counting)
     doc = run_json(capsys, [argv[0], hw_file, *argv[1:]])
     assert len(calls) == string_leaves(doc) > 0
+
+
+def fractions_per_op(monkeypatch, tmp_path, capsys, argvs):
+    """For each command line, with FILE standing for the group file, the
+    `Fraction`s `main` builds, counted at `Fraction.__new__`."""
+    made = []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    counts = []
+    for pos, (doc, argv) in enumerate(argvs):
+        path = tmp_path / f"{pos}.json"
+        path.write_text(json.dumps(doc))
+        argv = [str(path) if word == "FILE" else word for word in argv]
+        with monkeypatch.context() as patch:
+            patch.setattr(F, "__new__", staticmethod(counting_new))
+            assert main(argv) == 0
+        capsys.readouterr()
+        counts.append(len(made))
+        made.clear()
+    return counts
+
+
+def test_a_seed1_fixed_torus_pass_builds_no_fraction(monkeypatch, tmp_path, capsys):
+    """The fixed-torus points are integer shifts over one denominator,
+    printed with `_format_ratio`."""
+    items = corpus_items("lattice")
+    argvs = [(item.doc, ["fixed-torus", "FILE", "--format", "json"]) for item in items]
+    assert fractions_per_op(monkeypatch, tmp_path, capsys, argvs) == [0] * len(items)
+
+
+def test_a_seed1_orbits_pass_builds_only_the_fractions_of_its_char(monkeypatch, tmp_path, capsys):
+    """`parse_rational` makes one `Fraction` per `--char` entry; the orbit
+    is computed and printed in integers."""
+    items = corpus_items("lattice")
+    argvs = [
+        (item.doc, ["orbits", "FILE", "--char", item.expect["char"], "--format", "json"])
+        for item in items
+    ]
+    counts = fractions_per_op(monkeypatch, tmp_path, capsys, argvs)
+    entries = [item.expect["char"].count(",") + 1 for item in items]
+    assert all(made <= k for made, k in zip(counts, entries)), (counts, entries)
 
 
 def test_analyze_counts_a_fixed_torus_of_2_to_the_20_points_without_listing_them(

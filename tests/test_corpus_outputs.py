@@ -3,10 +3,10 @@
 The catalog digests in `golden_outputs.json` cover 11 groups.  These
 cover the groups the benchmark runs: every seed-1 group document of the
 `connective`, `analyze` and `lattice` workloads, drawn read-only by
-`perfbench/corpus.py`, goes through the benchmark's own commands, and
-one SHA-256 over all of a command's outputs (the group name, exit code,
-stdout and stderr of each run, in corpus order) must match the digest
-pinned below.  A change that is meant to keep behaviour must keep them.
+`perfbench/corpus.py`, goes through the benchmark's own commands (and
+the text forms of the two `lattice` commands), and one SHA-256 over all
+of a command's outputs (the group name, exit code, stdout and stderr of
+each run, in corpus order) must match the digest pinned below.  A change that is meant to keep behaviour must keep them.
 
 To print the digests of the current code:
 
@@ -42,6 +42,14 @@ DIGESTS = {
     "orbits --char --format json": (
         "lattice",
         "d6faf3c65ee585f43d2952088b1a152c1728888f12a009fdee794118cb3e1474",
+    ),
+    "fixed-torus": (
+        "lattice",
+        "07b4d8b2bf4f4a21c2fe3ae6276caeea7637a9c1e1b12dbd35dd2750e3542db1",
+    ),
+    "orbits --char": (
+        "lattice",
+        "b60adb90dc0d61df0472c296ebe1e3c2a03def320c37a0fe106cbf4329f49235",
     ),
 }
 
