@@ -494,7 +494,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, commands
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The full parser, with every command as a subparser."""
     return _parsers()[0]

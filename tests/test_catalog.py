@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
+from bieberbach import catalog
 from bieberbach.calabi import is_connective
 from bieberbach.catalog import UnknownKey, catalog_get, catalog_list
 from bieberbach.crystal import is_torsion_free
 from bieberbach.finite import finite_group_from_holonomy, structure_name
+from bieberbach.groupfile import group_to_document
 from bieberbach.invariants import abelianization, fixed_torus
 from oracles import affine_product, is_cyclic, search_connective_c2c2
 
@@ -90,3 +94,30 @@ def test_c2c2_search_reproduces_frozen_entry():
     g1, g2 = search_connective_c2c2()
     frozen = catalog_get("dim3_c2c2_connective").group.generators
     assert (g1, g2) == frozen
+
+
+def test_building_the_catalog_builds_no_fraction(monkeypatch):
+    """Every entry is read from its document in integers: building the
+    catalog constructs no `Fraction`, counted at `Fraction.__new__`."""
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    catalog._entries.cache_clear()
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    keys = catalog_list()
+    monkeypatch.undo()
+    assert len(keys) == 11
+    assert made == []
+
+
+def test_each_stored_document_is_the_exported_document():
+    """The catalog's table holds each group's document as
+    `group_to_document` writes it, so `catalog export` prints it verbatim."""
+    docs = [doc for doc, _ in catalog._TABLE]
+    assert [doc["name"] for doc in docs] == catalog_list()
+    for doc in docs:
+        assert doc == group_to_document(catalog_get(doc["name"]).group), doc["name"]

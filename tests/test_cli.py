@@ -197,11 +197,28 @@ def test_orbits(hw_file, capsys):
     assert ["3/4", "0", "0"] in doc["orbit"]
 
 
+CATALOG_ORDER = [
+    "torus_1",
+    "torus_2",
+    "torus_3",
+    "torus_4",
+    "klein_bottle",
+    "hw",
+    "dim3_c2",
+    "dim3_c3",
+    "dim3_c4",
+    "dim3_c6",
+    "dim3_c2c2_connective",
+]
+
+
 def test_catalog_list(capsys):
+    """`catalog list` prints the keys in catalog order, one per line in
+    text and as one JSON list."""
     assert main(["catalog", "list"]) == 0
-    out = capsys.readouterr().out
-    assert "hw" in out.split()
-    assert "klein_bottle" in out.split()
+    assert capsys.readouterr().out == "\n".join(CATALOG_ORDER) + "\n"
+    assert main(["catalog", "list", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == CATALOG_ORDER
 
 
 def test_catalog_show(capsys):
@@ -1032,8 +1049,9 @@ def catalog_payloads(monkeypatch, tmp_path, capsys):
 
 def test_json_writer_matches_json_dumps_on_every_catalog_payload(monkeypatch, tmp_path, capsys):
     payloads = catalog_payloads(monkeypatch, tmp_path, capsys)
-    # catalog list; per group: export, one per command in json, and the
-    # certificate inside `connective --certificate --format text`
-    assert len(payloads) == 1 + 11 * (1 + 8 + 1)
+    # catalog list; per group: export, one per command in json, the text
+    # `catalog export` (JSON in either format), and the certificate inside
+    # `connective --certificate --format text`
+    assert len(payloads) == 1 + 11 * (1 + 9 + 1 + 1)
     for payload in payloads:
         assert cli.json_text(payload) == json.dumps(payload, indent=2)

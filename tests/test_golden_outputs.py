@@ -28,6 +28,7 @@ from bieberbach.cli import main
 DIGESTS = Path(__file__).with_name("golden_outputs.json")
 
 COMMANDS = (
+    ("catalog", "export"),
     ("catalog", "show"),
     ("connective", "--certificate"),
     ("decompose",),

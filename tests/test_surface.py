@@ -28,7 +28,7 @@ import bieberbach
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bieberbach"
 ENTRY_POINTS = {("cli", "main")}
-INTEGER_MODULES = ("linalg", "calabi", "finite")  # no Fraction inside
+INTEGER_MODULES = ("linalg", "calabi", "finite", "catalog")  # no Fraction inside
 
 PUBLIC_API = set(
     """
